@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import conformal  # noqa: F401  (re-exported surface; keeps import order stable)
 from . import cylinder, stability, verify, zonal
 from .errors import (
     ComputationError,
@@ -45,7 +44,6 @@ class RunConfig:
     modes: int = 128
     eps_grid: tuple = (0.02, 0.01, 0.005)
     alpha_grid: tuple = ()
-    tol: float | None = None
     seed: int = 0
     format: str = "json"
     out: str | None = None
@@ -94,7 +92,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--modes", type=int, default=None, help="fourier modes K")
     p.add_argument("--eps-grid", type=str, default=None, help="comma-separated eps values")
     p.add_argument("--alpha-grid", type=str, default=None, help="comma-separated amplitudes")
-    p.add_argument("--tol", type=float, default=None, help="reserved tolerance override")
     p.add_argument("--seed", type=int, default=None, help="rng seed")
     p.add_argument("--format", choices=("json", "csv"), default=None, help="output format")
     p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
@@ -152,7 +149,6 @@ _CONFIG_CASTS = {
     "modes": int,
     "eps_grid": str,
     "alpha_grid": str,
-    "tol": float,
     "seed": int,
     "format": str,
     "out": str,
@@ -193,7 +189,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         modes=pick("modes", 128),
         eps_grid=_parse_grid(eps_text) if eps_text is not None else (0.02, 0.01, 0.005),
         alpha_grid=_parse_grid(alpha_text) if alpha_text is not None else (),
-        tol=pick("tol", None),
         seed=pick("seed", 0),
         format=pick("format", "json"),
         out=pick("out", None),

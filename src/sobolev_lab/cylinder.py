@@ -503,28 +503,30 @@ def profile_from_samples(
     return PeriodicProfile(params=params, fourier=four, samples=samples)
 
 
+def _trig_sum(fourier: np.ndarray, T: float, t) -> np.ndarray:
+    """The trigonometric sum with coefficients [a0, a1..aK, b1..bK] at times t."""
+    t = np.asarray(t, dtype=float)
+    n_modes = (len(fourier) - 1) // 2
+    k = np.arange(1, n_modes + 1)
+    ang = 2.0 * math.pi / T * np.outer(t, k)
+    return (
+        fourier[0]
+        + np.cos(ang) @ fourier[1 : n_modes + 1]
+        + np.sin(ang) @ fourier[n_modes + 1 :]
+    )
+
+
 def synthesize_profile(profile: PeriodicProfile, t) -> np.ndarray:
     """Evaluate the trigonometric sum at arbitrary times."""
-    t = np.asarray(t, dtype=float)
-    k = np.arange(1, profile.n_modes + 1)
-    ang = 2.0 * math.pi / profile.params.T * np.outer(t, k)
-    out = (
-        profile.fourier[0]
-        + np.cos(ang) @ profile.fourier[1 : profile.n_modes + 1]
-        + np.sin(ang) @ profile.fourier[profile.n_modes + 1 :]
-    )
-    return out
+    return _trig_sum(profile.fourier, profile.params.T, t)
 
 
 def profile_from_fourier(
     params: CylinderParams, fourier: np.ndarray, n_grid: int = 1024
 ) -> PeriodicProfile:
     fourier = np.ascontiguousarray(fourier, dtype=float)
-    stub = PeriodicProfile.__new__(PeriodicProfile)
-    object.__setattr__(stub, "params", params)
-    object.__setattr__(stub, "fourier", fourier)
     tgrid = np.arange(n_grid) * (params.T / n_grid)
-    samples = synthesize_profile(stub, tgrid)
+    samples = _trig_sum(fourier, params.T, tgrid)
     return PeriodicProfile(params=params, fourier=fourier, samples=samples)
 
 
@@ -800,25 +802,54 @@ def minimize_quotient(
 # Hessian blocks (Hill discretization)
 
 
-def _trig_basis(T: float, n_modes: int, n_grid: int) -> tuple:
-    """Orthonormal trig basis on the uniform grid and its -d^2/dt^2 symbols.
+def _grid_spectrum(x: np.ndarray, n_modes: int) -> np.ndarray:
+    """rfft(x) / N of uniform-grid samples, checked to resolve 2 n_modes."""
+    if len(x) < 2 * (2 * n_modes + 1):
+        raise PreconditionError("grid too coarse for the requested modes")
+    return np.fft.rfft(x) / len(x)
 
-    Row order: constant, cos_1, sin_1, cos_2, sin_2, ... so the low modes
+
+def _trig_coords(x: np.ndarray, T: float, n_modes: int) -> np.ndarray:
+    """Coordinates h phi x of grid samples in the orthonormal trig basis phi.
+
+    phi is 1/sqrt(T), sqrt(2/T) cos(2 pi k t/T), sqrt(2/T) sin(2 pi k t/T) in
+    the row order constant, cos_1, sin_1, cos_2, sin_2, ..., so the low modes
     appearing in kernel statements sit at fixed indices.
     """
-    if n_grid < 2 * (2 * n_modes + 1):
-        raise PreconditionError("grid too coarse for the requested modes")
-    t = np.arange(n_grid) * (T / n_grid)
+    xh = _grid_spectrum(x, n_modes)
+    out = np.empty(2 * n_modes + 1)
+    out[0] = math.sqrt(T) * xh[0].real
+    out[1::2] = math.sqrt(2.0 * T) * xh[1 : n_modes + 1].real
+    out[2::2] = -math.sqrt(2.0 * T) * xh[1 : n_modes + 1].imag
+    return out
+
+
+def _multiplication_block(w: np.ndarray, n_modes: int) -> np.ndarray:
+    """Gram matrix h phi diag(w) phi^T, Toeplitz plus Hankel in w^ = rfft(w)/N.
+
+    Entries: cos_k-cos_l Re w^_|k-l| + Re w^_(k+l), sin_k-sin_l
+    Re w^_|k-l| - Re w^_(k+l), cos_k-sin_l -Im w^_(k+l) - sign(l-k) Im w^_|l-k|;
+    the constant row is Re w^_0, then sqrt(2) Re w^_k against cos_k and
+    -sqrt(2) Im w^_k against sin_k. Exact, not an approximation of the grid
+    sum: k + l <= 2 n_modes < N/2, so no index aliases.
+    """
+    wh = _grid_spectrum(w, n_modes)
+    re, im = wh.real, wh.imag
+    k = np.arange(1, n_modes + 1)
+    dif = k[None, :] - k[:, None]
+    adif = np.abs(dif)
+    ksum = k[:, None] + k[None, :]
+    cs = -im[ksum] - np.sign(dif) * im[adif]
     n = 2 * n_modes + 1
-    phi = np.empty((n, n_grid))
-    phi[0] = 1.0 / math.sqrt(T)
-    ksq = np.zeros(n)
-    for k in range(1, n_modes + 1):
-        ang = 2.0 * math.pi * k / T * t
-        phi[2 * k - 1] = math.sqrt(2.0 / T) * np.cos(ang)
-        phi[2 * k] = math.sqrt(2.0 / T) * np.sin(ang)
-        ksq[2 * k - 1] = ksq[2 * k] = (2.0 * math.pi * k / T) ** 2
-    return phi, ksq, t
+    out = np.empty((n, n))
+    out[0, 0] = re[0]
+    out[0, 1::2] = out[1::2, 0] = math.sqrt(2.0) * re[k]
+    out[0, 2::2] = out[2::2, 0] = -math.sqrt(2.0) * im[k]
+    out[1::2, 1::2] = re[adif] + re[ksum]
+    out[2::2, 2::2] = re[adif] - re[ksum]
+    out[1::2, 2::2] = cs
+    out[2::2, 1::2] = cs.T
+    return out
 
 
 def _branch_grid(d: int, T: float, n_grid: int) -> tuple:
@@ -842,27 +873,28 @@ def _assemble_block(
     corrected: bool,
     ustar: np.ndarray | None = None,
 ) -> tuple:
-    """Galerkin matrices (L, B) of the degree-ell Hessian block.
+    """Galerkin matrix L and the diagonal of B for the degree-ell Hessian block.
 
     L is the second-variation operator -d^2/dt^2 + ell(ell+d-2) + ((d-2)/2)^2
     - (d(d+2)/4) u_*^(q-2), plus the rank-one term d <u^(q-1), .> u^(q-1) /
     int u^q when ``corrected`` (only meaningful at ell = 0); B is the
-    E_T-form -d^2/dt^2 + ell(ell+d-2) + ((d-2)/2)^2.
+    E_T-form -d^2/dt^2 + ell(ell+d-2) + ((d-2)/2)^2, diagonal in the trig
+    basis. The potential term comes from one FFT of the weight.
     """
     q = _q_of(d)
-    phi, ksq, _ = _trig_basis(T, n_modes, n_grid)
     if ustar is None:
         ustar, _, _ = _branch_grid(d, T, n_grid)
-    h = T / n_grid
+    k = np.arange(1, n_modes + 1)
+    ksq = np.concatenate(([0.0], np.repeat((2.0 * math.pi * k / T) ** 2, 2)))
     mell = ell * (ell + d - 2.0) + (d - 2.0) ** 2 / 4.0
+    bdiag = ksq + mell
     wgrid = d * (d + 2.0) / 4.0 * ustar ** (q - 2.0)
-    lmat = np.diag(ksq + mell) - (phi * wgrid[None, :]) @ phi.T * h
+    lmat = np.diag(bdiag) - _multiplication_block(wgrid, n_modes)
     if corrected:
-        v = phi @ (ustar ** (q - 1.0)) * h
-        iq = float(np.sum(ustar**q)) * h
-        lmat = lmat + (d / iq) * np.outer(v, v)
-    bmat = np.diag(ksq + mell)
-    return lmat, bmat, phi
+        v = _trig_coords(ustar ** (q - 1.0), T, n_modes)
+        iq = float(np.sum(ustar**q)) * (T / n_grid)
+        lmat += (d / iq) * np.outer(v, v)
+    return lmat, bdiag
 
 
 def hessian_block_spectrum(
@@ -886,7 +918,7 @@ def hessian_block_spectrum(
         raise DomainError("degree must be nonnegative")
     if corrected is None:
         corrected = ell == 0
-    lmat, _, _ = _assemble_block(d, T, ell, n_modes, n_grid, corrected)
+    lmat, _ = _assemble_block(d, T, ell, n_modes, n_grid, corrected)
     vals = np.linalg.eigvalsh(lmat)
     return make_spectrum_report(vals, (2 * n_modes + 1, n_grid))
 
@@ -894,8 +926,8 @@ def hessian_block_spectrum(
 def zero_mode_pairing(d: int, T: float, n_modes: int = 128, n_grid: int = 4096) -> float:
     """<du_*, L_0 du_*> for the translation mode (zero above T_*)."""
     u, up, _ = _branch_grid(d, T, n_grid)
-    lmat, _, phi = _assemble_block(d, T, 0, n_modes, n_grid, corrected=True, ustar=u)
-    coords = phi @ up * (T / n_grid)
+    lmat, _ = _assemble_block(d, T, 0, n_modes, n_grid, corrected=True, ustar=u)
+    coords = _trig_coords(up, T, n_modes)
     return float(coords @ lmat @ coords)
 
 
@@ -923,23 +955,26 @@ def c_T_numeric(
     which is attained among the low ones since the blocks grow with ell.
     """
     u, up, _ = _branch_grid(d, T, n_grid)
-    h = T / n_grid
-    mins = []
-    for ell in range(ell_max + 1):
-        lmat, bmat, phi = _assemble_block(
-            d, T, ell, n_modes, n_grid, corrected=(ell == 0), ustar=u
-        )
-        if ell == 0:
-            cu = bmat @ (phi @ u * h)
-            cdu = bmat @ (phi @ up * h)
-            cons = np.vstack([cu, cdu])
-            keep = [row for row in cons if np.linalg.norm(row) > 1e-12]
-            z = null_space(np.vstack(keep))
-            vals = eigh(
-                z.T @ lmat @ z, z.T @ bmat @ z, eigvals_only=True, subset_by_index=(0, 0)
-            )
-        else:
-            vals = eigh(lmat, bmat, eigvals_only=True, subset_by_index=(0, 0))
+    l0, b0 = _assemble_block(d, T, 0, n_modes, n_grid, corrected=True, ustar=u)
+    cons = np.vstack(
+        [b0 * _trig_coords(u, T, n_modes), b0 * _trig_coords(up, T, n_modes)]
+    )
+    keep = [row for row in cons if np.linalg.norm(row) > 1e-12]
+    z = null_space(np.vstack(keep))
+    vals = eigh(
+        z.T @ l0 @ z, z.T @ (b0[:, None] * z), eigvals_only=True, subset_by_index=(0, 0)
+    )
+    mins = [float(vals[0])]
+    # degree ell >= 1 is the uncorrected degree-0 block shifted by
+    # ell(ell+d-2) on the diagonal; B is diagonal, so D^(-1/2) L D^(-1/2)
+    # turns the generalized problem into a standard one
+    lbase, bbase = _assemble_block(d, T, 0, n_modes, n_grid, corrected=False, ustar=u)
+    eye = np.eye(len(bbase))
+    for ell in range(1, ell_max + 1):
+        shift = ell * (ell + d - 2.0)
+        rs = 1.0 / np.sqrt(bbase + shift)
+        lmat = rs[:, None] * (lbase + shift * eye) * rs[None, :]
+        vals = eigh(lmat, eigvals_only=True, subset_by_index=(0, 0))
         mins.append(float(vals[0]))
     best = min(mins)
     if mins.index(best) >= ell_max:
@@ -990,7 +1025,7 @@ def quartic_constants(
     area = sphere_area(d - 1)
     sigma = ts * area
 
-    lmat, _, phi = _assemble_block(d, ts, 0, n_modes, n_grid, corrected=True)
+    lmat, _ = _assemble_block(d, ts, 0, n_modes, n_grid, corrected=True)
     h = ts / n_grid
     tgrid = np.arange(n_grid) * h
     r_star = np.cos(2.0 * math.pi * tgrid / ts)
@@ -1003,7 +1038,7 @@ def quartic_constants(
         raise ComputationError(
             "expected a 3-dimensional kernel at T_*, found %d" % int(np.sum(ker))
         )
-    fcoords = phi @ f_star * h
+    fcoords = _trig_coords(f_star, ts, n_modes)
     fperp = fcoords - evecs[:, ker] @ (evecs[:, ker].T @ fcoords)
     inv = np.zeros_like(evals)
     inv[~ker] = 1.0 / evals[~ker]

@@ -166,20 +166,25 @@ def distance(
         starts.append(np.array([a0 * nz, r0 * nz]))
 
     for z0 in starts:
-        res = minimize(
-            objective,
-            z0,
-            method="L-BFGS-B",
-            options={"gtol": gtol, "ftol": 1e-15, "maxiter": 500},
-        )
+        try:
+            res = minimize(
+                objective,
+                z0,
+                method="L-BFGS-B",
+                options={"gtol": gtol, "ftol": 1e-15, "maxiter": 500},
+            )
+        except DomainError:
+            # the descent ran z off to infinity, where |zeta| rounds to 1
+            converged.append(False)
+            continue
         a, rho = unpack(res.x)
         rho = abs(rho)
         g = gval(a, rho)
         candidates.append((g * g, a, rho, g))
         converged.append(bool(res.success))
 
-    if not any(converged) and not candidates:
-        raise ComputationError("no distance start converged")
+    if not candidates:
+        raise ComputationError("every distance start left the unit ball")
 
     ranked = sorted(
         candidates,

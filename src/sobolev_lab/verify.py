@@ -4,15 +4,12 @@ Each suite re-derives a handful of structural identities at runtime --
 spectral formulas against quadrature, closed forms against eigensolvers,
 two independent routes to the same number -- and reports one line per
 check. Suites are deterministic for a fixed seed; ``run_suite("all")``
-concatenates them, optionally fanning out over threads (the checks are
-pure, so the report is identical either way).
+concatenates them.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -446,17 +443,7 @@ def _suite_kwargs(name: str, params: dict) -> dict:
 def run_suite(suite: str, **params) -> list:
     """Run one named suite (or "all") and return its CheckResults."""
     if suite == "all":
-        names = list(SUITES)
-        threads = int(os.environ.get("SOBOLEV_LAB_THREADS", "1"))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                futs = [
-                    pool.submit(SUITES[n], **_suite_kwargs(n, params)) for n in names
-                ]
-                results = [f.result() for f in futs]
-        else:
-            results = [SUITES[n](**_suite_kwargs(n, params)) for n in names]
-        return [c for chunk in results for c in chunk]
+        return [c for n in SUITES for c in SUITES[n](**_suite_kwargs(n, params))]
     if suite not in SUITES:
         raise DomainError("unknown suite %r" % (suite,))
     return SUITES[suite](**_suite_kwargs(suite, params))

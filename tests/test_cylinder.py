@@ -12,8 +12,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh, null_space
 
 from sobolev_lab.cylinder import (
+    _assemble_block,
+    _branch_grid,
+    _multiplication_block,
+    _trig_coords,
     CylinderParams,
     c_T,
     c_T_formula,
@@ -296,6 +301,98 @@ def test_next_eigenvalue_at_bifurcation_is_three_d_minus_two():
     rep = hessian_block_spectrum(D, TS, ell=0)
     nxt = np.sort(np.abs(rep.eigenvalues))[3]
     assert nxt == pytest.approx(3.0 * (D - 2.0), rel=1e-6)
+
+
+def _dense_trig_basis(T, n_modes, n_grid):
+    """Reference basis rows 1/sqrt(T), sqrt(2/T) cos_k, sqrt(2/T) sin_k on the grid."""
+    t = np.arange(n_grid) * (T / n_grid)
+    phi = np.empty((2 * n_modes + 1, n_grid))
+    phi[0] = 1.0 / math.sqrt(T)
+    for k in range(1, n_modes + 1):
+        ang = 2.0 * math.pi * k / T * t
+        phi[2 * k - 1] = math.sqrt(2.0 / T) * np.cos(ang)
+        phi[2 * k] = math.sqrt(2.0 / T) * np.sin(ang)
+    return phi
+
+
+def _odd_profile(T, n_grid):
+    # a rolled orbit plus a smooth random term: neither constant nor even,
+    # so the cos-sin and constant-row blocks of the Gram matrix are nonzero
+    star = ustar_profile(D, T, n_grid=n_grid)
+    t = np.arange(n_grid) * (T / n_grid)
+    rng = np.random.default_rng(5)
+    amp = rng.standard_normal((2, 6)) / (1.0 + np.arange(6.0)) ** 2
+    bump = sum(
+        amp[0, k] * np.cos(2.0 * math.pi * (k + 1) * t / T)
+        + amp[1, k] * np.sin(2.0 * math.pi * (k + 1) * t / T)
+        for k in range(6)
+    )
+    return np.roll(star.samples, 357) * (1.0 + 0.05 * bump)
+
+
+def test_fft_hill_block_matches_dense_product():
+    T, n_modes, n_grid = 1.5 * TS, 128, 4096
+    q = 2.0 * D / (D - 2.0)
+    h = T / n_grid
+    u = _odd_profile(T, n_grid)
+    phi = _dense_trig_basis(T, n_modes, n_grid)
+    w = D * (D + 2.0) / 4.0 * u ** (q - 2.0)
+    dense = (phi * w[None, :]) @ phi.T * h
+    block = _multiplication_block(w, n_modes)
+    assert np.max(np.abs(block - dense)) <= 1e-13 * np.max(np.abs(dense))
+    for part in (block[1::2, 2::2], block[0, 1::2], block[0, 2::2]):
+        assert np.max(np.abs(part)) > 1e-3
+    # the whole corrected degree-0 block against its dense assembly
+    v = phi @ u ** (q - 1.0) * h
+    lmat, b = _assemble_block(D, T, 0, n_modes, n_grid, corrected=True, ustar=u)
+    ref = np.diag(b) - dense + D / (float(np.sum(u**q)) * h) * np.outer(v, v)
+    assert np.max(np.abs(lmat - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_fft_coordinates_match_dense_projection():
+    T, n_modes, n_grid = 1.5 * TS, 128, 4096
+    x = _odd_profile(T, n_grid)
+    dense = _dense_trig_basis(T, n_modes, n_grid) @ x * (T / n_grid)
+    coords = _trig_coords(x, T, n_modes)
+    assert np.max(np.abs(coords - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+
+def test_rescaled_standard_problem_matches_generalized():
+    # ell >= 1: shifting the degree-0 block and rescaling by the diagonal B
+    # gives the lowest generalized eigenvalue of (L_ell, B_ell)
+    T = 1.5 * TS
+    lbase, bbase = _assemble_block(D, T, 0, 128, 4096, corrected=False)
+    for ell in range(1, 7):
+        lmat, b = _assemble_block(D, T, ell, 128, 4096, corrected=False)
+        ref = eigh(lmat, np.diag(b), eigvals_only=True, subset_by_index=(0, 0))[0]
+        shift = ell * (ell + D - 2.0)
+        rs = 1.0 / np.sqrt(bbase + shift)
+        scaled = rs[:, None] * (lbase + shift * np.eye(len(b))) * rs[None, :]
+        val = eigh(scaled, eigvals_only=True, subset_by_index=(0, 0))[0]
+        assert val == pytest.approx(ref, rel=1e-12)
+
+
+def test_c_T_numeric_matches_dense_generalized_route():
+    # the dense product and one generalized eigh per degree, as reference
+    T, n_modes, n_grid = 1.5 * TS, 128, 4096
+    q = 2.0 * D / (D - 2.0)
+    h = T / n_grid
+    u, up, _ = _branch_grid(D, T, n_grid)
+    phi = _dense_trig_basis(T, n_modes, n_grid)
+    k = np.repeat(np.arange(1, n_modes + 1), 2)
+    ksq = np.concatenate(([0.0], (2.0 * math.pi * k / T) ** 2))
+    gram = (phi * (D * (D + 2.0) / 4.0 * u ** (q - 2.0))[None, :]) @ phi.T * h
+    v = phi @ u ** (q - 1.0) * h
+    mins = []
+    for ell in range(7):
+        bmat = np.diag(ksq + ell * (ell + D - 2.0) + (D - 2.0) ** 2 / 4.0)
+        lmat = bmat - gram
+        if ell == 0:
+            lmat = lmat + D / (float(np.sum(u**q)) * h) * np.outer(v, v)
+            z = null_space(np.vstack([bmat @ (phi @ u * h), bmat @ (phi @ up * h)]))
+            lmat, bmat = z.T @ lmat @ z, z.T @ bmat @ z
+        mins.append(eigh(lmat, bmat, eigvals_only=True, subset_by_index=(0, 0))[0])
+    assert c_T_numeric(D, T) == pytest.approx(min(mins), rel=1e-12)
 
 
 def test_translation_zero_mode_pairing():

@@ -144,3 +144,11 @@ def test_distance_rejects_zero_input():
     zero = from_coeffs(np.zeros(9), p)
     with pytest.raises(DomainError):
         distance(zero)
+
+
+def test_distance_drops_starts_that_leave_the_ball():
+    # on this ray one L-BFGS-B start drives z unbounded until |zeta| rounds
+    # to 1; that start is dropped and the curve still reaches 4s/(d+2s+2)
+    p = SphereParams(3, 0.5)
+    curve = quotient_curve(_pure_degree(p, 2, amp=1.487792838297688))
+    assert curve.extrapolated_limit == pytest.approx(1.0 / 3.0, rel=1e-5)
