@@ -86,8 +86,9 @@ class SphereParams:
 class ZonalBasis:
     """Orthonormal zonal basis tabulated on a Gauss grid.
 
-    values[ell, i] holds e_ell(t_i); dvalues holds d/dt e_ell(t_i). The
-    analysis matrix maps grid samples to coefficients by weighted projection.
+    values[ell, i] holds e_ell(t_i); dvalues holds d/dt e_ell(t_i); norms[ell]
+    divides the Gegenbauer polynomial into e_ell. The analysis matrix maps
+    grid samples to coefficients by weighted projection.
     """
 
     def __init__(self, d: int, bandlimit: int, order: int):
@@ -113,7 +114,9 @@ class ZonalBasis:
             - 2.0 * gammaln(lam)
             - gammaln(ells + 1.0)
         )
-        norms = np.exp(0.5 * (log_h + math.log(self.geometry.subsphere_area)))
+        self.norms = norms = np.exp(
+            0.5 * (log_h + math.log(self.geometry.subsphere_area))
+        )
         raw = gegenbauer_table(lam, bandlimit, self.rule.nodes)
         self.values = raw / norms[:, None]
         dvals = np.zeros_like(raw)
@@ -124,24 +127,14 @@ class ZonalBasis:
         self.analysis = (
             self.geometry.subsphere_area * self.values * self.rule.weights[None, :]
         )
-        for arr in (self.values, self.dvalues, self.analysis):
+        for arr in (self.norms, self.values, self.dvalues, self.analysis):
             arr.setflags(write=False)
 
     def values_at(self, t: np.ndarray) -> np.ndarray:
         """Basis values at arbitrary points, shape (bandlimit+1, len(t))."""
         lam = (self.d - 1) / 2.0
-        ells = np.arange(self.bandlimit + 1, dtype=float)
-        log_h = (
-            math.log(math.pi)
-            + (1.0 - 2.0 * lam) * math.log(2.0)
-            + gammaln(ells + 2.0 * lam)
-            - np.log(ells + lam)
-            - 2.0 * gammaln(lam)
-            - gammaln(ells + 1.0)
-        )
-        norms = np.exp(0.5 * (log_h + math.log(self.geometry.subsphere_area)))
         raw = gegenbauer_table(lam, self.bandlimit, np.asarray(t, dtype=float))
-        return raw / norms[:, None]
+        return raw / self.norms[:, None]
 
 
 @lru_cache(maxsize=64)
@@ -472,16 +465,13 @@ def subcritical_check(
     qc = 2.0 * d / (d - 2.0) if d > 2 else math.inf
     if not 2.0 <= q_sub < qc:
         raise DomainError("q_sub must lie in [2, 2d/(d-2))")
+    if q_sub == 2.0:
+        return SubcriticalReport(0.0, 0, np.empty(0), True)
     s_sub = d * (0.5 - 1.0 / q_sub)
     ells = np.arange(l_max + 1, dtype=float)
     mult = np.exp(
         gammaln(ells + d / 2.0 + s_sub) - gammaln(ells + d / 2.0 - s_sub)
     )
-    if q_sub == 2.0:
-        ratio = np.zeros_like(ells)
-        tail_ok = True
-        margins = np.empty(0)
-        return SubcriticalReport(0.0, 0, margins, tail_ok)
     den = ells * (ells + d - 1.0) + d / (q_sub - 2.0)
     ratio = mult / den
     tail = ratio[-100:]

@@ -18,6 +18,7 @@ from sobolev_lab.cylinder import (
     _assemble_block,
     _branch_grid,
     _multiplication_block,
+    _parity_halves,
     _trig_coords,
     CylinderParams,
     c_T,
@@ -55,7 +56,7 @@ from sobolev_lab.cylinder import (
     ustar_profile,
     zero_mode_pairing,
 )
-from sobolev_lab.errors import DomainError
+from sobolev_lab.errors import ComputationError, DomainError
 from sobolev_lab.specialfn import sphere_area
 from sobolev_lab.zonal import SphereParams, sharp_constant
 
@@ -173,6 +174,18 @@ def test_profile_norms_two_routes():
     assert profile_norm2_parseval(prof) == pytest.approx(
         profile_norm2_grid(prof), rel=1e-11
     )
+
+
+def test_profile_constructors_leave_the_callers_array_writable():
+    params = CylinderParams(D, 9.0)
+    samples = np.ones(64)
+    prof = profile_from_samples(params, samples)
+    samples[0] = 2.0
+    assert prof.samples[0] == 1.0
+    coeffs = np.zeros(5)
+    prof = profile_from_fourier(params, coeffs, n_grid=16)
+    coeffs[0] = 1.0
+    assert prof.fourier[0] == 0.0
 
 
 def test_profile_energy_against_trig_closed_form():
@@ -372,6 +385,25 @@ def test_rescaled_standard_problem_matches_generalized():
         assert val == pytest.approx(ref, rel=1e-12)
 
 
+def test_parity_split_spectrum_matches_full_block():
+    # the cosine and sine halves together carry the whole block spectrum
+    for frac in (0.7, 1.0, 1.4, 1.8):
+        T = frac * TS
+        for ell in (0, 2):
+            lmat, _ = _assemble_block(D, T, ell, 128, 4096, corrected=ell == 0)
+            ref = np.linalg.eigvalsh(lmat)
+            vals = hessian_block_spectrum(D, T, ell=ell).eigenvalues
+            assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_parity_split_rejects_a_weight_that_is_not_even():
+    T = 1.5 * TS
+    u = _odd_profile(T, 4096)
+    lmat, _ = _assemble_block(D, T, 0, 128, 4096, corrected=False, ustar=u)
+    with pytest.raises(ComputationError):
+        _parity_halves(lmat)
+
+
 def test_c_T_numeric_matches_dense_generalized_route():
     # the dense product and one generalized eigh per degree, as reference
     T, n_modes, n_grid = 1.5 * TS, 128, 4096
@@ -467,6 +499,11 @@ def test_quartic_constants_closed_forms():
         "kernel_eigenvalues",
     ):
         assert key in qc.diagnostics
+    # the parity halves keep the 3-dimensional kernel and the resolvent
+    assert len(qc.diagnostics["kernel_eigenvalues"]) == 3
+    assert qc.diagnostics["resolvent_coefficient_numeric"] == pytest.approx(
+        0.5483641720635385, rel=1e-12
+    )
 
 
 def test_quartic_gap_positive_across_dimensions():
