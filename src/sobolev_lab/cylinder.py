@@ -30,7 +30,8 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh, null_space
-from scipy.optimize import brentq, minimize, minimize_scalar
+from scipy.linalg.blas import dgemm
+from scipy.optimize import brentq, minimize
 
 from .errors import (
     ComputationError,
@@ -382,6 +383,27 @@ def _integrate(d: int, alpha: float, t_end: float, rtol=1e-12, atol=1e-14, event
     return sol
 
 
+def _mirrored_samples(sol, step: float, n: int, closed: bool) -> tuple:
+    """u and u' at t_j = j step, j < n, of an orbit that starts at its maximum.
+
+    The ODE is reversible and u'(0) = 0, so over one period P the orbit obeys
+    u(P - t) = u(t) and u'(P - t) = -u'(t). P is (n - 1) step on a ``closed``
+    grid, which holds both ends, and n step on a periodic one. Only the first
+    half of the grid is read from the dense solution ``sol``, which needs to
+    cover [0, P/2]; every later sample copies its mirror, so u is exactly even
+    and u' exactly odd on the grid (u' = 0 at a sample on P/2).
+    """
+    m = n - 1 if closed else n
+    half = m // 2
+    u, up = np.empty(n), np.empty(n)
+    u[: half + 1], up[: half + 1] = sol.sol(np.arange(half + 1) * step)
+    if m % 2 == 0:
+        up[half] = 0.0
+    u[half + 1 :] = u[m - n + 1 : m - half][::-1]
+    up[half + 1 :] = -up[m - n + 1 : m - half][::-1]
+    return u, up
+
+
 def solve_orbit(
     d: int,
     alpha: float,
@@ -389,12 +411,12 @@ def solve_orbit(
     rtol: float = 1e-12,
     atol: float = 1e-14,
 ) -> Orbit:
-    """Integrate one period adaptively; the period comes from event detection.
+    """Integrate half a period adaptively; the period comes from event detection.
 
-    The profile starts at its maximum (u(0) = alpha, u'(0) = 0), descends to
-    the turning point at half period, detected as the rising zero of u', and
-    returns symmetrically. The independent quadrature period brackets the
-    integration window.
+    The profile starts at its maximum (u(0) = alpha, u'(0) = 0) and descends
+    to the turning point at half period, detected as the rising zero of u',
+    where the integration stops; the returning half is its mirror image. The
+    independent quadrature period brackets the integration window.
     """
     _check_alpha(d, alpha)
     tau_quad = period(d, alpha)
@@ -403,22 +425,19 @@ def solve_orbit(
         return y[1]
 
     turning.direction = 1.0
-    # one integration just past the quadrature period covers the whole orbit
-    sol = _integrate(d, alpha, 1.01 * tau_quad, rtol, atol, events=turning)
+    turning.terminal = True
+    sol = _integrate(d, alpha, 0.51 * tau_quad, rtol, atol, events=turning)
     if len(sol.t_events[0]) == 0:
         raise ComputationError("no turning point detected within the window")
     tau = 2.0 * float(sol.t_events[0][0])
-    if sol.t[-1] < tau:
-        raise ComputationError("integration window ends before the detected period")
-    tgrid = np.linspace(0.0, tau, n_samples)
-    vals = sol.sol(tgrid)
+    u, up = _mirrored_samples(sol, tau / (n_samples - 1), n_samples, closed=True)
     return Orbit(
         d=d,
         alpha=alpha,
         period=tau,
-        t=tgrid,
-        u=vals[0],
-        up=vals[1],
+        t=np.linspace(0.0, tau, n_samples),
+        u=u,
+        up=up,
         energy_constant=float(potential(alpha, d)),
     )
 
@@ -850,14 +869,18 @@ def _multiplication_block(w: np.ndarray, n_modes: int) -> np.ndarray:
 
 
 def _branch_grid(d: int, T: float, n_grid: int) -> tuple:
-    """Samples of the optimizer branch and its derivative on the grid."""
+    """Samples of the optimizer branch and its derivative on the grid.
+
+    Above T_* the orbit is integrated over half a period and mirrored, so the
+    samples are exactly even and the derivative exactly odd.
+    """
     ts = t_star(d)
     tgrid = np.arange(n_grid) * (T / n_grid)
     if T <= ts:
         return np.full(n_grid, u0(d)), np.zeros(n_grid), tgrid
     alpha = inverse_period(d, T)
-    sol = _integrate(d, alpha, T)
-    u, up = sol.sol(tgrid)
+    sol = _integrate(d, alpha, 0.5 * T)
+    u, up = _mirrored_samples(sol, T / n_grid, n_grid, closed=False)
     return u, up, tgrid
 
 
@@ -897,9 +920,12 @@ def _assemble_block(
 # The branch u_* is even about its maximum at t = 0 (u'(0) = 0 and the ODE is
 # reversible), so the weight has Im w^ = 0 and no block entry couples a sine
 # row to the constant or a cosine row: every degree-ell block is two blocks.
-# Bound on the dropped coupling, relative to max |L|: on d = 3..6 and T in
-# [0.5, 3] T_* it measures at most 5.2e-11 (d = 5, T = 3 T_*), the asymmetry
-# the DOP853 orbit picks up at rtol 1e-12.
+# _branch_grid mirrors its half-period orbit, so the grid weight is exactly
+# even and the coupling is the roundoff of its FFT: over d = 3..6 and T in
+# [0.5, 5] T_*, corrected and uncorrected, it measures at most 2.6e-20 of
+# max |L| (d = 3, T = 5 T_*, corrected), and exactly 0 below T_*. The bound
+# only has to catch a weight that is not even (a shifted or perturbed orbit
+# couples the halves at order one).
 _PARITY_TOL = 1e-9
 
 
@@ -935,7 +961,9 @@ def _lowest_eigenvalue(
     mat = rs[:, None] * lmat * rs[None, :]
     if row is not None and np.linalg.norm(row) > 1e-12:
         z = null_space((rs * row)[None, :])
-        mat = z.T @ mat @ z
+        # scipy's BLAS, as for eigh: alternating with numpy's own OpenBLAS
+        # makes each library wait for the other's spinning threads
+        mat = dgemm(1.0, z, dgemm(1.0, mat, z), trans_a=True)
     return float(eigh(mat, eigvals_only=True, subset_by_index=(0, 0))[0])
 
 
@@ -962,7 +990,9 @@ def hessian_block_spectrum(
         corrected = ell == 0
     lmat, _ = _assemble_block(d, T, ell, n_modes, n_grid, corrected)
     vals = np.sort(
-        np.concatenate([np.linalg.eigvalsh(half) for _, half in _parity_halves(lmat)])
+        np.concatenate(
+            [eigh(half, eigvals_only=True) for _, half in _parity_halves(lmat)]
+        )
     )
     return make_spectrum_report(vals, (2 * n_modes + 1, n_grid))
 
@@ -1081,7 +1111,7 @@ def quartic_constants(
     evecs = np.zeros((n, n))
     col = 0
     for idx, half in _parity_halves(lmat):
-        vals, vecs = np.linalg.eigh(half)
+        vals, vecs = eigh(half)
         evals[col : col + len(vals)] = vals
         evecs[idx, col : col + len(vals)] = vecs
         col += len(vals)
@@ -1359,44 +1389,44 @@ def distance_to_branch(profile: PeriodicProfile) -> tuple:
     """
     p = profile.params
     d = p.d
-    e_u = energy_profile(profile)
     if p.T <= p.t_star:
-        area = sphere_area(d - 1)
-        beta2 = (d - 2.0) ** 2 / 4.0
-        m = len(profile.samples)
-        mean_int = p.T / m * float(np.sum(profile.samples))
-        e_one = beta2 * area * p.T
-        cross = beta2 * area * mean_int
-        c_best = cross / e_one
-        delta_sq = e_u - cross**2 / e_one
-        return math.sqrt(max(delta_sq, 0.0)), c_best, 0.0
+        # constants are E_T-orthogonal to every other Fourier mode, so the
+        # nearest one is the mean and delta the energy of what is left
+        c_best = float(np.mean(profile.samples))
+        rest = profile_from_samples(p, profile.samples - c_best)
+        return math.sqrt(energy_profile(rest)), c_best, 0.0
 
     m = len(profile.samples)
     ustar, _, _ = _branch_grid(d, p.T, m)
-    e_star = energy_profile(profile_from_samples(p, ustar))
     spec_u = np.fft.rfft(profile.samples)
     spec_s = np.fft.rfft(ustar)
     omega = 2.0 * math.pi / p.T * np.arange(len(spec_u))
     beta2 = (d - 2.0) ** 2 / 4.0
     mult = _rfft_mult(m)
     weight = mult * (omega**2 + beta2) * p.T / (m * m) * sphere_area(d - 1)
+    e_star = float(np.dot(weight, np.abs(spec_s) ** 2))
+    prod = spec_u * np.conj(spec_s)
 
     def cross_at(sigma: float) -> float:
-        phase = np.exp(-1j * omega * sigma)
-        return float(np.dot(weight, (spec_u * np.conj(spec_s * phase)).real))
+        return float(np.dot(weight, (prod * np.exp(1j * omega * sigma)).real))
+
+    def slope_at(sigma: float) -> float:
+        terms = 1j * omega * prod * np.exp(1j * omega * sigma)
+        return float(np.dot(weight, terms.real))
 
     subs = np.arange(m) * (p.T / m)
     subs = subs[:: max(1, m // 256)]
     vals = np.array([cross_at(sg) for sg in subs])
     i0 = int(np.argmax(np.abs(vals)))
     span = p.T / len(subs)
-    res = minimize_scalar(
-        lambda sg: -abs(cross_at(sg)),
-        bracket=(subs[i0] - span, subs[i0], subs[i0] + span),
-        options={"xtol": 1e-12},
+    # the extremum of the overlap is a root of its derivative: brentq pins it
+    # to roundoff, where a search on the flat top stops near sqrt(eps)
+    sigma = float(
+        brentq(slope_at, subs[i0] - span, subs[i0] + span, xtol=1e-14, rtol=8.9e-16)
     )
-    sigma_best = float(res.x) % p.T
-    cr = cross_at(sigma_best)
-    c_best = cr / e_star
-    delta_sq = e_u - cr * cr / e_star
-    return math.sqrt(max(delta_sq, 0.0)), c_best, sigma_best
+    c_best = cross_at(sigma) / e_star
+    # delta from the residual spectrum, not from e_u - cross^2 / e_star,
+    # which subtracts two numbers of the size of the energy
+    resid = spec_u - c_best * spec_s * np.exp(-1j * omega * sigma)
+    delta = math.sqrt(float(np.dot(weight, np.abs(resid) ** 2)))
+    return delta, c_best, sigma % p.T

@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import eigh, null_space
 
 from sobolev_lab.cylinder import (
@@ -427,6 +428,69 @@ def test_c_T_numeric_matches_dense_generalized_route():
     assert c_T_numeric(D, T) == pytest.approx(min(mins), rel=1e-12)
 
 
+def _full_period_reference(d, alpha, t):
+    """u, u' at times t from one DOP853 run over the whole window, no mirroring."""
+    q = 2.0 * d / (d - 2.0)
+
+    def rhs(s, y):
+        force = (d - 2.0) ** 2 / 4.0 * y[0] - d * (d - 2.0) / 4.0 * y[0] ** (q - 1.0)
+        return (y[1], force)
+
+    sol = solve_ivp(
+        rhs, (0.0, t[-1]), (alpha, 0.0), method="DOP853", rtol=1e-12, atol=1e-14,
+        dense_output=True,
+    )
+    return sol.sol(t)
+
+
+def test_branch_grid_is_exactly_even_and_matches_full_period():
+    # at 1.5 T_*; on longer periods the full-period run itself drifts off the
+    # symmetric orbit (1.7e-10 at d = 4, 2 T_*), which is what mirroring avoids
+    n = 4096
+    j = np.arange(1, n)
+    for d in (3, 4, 5, 6):
+        T = 1.5 * t_star(d)
+        u, up, t = _branch_grid(d, T, n)
+        assert np.array_equal(u[j], u[n - j])
+        assert np.array_equal(up[j], -up[n - j])
+        ref_u, ref_up = _full_period_reference(d, inverse_period(d, T), t)
+        assert np.max(np.abs(u - ref_u)) <= 1e-10
+        assert np.max(np.abs(up - ref_up)) <= 1e-10
+
+
+def test_solve_orbit_is_exactly_even_and_matches_full_period():
+    for d, alpha in ((3, 0.9), (5, 0.99)):
+        orb = solve_orbit(d, alpha)
+        assert np.array_equal(orb.u, orb.u[::-1])
+        assert np.array_equal(orb.up, -orb.up[::-1])
+        ref_u, ref_up = _full_period_reference(d, alpha, orb.t)
+        assert np.max(np.abs(orb.u - ref_u)) <= 1e-10
+        assert np.max(np.abs(orb.up - ref_up)) <= 1e-10
+
+
+def test_c_T_on_long_periods_is_positive_and_falls():
+    # the branch grid stays even on long periods, so the parity split holds
+    for d in (5, 6):
+        vals = [c_T_numeric(d, frac * t_star(d)) for frac in (3.0, 4.0, 5.0)]
+        assert all(v > 0 for v in vals)
+        assert vals[0] > vals[1] > vals[2]
+
+
+def test_hill_solves_use_one_lapack(monkeypatch):
+    # numpy and scipy each bring an OpenBLAS; alternating between them in the
+    # Hill solves makes each wait for the other's threads
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy eigensolver called in a Hill solve")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    assert c_T_numeric(D, 1.5 * TS) > 0
+    below = c_T_numeric(D, 0.7 * TS)
+    assert below == pytest.approx(c_T_formula(D, 0.7 * TS), rel=1e-8)
+    assert hessian_block_spectrum(D, 1.4 * TS, ell=0).kernel_dim == 2
+    assert quartic_constants(D).gap > 0
+
+
 def test_translation_zero_mode_pairing():
     assert zero_mode_pairing(D, 9.0) < 1e-8
 
@@ -542,16 +606,17 @@ def test_distance_to_branch_below_bifurcation_projects_onto_constants():
     T = 0.6 * TS
     m = 512
     t = np.arange(m) * (T / m)
-    samples = 0.83 + 0.02 * np.cos(2.0 * math.pi * t / T)
-    prof = profile_from_samples(CylinderParams(D, T), samples)
-    delta, c, shift = distance_to_branch(prof)
-    assert shift == 0.0
-    assert c == pytest.approx(0.83, rel=1e-10)
-    en = energy_profile(prof)
-    const = profile_from_samples(CylinderParams(D, T), np.full(m, c))
-    diff = profile_from_samples(CylinderParams(D, T), samples - c)
-    assert delta**2 == pytest.approx(energy_profile(diff), rel=1e-10)
-    assert energy_bilinear_profile(const, diff) == pytest.approx(0.0, abs=1e-10)
+    # at amplitude 1e-9, delta^2 = E[u] - cross^2/E[1] cancels to 0
+    for amp in (0.02, 1e-9):
+        samples = 0.83 + amp * np.cos(2.0 * math.pi * t / T)
+        prof = profile_from_samples(CylinderParams(D, T), samples)
+        delta, c, shift = distance_to_branch(prof)
+        assert shift == 0.0
+        assert c == pytest.approx(0.83, rel=1e-10)
+        const = profile_from_samples(CylinderParams(D, T), np.full(m, c))
+        diff = profile_from_samples(CylinderParams(D, T), samples - c)
+        assert delta**2 == pytest.approx(energy_profile(diff), rel=1e-10, abs=0.0)
+        assert energy_bilinear_profile(const, diff) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_distance_to_branch_recovers_orbit_multiple():
