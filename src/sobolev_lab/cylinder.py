@@ -911,10 +911,16 @@ def _assemble_block(
     wgrid = d * (d + 2.0) / 4.0 * ustar ** (q - 2.0)
     lmat = np.diag(bdiag) - _multiplication_block(wgrid, n_modes)
     if corrected:
-        v = _trig_coords(ustar ** (q - 1.0), T, n_modes)
-        iq = float(np.sum(ustar**q)) * (T / n_grid)
-        lmat += (d / iq) * np.outer(v, v)
+        lmat += _q_norm_term(d, T, ustar, n_modes)
     return lmat, bdiag
+
+
+def _q_norm_term(d: int, T: float, ustar: np.ndarray, n_modes: int) -> np.ndarray:
+    """Rank-one term d <u^(q-1), .> u^(q-1) / int u^q of the degree-0 block."""
+    q = _q_of(d)
+    v = _trig_coords(ustar ** (q - 1.0), T, n_modes)
+    iq = float(np.sum(ustar**q)) * (T / len(ustar))
+    return (d / iq) * np.outer(v, v)
 
 
 # The branch u_* is even about its maximum at t = 0 (u'(0) = 0 and the ODE is
@@ -1014,46 +1020,40 @@ def c_T_formula(d: int, T: float) -> float:
     return (mu - (d - 2.0)) / (mu + ((d - 2.0) / 2.0) ** 2)
 
 
-def c_T_numeric(
-    d: int,
-    T: float,
-    n_modes: int = 128,
-    n_grid: int = 4096,
-    ell_max: int = 6,
-) -> float:
+def c_T_numeric(d: int, T: float, n_modes: int = 128, n_grid: int = 4096) -> float:
     """Constrained Rayleigh minimum of <v, L v> / E_T[v] over degrees.
 
     In the degree-0 block the minimization runs orthogonally (in the E_T
     inner product) to the optimizer and its translation mode; higher degrees
-    are unconstrained. The overall constant is the minimum over degrees,
-    which is attained among the low ones since the blocks grow with ell.
+    are unconstrained. The overall constant is the minimum over all degrees,
+    and only degrees 0 and 1 can attain it.
+
+    Degree lemma: for ell >= 1 the block is the pencil (B0 + s - M, B0 + s)
+    with s = ell(ell+d-2), where B0 is the positive diagonal of the degree-0
+    E_T form and M the Gram matrix of the weight d(d+2)/4 u_*^(q-2) > 0. M
+    is exact (no index aliases, see ``_multiplication_block``), hence
+    positive semidefinite, and the quotient of each v is
+    1 - <v, M v> / (<v, B0 v> + s |v|^2), which cannot fall as s grows. So
+    the lowest eigenvalue is nondecreasing in ell, and degree 1 bounds every
+    higher degree from below.
     """
     u, up, _ = _branch_grid(d, T, n_grid)
-    l0, b0 = _assemble_block(d, T, 0, n_modes, n_grid, corrected=True, ustar=u)
+    lbase, bbase = _assemble_block(d, T, 0, n_modes, n_grid, corrected=False, ustar=u)
+    l0 = lbase + _q_norm_term(d, T, u, n_modes)
     # u_* is even and its translation mode u_*' odd, so each constraint
     # lives in one parity half of the degree-0 block
-    mins = [
-        min(
-            _lowest_eigenvalue(half, b0[idx], (b0 * _trig_coords(x, T, n_modes))[idx])
-            for (idx, half), x in zip(_parity_halves(l0), (u, up))
-        )
-    ]
-    # degree ell >= 1 is the uncorrected degree-0 block shifted by
-    # ell(ell+d-2) on the diagonal
-    lbase, bbase = _assemble_block(d, T, 0, n_modes, n_grid, corrected=False, ustar=u)
-    halves = [(half, bbase[idx]) for idx, half in _parity_halves(lbase)]
-    for ell in range(1, ell_max + 1):
-        shift = ell * (ell + d - 2.0)
-        mins.append(
-            min(
-                _lowest_eigenvalue(half + shift * np.eye(len(b)), b + shift)
-                for half, b in halves
-            )
-        )
-    best = min(mins)
-    if mins.index(best) >= ell_max:
-        raise ComputationError("stability minimum not attained among low degrees")
-    return best
+    deg0 = min(
+        _lowest_eigenvalue(half, bbase[idx], (bbase * _trig_coords(x, T, n_modes))[idx])
+        for (idx, half), x in zip(_parity_halves(l0), (u, up))
+    )
+    # degree 1 is the uncorrected degree-0 block shifted by d - 1 on the
+    # diagonal
+    shift = d - 1.0
+    deg1 = min(
+        _lowest_eigenvalue(half + shift * np.eye(len(idx)), bbase[idx] + shift)
+        for idx, half in _parity_halves(lbase)
+    )
+    return min(deg0, deg1)
 
 
 def c_T(d: int, T: float, n_modes: int = 128, n_grid: int = 4096) -> float:

@@ -58,11 +58,17 @@ def lq_norm(x: np.ndarray, q: float) -> float:
 
 @dataclass(frozen=True)
 class FiniteOperator:
-    """Matrix A with exponent q and its certified norm alpha."""
+    """Matrix A with exponent q and its certified norm alpha.
+
+    ``primal_norm`` and ``adjoint_norm`` are the two route values behind
+    alpha: the primal ascent and the adjoint fixed point.
+    """
 
     matrix: np.ndarray
     q: float
     op_norm: float
+    primal_norm: float
+    adjoint_norm: float
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -225,7 +231,9 @@ def finite_operator(matrix: np.ndarray, q: float, seed: int = 0) -> FiniteOperat
         raise ComputationError(
             "primal and adjoint norms disagree: %.12g vs %.12g" % (primal, dual)
         )
-    return FiniteOperator(matrix=a, q=float(q), op_norm=alpha)
+    return FiniteOperator(
+        matrix=a, q=float(q), op_norm=alpha, primal_norm=primal, adjoint_norm=dual
+    )
 
 
 def dual_vector(f: np.ndarray, op: FiniteOperator) -> np.ndarray:

@@ -18,6 +18,7 @@ from scipy.linalg import eigh, null_space
 from sobolev_lab.cylinder import (
     _assemble_block,
     _branch_grid,
+    _lowest_eigenvalue,
     _multiplication_block,
     _parity_halves,
     _trig_coords,
@@ -426,6 +427,29 @@ def test_c_T_numeric_matches_dense_generalized_route():
             lmat, bmat = z.T @ lmat @ z, z.T @ bmat @ z
         mins.append(eigh(lmat, bmat, eigvals_only=True, subset_by_index=(0, 0))[0])
     assert c_T_numeric(D, T) == pytest.approx(min(mins), rel=1e-12)
+
+
+def test_degree_lemma_over_all_assembled_degrees():
+    # c_T_numeric solves degrees 0 and 1 only; here every degree 0..6 is
+    # assembled on its own and solved on its parity halves
+    for d in (3, 4, 5, 6):
+        for frac in (0.6, 1.2, 2.0, 4.0):
+            T = frac * t_star(d)
+            u, up, _ = _branch_grid(d, T, 4096)
+            lmat, b = _assemble_block(d, T, 0, 128, 4096, corrected=False, ustar=u)
+            mvals = np.linalg.eigvalsh(np.diag(b) - lmat)
+            assert mvals[0] >= -1e-12 * mvals[-1]
+            mins = []
+            for ell in range(7):
+                lmat, b = _assemble_block(d, T, ell, 128, 4096, corrected=ell == 0, ustar=u)
+                vals = []
+                # degree 0 is constrained against u_* (even half) and u_*' (odd half)
+                for (idx, half), x in zip(_parity_halves(lmat), (u, up)):
+                    row = (b * _trig_coords(x, T, 128))[idx] if ell == 0 else None
+                    vals.append(_lowest_eigenvalue(half, b[idx], row))
+                mins.append(min(vals))
+            assert all(lo <= hi for lo, hi in zip(mins[1:], mins[2:]))
+            assert c_T_numeric(d, T) == pytest.approx(min(mins), rel=1e-12)
 
 
 def _full_period_reference(d, alpha, t):

@@ -93,6 +93,18 @@ def test_primal_and_adjoint_routes_agree():
     assert worst < 1e-9
 
 
+def test_operator_stores_both_route_values():
+    # the certified operator carries exactly what a fresh call of each route
+    # returns, so checks can read the routes back instead of rerunning them
+    rng = np.random.default_rng(11)
+    for k, q in enumerate((1.5, 2.0, 3.0, 6.0)):
+        a = rng.standard_normal((3 + k, 5 - k))
+        op = finite_operator(a, q, seed=k)
+        assert op.primal_norm == op_norm_ascent(a, q, seed=k)
+        assert op.adjoint_norm == adjoint_norm_fixed_point(a, q, seed=k)
+        assert op.op_norm == max(op.primal_norm, op.adjoint_norm)
+
+
 def test_brute_force_oracle_agrees():
     rng = np.random.default_rng(3)
     for k, q in enumerate((1.5, 2.0, 3.0, 6.0) * 3):
