@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.linalg import eigh, null_space
+from scipy.linalg import eigh, hankel, null_space, toeplitz
 from scipy.linalg.blas import dgemm
 from scipy.optimize import brentq, minimize
 
@@ -358,10 +358,9 @@ class Orbit:
 
 
 def _rhs(t, y, d, q):
-    u, up = y
-    force = (d - 2.0) ** 2 / 4.0 * u - d * (d - 2.0) / 4.0 * np.abs(u) ** (
-        q - 2.0
-    ) * u
+    # plain floats: numpy scalar arithmetic costs more than the formula
+    u, up = float(y[0]), float(y[1])
+    force = (d - 2.0) ** 2 / 4.0 * u - d * (d - 2.0) / 4.0 * abs(u) ** (q - 2.0) * u
     return (up, force)
 
 
@@ -746,7 +745,8 @@ def minimize_quotient(
     """Direct minimization of the quotient over gridded profiles.
 
     Works on the sample values with FFT-differentiation energies; returns
-    (value, PeriodicProfile of the best minimizer found). Serves as the
+    (value, PeriodicProfile of the best minimizer found) over the starts
+    whose L-BFGS-B run converged, and raises when none did. Serves as the
     independent route validating the branch formula.
     """
     params = CylinderParams(d=d, T=T)
@@ -806,10 +806,12 @@ def minimize_quotient(
             method="L-BFGS-B",
             options={"maxiter": maxiter, "ftol": 1e-15, "gtol": 1e-11},
         )
-        if res.fun < best_val:
+        # only converged starts compete: a run cut off by maxiter stops
+        # anywhere on its way down
+        if res.success and res.fun < best_val:
             best_val, best_x = float(res.fun), res.x
     if best_x is None:
-        raise ComputationError("quotient descent failed from every start")
+        raise ComputationError("quotient descent converged from no start")
     profile = profile_from_samples(params, best_x, n_modes=min(128, (m - 1) // 2))
     return best_val, profile
 
@@ -829,43 +831,39 @@ def _trig_coords(x: np.ndarray, T: float, n_modes: int) -> np.ndarray:
     """Coordinates h phi x of grid samples in the orthonormal trig basis phi.
 
     phi is 1/sqrt(T), sqrt(2/T) cos(2 pi k t/T), sqrt(2/T) sin(2 pi k t/T) in
-    the row order constant, cos_1, sin_1, cos_2, sin_2, ..., so the low modes
-    appearing in kernel statements sit at fixed indices.
+    the block order constant, cos_1..cos_K, sin_1..sin_K of
+    ``PeriodicProfile.fourier``: the first K + 1 rows span the even functions
+    and the last K the odd ones.
     """
     xh = _grid_spectrum(x, n_modes)
     out = np.empty(2 * n_modes + 1)
     out[0] = math.sqrt(T) * xh[0].real
-    out[1::2] = math.sqrt(2.0 * T) * xh[1 : n_modes + 1].real
-    out[2::2] = -math.sqrt(2.0 * T) * xh[1 : n_modes + 1].imag
+    out[1 : n_modes + 1] = math.sqrt(2.0 * T) * xh[1 : n_modes + 1].real
+    out[n_modes + 1 :] = -math.sqrt(2.0 * T) * xh[1 : n_modes + 1].imag
     return out
 
 
-def _multiplication_block(w: np.ndarray, n_modes: int) -> np.ndarray:
-    """Gram matrix h phi diag(w) phi^T, Toeplitz plus Hankel in w^ = rfft(w)/N.
+def _multiplication_halves(w: np.ndarray, n_modes: int) -> tuple:
+    """Cosine and sine halves of the Gram matrix h phi diag(w) phi^T.
 
-    Entries: cos_k-cos_l Re w^_|k-l| + Re w^_(k+l), sin_k-sin_l
-    Re w^_|k-l| - Re w^_(k+l), cos_k-sin_l -Im w^_(k+l) - sign(l-k) Im w^_|l-k|;
-    the constant row is Re w^_0, then sqrt(2) Re w^_k against cos_k and
-    -sqrt(2) Im w^_k against sin_k. Exact, not an approximation of the grid
-    sum: k + l <= 2 n_modes < N/2, so no index aliases.
+    In w^ = rfft(w)/N the cos_k-cos_l entry is Re w^_|k-l| + Re w^_(k+l) and
+    the sin_k-sin_l entry Re w^_|k-l| - Re w^_(k+l): Toeplitz plus and minus
+    Hankel. The constant row is Re w^_0, then sqrt(2) Re w^_k against cos_k.
+    Exact, not an approximation of the grid sum: k + l <= 2 n_modes < N/2, so
+    no index aliases. Returns ((even half, odd half), coupling): every entry
+    of the dropped block between the halves is a sum of at most two of
+    Im w^_1..Im w^_2K, so coupling = 2 max |Im w^_j| bounds it.
     """
     wh = _grid_spectrum(w, n_modes)
-    re, im = wh.real, wh.imag
-    k = np.arange(1, n_modes + 1)
-    dif = k[None, :] - k[:, None]
-    adif = np.abs(dif)
-    ksum = k[:, None] + k[None, :]
-    cs = -im[ksum] - np.sign(dif) * im[adif]
-    n = 2 * n_modes + 1
-    out = np.empty((n, n))
-    out[0, 0] = re[0]
-    out[0, 1::2] = out[1::2, 0] = math.sqrt(2.0) * re[k]
-    out[0, 2::2] = out[2::2, 0] = -math.sqrt(2.0) * im[k]
-    out[1::2, 1::2] = re[adif] + re[ksum]
-    out[2::2, 2::2] = re[adif] - re[ksum]
-    out[1::2, 2::2] = cs
-    out[2::2, 1::2] = cs.T
-    return out
+    re = wh.real[: 2 * n_modes + 1]
+    coupling = 2.0 * float(np.max(np.abs(wh.imag[1 : 2 * n_modes + 1])))
+    toep = toeplitz(re[:n_modes])
+    hank = hankel(re[2 : n_modes + 2], re[n_modes + 1 :])
+    even = np.empty((n_modes + 1, n_modes + 1))
+    even[0, 0] = re[0]
+    even[0, 1:] = even[1:, 0] = math.sqrt(2.0) * re[1 : n_modes + 1]
+    even[1:, 1:] = toep + hank
+    return (even, toep - hank), coupling
 
 
 def _branch_grid(d: int, T: float, n_grid: int) -> tuple:
@@ -893,32 +891,46 @@ def _assemble_block(
     corrected: bool,
     ustar: np.ndarray | None = None,
 ) -> tuple:
-    """Galerkin matrix L and the diagonal of B for the degree-ell Hessian block.
+    """Galerkin halves of L and the diagonal of B for the degree-ell Hessian block.
 
     L is the second-variation operator -d^2/dt^2 + ell(ell+d-2) + ((d-2)/2)^2
     - (d(d+2)/4) u_*^(q-2), plus the rank-one term d <u^(q-1), .> u^(q-1) /
     int u^q when ``corrected`` (only meaningful at ell = 0); B is the
     E_T-form -d^2/dt^2 + ell(ell+d-2) + ((d-2)/2)^2, diagonal in the trig
-    basis. The potential term comes from one FFT of the weight.
+    basis. The potential term comes from one FFT of the weight. Returns
+    ((L_even, L_odd), bdiag): L on the constant and cosines, L on the sines,
+    and bdiag in the block order of ``_trig_coords``. Raises when the block
+    between the halves is not negligible, that is when u_* is not even.
     """
     q = _q_of(d)
     if ustar is None:
         ustar, _, _ = _branch_grid(d, T, n_grid)
-    k = np.arange(1, n_modes + 1)
-    ksq = np.concatenate(([0.0], np.repeat((2.0 * math.pi * k / T) ** 2, 2)))
+    ksq = (2.0 * math.pi * np.arange(1, n_modes + 1) / T) ** 2
     mell = ell * (ell + d - 2.0) + (d - 2.0) ** 2 / 4.0
-    bdiag = ksq + mell
+    bdiag = np.concatenate(([0.0], ksq, ksq)) + mell
     wgrid = d * (d + 2.0) / 4.0 * ustar ** (q - 2.0)
-    lmat = np.diag(bdiag) - _multiplication_block(wgrid, n_modes)
+    (m_even, m_odd), coupling = _multiplication_halves(wgrid, n_modes)
+    l_even = np.diag(bdiag[: n_modes + 1]) - m_even
+    l_odd = np.diag(bdiag[n_modes + 1 :]) - m_odd
     if corrected:
-        lmat += _q_norm_term(d, T, ustar, n_modes)
-    return lmat, bdiag
+        l_even += _q_norm_term(d, T, ustar, n_modes)
+    scale = max(float(np.max(np.abs(l_even))), float(np.max(np.abs(l_odd))))
+    if coupling > _PARITY_TOL * scale:
+        raise ComputationError(
+            "Hill block couples cosines and sines (%.3g): the weight is not even"
+            % coupling
+        )
+    return (l_even, l_odd), bdiag
 
 
 def _q_norm_term(d: int, T: float, ustar: np.ndarray, n_modes: int) -> np.ndarray:
-    """Rank-one term d <u^(q-1), .> u^(q-1) / int u^q of the degree-0 block."""
+    """Even half of the rank-one term d <u^(q-1), .> u^(q-1) / int u^q.
+
+    u^(q-1) is even exactly when the weight u^(q-2) is, so the parity guard
+    on the weight also covers the sine coordinates dropped here.
+    """
     q = _q_of(d)
-    v = _trig_coords(ustar ** (q - 1.0), T, n_modes)
+    v = _trig_coords(ustar ** (q - 1.0), T, n_modes)[: n_modes + 1]
     iq = float(np.sum(ustar**q)) * (T / len(ustar))
     return (d / iq) * np.outer(v, v)
 
@@ -927,31 +939,13 @@ def _q_norm_term(d: int, T: float, ustar: np.ndarray, n_modes: int) -> np.ndarra
 # reversible), so the weight has Im w^ = 0 and no block entry couples a sine
 # row to the constant or a cosine row: every degree-ell block is two blocks.
 # _branch_grid mirrors its half-period orbit, so the grid weight is exactly
-# even and the coupling is the roundoff of its FFT: over d = 3..6 and T in
-# [0.5, 5] T_*, corrected and uncorrected, it measures at most 2.6e-20 of
-# max |L| (d = 3, T = 5 T_*, corrected), and exactly 0 below T_*. The bound
-# only has to catch a weight that is not even (a shifted or perturbed orbit
-# couples the halves at order one).
+# even and Im w^ is the roundoff of its FFT: over d = 3..6 and T in
+# [0.5, 5] T_*, corrected and uncorrected, the coupling bound 2 max |Im w^_j|
+# measures at most 3.4e-20 of max |L| (d = 5, T = 5 T_*, uncorrected), and
+# exactly 0 at and below T_*. The bound only has to catch a weight that is not
+# even: a shifted or perturbed orbit couples the halves at order one (the
+# perturbed orbit of the tests has coupling 0.54).
 _PARITY_TOL = 1e-9
-
-
-def _parity_halves(lmat: np.ndarray) -> tuple:
-    """(rows, block) of the even and the odd half of a Hill matrix.
-
-    The even half holds the constant and the cosines (rows 0, 1, 3, ...),
-    the odd half the sines (rows 2, 4, ...). Raises when the coupling
-    between the halves is not negligible, that is when the weight behind
-    ``lmat`` is not even.
-    """
-    n = len(lmat)
-    even, odd = np.r_[0, 1:n:2], np.arange(2, n, 2)
-    cross = float(np.max(np.abs(lmat[np.ix_(even, odd)])))
-    if cross > _PARITY_TOL * float(np.max(np.abs(lmat))):
-        raise ComputationError(
-            "Hill block couples cosines and sines (%.3g): the weight is not even"
-            % cross
-        )
-    return (even, lmat[np.ix_(even, even)]), (odd, lmat[np.ix_(odd, odd)])
 
 
 def _lowest_eigenvalue(
@@ -994,21 +988,17 @@ def hessian_block_spectrum(
         raise DomainError("degree must be nonnegative")
     if corrected is None:
         corrected = ell == 0
-    lmat, _ = _assemble_block(d, T, ell, n_modes, n_grid, corrected)
-    vals = np.sort(
-        np.concatenate(
-            [eigh(half, eigvals_only=True) for _, half in _parity_halves(lmat)]
-        )
-    )
+    halves, _ = _assemble_block(d, T, ell, n_modes, n_grid, corrected)
+    vals = np.sort(np.concatenate([eigh(half, eigvals_only=True) for half in halves]))
     return make_spectrum_report(vals, (2 * n_modes + 1, n_grid))
 
 
 def zero_mode_pairing(d: int, T: float, n_modes: int = 128, n_grid: int = 4096) -> float:
     """<du_*, L_0 du_*> for the translation mode (zero above T_*)."""
     u, up, _ = _branch_grid(d, T, n_grid)
-    lmat, _ = _assemble_block(d, T, 0, n_modes, n_grid, corrected=True, ustar=u)
-    coords = _trig_coords(up, T, n_modes)
-    return float(coords @ lmat @ coords)
+    halves, _ = _assemble_block(d, T, 0, n_modes, n_grid, corrected=True, ustar=u)
+    coords = np.split(_trig_coords(up, T, n_modes), [n_modes + 1])
+    return float(sum(x @ half @ x for x, half in zip(coords, halves)))
 
 
 def c_T_formula(d: int, T: float) -> float:
@@ -1031,27 +1021,34 @@ def c_T_numeric(d: int, T: float, n_modes: int = 128, n_grid: int = 4096) -> flo
     Degree lemma: for ell >= 1 the block is the pencil (B0 + s - M, B0 + s)
     with s = ell(ell+d-2), where B0 is the positive diagonal of the degree-0
     E_T form and M the Gram matrix of the weight d(d+2)/4 u_*^(q-2) > 0. M
-    is exact (no index aliases, see ``_multiplication_block``), hence
+    is exact (no index aliases, see ``_multiplication_halves``), hence
     positive semidefinite, and the quotient of each v is
     1 - <v, M v> / (<v, B0 v> + s |v|^2), which cannot fall as s grows. So
     the lowest eigenvalue is nondecreasing in ell, and degree 1 bounds every
     higher degree from below.
     """
     u, up, _ = _branch_grid(d, T, n_grid)
-    lbase, bbase = _assemble_block(d, T, 0, n_modes, n_grid, corrected=False, ustar=u)
-    l0 = lbase + _q_norm_term(d, T, u, n_modes)
+    (l_even, l_odd), bbase = _assemble_block(
+        d, T, 0, n_modes, n_grid, corrected=False, ustar=u
+    )
+    cut = n_modes + 1
+    b_even, b_odd = bbase[:cut], bbase[cut:]
     # u_* is even and its translation mode u_*' odd, so each constraint
     # lives in one parity half of the degree-0 block
     deg0 = min(
-        _lowest_eigenvalue(half, bbase[idx], (bbase * _trig_coords(x, T, n_modes))[idx])
-        for (idx, half), x in zip(_parity_halves(l0), (u, up))
+        _lowest_eigenvalue(
+            l_even + _q_norm_term(d, T, u, n_modes),
+            b_even,
+            (bbase * _trig_coords(u, T, n_modes))[:cut],
+        ),
+        _lowest_eigenvalue(l_odd, b_odd, (bbase * _trig_coords(up, T, n_modes))[cut:]),
     )
     # degree 1 is the uncorrected degree-0 block shifted by d - 1 on the
     # diagonal
     shift = d - 1.0
     deg1 = min(
-        _lowest_eigenvalue(half + shift * np.eye(len(idx)), bbase[idx] + shift)
-        for idx, half in _parity_halves(lbase)
+        _lowest_eigenvalue(half + shift * np.eye(len(b)), b + shift)
+        for half, b in ((l_even, b_even), (l_odd, b_odd))
     )
     return min(deg0, deg1)
 
@@ -1099,35 +1096,31 @@ def quartic_constants(
     area = sphere_area(d - 1)
     sigma = ts * area
 
-    lmat, _ = _assemble_block(d, ts, 0, n_modes, n_grid, corrected=True)
+    halves, _ = _assemble_block(d, ts, 0, n_modes, n_grid, corrected=True)
     h = ts / n_grid
     tgrid = np.arange(n_grid) * h
     r_star = np.cos(2.0 * math.pi * tgrid / ts)
     f_star = (d - 2.0) ** 2 / 8.0 * (q - 1.0) * (q - 2.0) / base * r_star**2
 
-    # eigenpairs of the two parity halves, embedded back in full coordinates
-    n = len(lmat)
-    evals = np.empty(n)
-    evecs = np.zeros((n, n))
-    col = 0
-    for idx, half in _parity_halves(lmat):
-        vals, vecs = eigh(half)
-        evals[col : col + len(vals)] = vals
-        evecs[idx, col : col + len(vals)] = vecs
-        col += len(vals)
+    spectra = [eigh(half) for half in halves]
+    evals = np.concatenate([vals for vals, _ in spectra])
     scale = float(np.max(np.abs(evals)))
     ker = np.abs(evals) < 1e-6 * scale
     if int(np.sum(ker)) != 3:
         raise ComputationError(
             "expected a 3-dimensional kernel at T_*, found %d" % int(np.sum(ker))
         )
-    fcoords = _trig_coords(f_star, ts, n_modes)
-    fperp = fcoords - evecs[:, ker] @ (evecs[:, ker].T @ fcoords)
-    inv = np.zeros_like(evals)
-    inv[~ker] = 1.0 / evals[~ker]
-    scoords = evecs @ (inv * (evecs.T @ fcoords))
+    # kernel projection and resolvent of the source, one parity half at a time
+    fperp, scoords = [], []
+    fhalves = np.split(_trig_coords(f_star, ts, n_modes), [n_modes + 1])
+    for (vals, vecs), f, kh in zip(spectra, fhalves, np.split(ker, [n_modes + 1])):
+        fperp.append(f - vecs[:, kh] @ (vecs[:, kh].T @ f))
+        inv = np.zeros_like(vals)
+        inv[~kh] = 1.0 / vals[~kh]
+        scoords.append(vecs @ (inv * (vecs.T @ f)))
+    fperp, scoords = np.concatenate(fperp), np.concatenate(scoords)
 
-    idx_cos2 = 3
+    idx_cos2 = 2
     coeff_num = float(scoords[idx_cos2] * math.sqrt(2.0 / ts))
     coeff_closed = (d - 2.0) / 48.0 * (q - 1.0) * (q - 2.0) / base
     stray = np.abs(np.delete(scoords, idx_cos2))

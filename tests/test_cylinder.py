@@ -19,8 +19,7 @@ from sobolev_lab.cylinder import (
     _assemble_block,
     _branch_grid,
     _lowest_eigenvalue,
-    _multiplication_block,
-    _parity_halves,
+    _multiplication_halves,
     _trig_coords,
     CylinderParams,
     c_T,
@@ -278,6 +277,12 @@ def test_descent_matches_branch_value():
     assert quotient_profile(prof) == pytest.approx(val, rel=1e-9)
 
 
+def test_descent_refuses_unconverged_starts():
+    # one L-BFGS-B iteration converges from no start, so no value is ranked
+    with pytest.raises(ComputationError):
+        minimize_quotient(D, 1.5 * TS, maxiter=1)
+
+
 def test_k_fold_branches_are_dominated():
     T = 2.6 * TS
     k1 = orbit_branch_value(D, T, k=1)
@@ -319,15 +324,29 @@ def test_next_eigenvalue_at_bifurcation_is_three_d_minus_two():
 
 
 def _dense_trig_basis(T, n_modes, n_grid):
-    """Reference basis rows 1/sqrt(T), sqrt(2/T) cos_k, sqrt(2/T) sin_k on the grid."""
+    """Reference basis rows 1/sqrt(T), sqrt(2/T) cos_1..cos_K, sqrt(2/T) sin_1..sin_K."""
     t = np.arange(n_grid) * (T / n_grid)
     phi = np.empty((2 * n_modes + 1, n_grid))
     phi[0] = 1.0 / math.sqrt(T)
     for k in range(1, n_modes + 1):
         ang = 2.0 * math.pi * k / T * t
-        phi[2 * k - 1] = math.sqrt(2.0 / T) * np.cos(ang)
-        phi[2 * k] = math.sqrt(2.0 / T) * np.sin(ang)
+        phi[k] = math.sqrt(2.0 / T) * np.cos(ang)
+        phi[n_modes + k] = math.sqrt(2.0 / T) * np.sin(ang)
     return phi
+
+
+def _dense_hessian_block(d, T, ell, u, n_modes):
+    """Degree-ell block diag(b) - h phi W phi^T (plus the q-norm term at ell = 0)."""
+    q = 2.0 * d / (d - 2.0)
+    h = T / len(u)
+    phi = _dense_trig_basis(T, n_modes, len(u))
+    ksq = (2.0 * math.pi * np.arange(1, n_modes + 1) / T) ** 2
+    b = np.concatenate(([0.0], ksq, ksq)) + ell * (ell + d - 2.0) + (d - 2.0) ** 2 / 4.0
+    lmat = np.diag(b) - (phi * (d * (d + 2.0) / 4.0 * u ** (q - 2.0))[None, :]) @ phi.T * h
+    if ell == 0:
+        v = phi @ u ** (q - 1.0) * h
+        lmat += d / (float(np.sum(u**q)) * h) * np.outer(v, v)
+    return lmat
 
 
 def _odd_profile(T, n_grid):
@@ -349,19 +368,30 @@ def test_fft_hill_block_matches_dense_product():
     T, n_modes, n_grid = 1.5 * TS, 128, 4096
     q = 2.0 * D / (D - 2.0)
     h = T / n_grid
+    cut = n_modes + 1
     u = _odd_profile(T, n_grid)
     phi = _dense_trig_basis(T, n_modes, n_grid)
     w = D * (D + 2.0) / 4.0 * u ** (q - 2.0)
     dense = (phi * w[None, :]) @ phi.T * h
-    block = _multiplication_block(w, n_modes)
-    assert np.max(np.abs(block - dense)) <= 1e-13 * np.max(np.abs(dense))
-    for part in (block[1::2, 2::2], block[0, 1::2], block[0, 2::2]):
+    (even, odd), coupling = _multiplication_halves(w, n_modes)
+    # the halves are the cosine and sine blocks of any weight ...
+    for half, ref in ((even, dense[:cut, :cut]), (odd, dense[cut:, cut:])):
+        assert np.max(np.abs(half - ref)) <= 1e-13 * np.max(np.abs(dense))
+    assert np.max(np.abs(even[0, 1:])) > 1e-3
+    # ... and the block between them, which they drop, is order one for this
+    # weight and bounded by the coupling
+    for part in (dense[1:cut, cut:], dense[0, cut:]):
         assert np.max(np.abs(part)) > 1e-3
-    # the whole corrected degree-0 block against its dense assembly
-    v = phi @ u ** (q - 1.0) * h
-    lmat, b = _assemble_block(D, T, 0, n_modes, n_grid, corrected=True, ustar=u)
-    ref = np.diag(b) - dense + D / (float(np.sum(u**q)) * h) * np.outer(v, v)
-    assert np.max(np.abs(lmat - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(dense[:cut, cut:])) <= coupling + 1e-13 * np.max(np.abs(dense))
+    # the whole corrected degree-0 block of the even branch against its dense
+    # assembly, whose cross block is roundoff
+    u, _, _ = _branch_grid(D, T, n_grid)
+    halves, _ = _assemble_block(D, T, 0, n_modes, n_grid, corrected=True, ustar=u)
+    ref = _dense_hessian_block(D, T, 0, u, n_modes)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(halves[0] - ref[:cut, :cut])) <= 1e-13 * scale
+    assert np.max(np.abs(halves[1] - ref[cut:, cut:])) <= 1e-13 * scale
+    assert np.max(np.abs(ref[:cut, cut:])) <= 1e-13 * scale
 
 
 def test_fft_coordinates_match_dense_projection():
@@ -372,28 +402,41 @@ def test_fft_coordinates_match_dense_projection():
     assert np.max(np.abs(coords - dense)) <= 1e-13 * np.max(np.abs(dense))
 
 
+def test_trig_coords_follow_the_profile_layout():
+    # Hill coordinates are the normalized [a0, a_k, b_k] of PeriodicProfile,
+    # so the first K + 1 are the even half and the last K the odd half
+    T, n_modes = 1.5 * TS, 128
+    x = _odd_profile(T, 4096)
+    four = profile_from_samples(CylinderParams(D, T), x, n_modes).fourier
+    ref = math.sqrt(T) * np.concatenate(([four[0]], four[1:] / math.sqrt(2.0)))
+    coords = _trig_coords(x, T, n_modes)
+    assert np.max(np.abs(coords - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 def test_rescaled_standard_problem_matches_generalized():
     # ell >= 1: shifting the degree-0 block and rescaling by the diagonal B
     # gives the lowest generalized eigenvalue of (L_ell, B_ell)
     T = 1.5 * TS
     lbase, bbase = _assemble_block(D, T, 0, 128, 4096, corrected=False)
     for ell in range(1, 7):
-        lmat, b = _assemble_block(D, T, ell, 128, 4096, corrected=False)
-        ref = eigh(lmat, np.diag(b), eigvals_only=True, subset_by_index=(0, 0))[0]
+        halves, b = _assemble_block(D, T, ell, 128, 4096, corrected=False)
         shift = ell * (ell + D - 2.0)
-        rs = 1.0 / np.sqrt(bbase + shift)
-        scaled = rs[:, None] * (lbase + shift * np.eye(len(b))) * rs[None, :]
-        val = eigh(scaled, eigvals_only=True, subset_by_index=(0, 0))[0]
-        assert val == pytest.approx(ref, rel=1e-12)
+        for lmat, bh, l0, b0 in zip(halves, np.split(b, [129]), lbase, np.split(bbase, [129])):
+            ref = eigh(lmat, np.diag(bh), eigvals_only=True, subset_by_index=(0, 0))[0]
+            rs = 1.0 / np.sqrt(b0 + shift)
+            scaled = rs[:, None] * (l0 + shift * np.eye(len(bh))) * rs[None, :]
+            val = eigh(scaled, eigvals_only=True, subset_by_index=(0, 0))[0]
+            assert val == pytest.approx(ref, rel=1e-12)
 
 
 def test_parity_split_spectrum_matches_full_block():
-    # the cosine and sine halves together carry the whole block spectrum
+    # the cosine and sine halves together carry the spectrum of the whole
+    # block, assembled densely on the full basis
     for frac in (0.7, 1.0, 1.4, 1.8):
         T = frac * TS
+        u, _, _ = _branch_grid(D, T, 4096)
         for ell in (0, 2):
-            lmat, _ = _assemble_block(D, T, ell, 128, 4096, corrected=ell == 0)
-            ref = np.linalg.eigvalsh(lmat)
+            ref = np.linalg.eigvalsh(_dense_hessian_block(D, T, ell, u, 128))
             vals = hessian_block_spectrum(D, T, ell=ell).eigenvalues
             assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -401,9 +444,8 @@ def test_parity_split_spectrum_matches_full_block():
 def test_parity_split_rejects_a_weight_that_is_not_even():
     T = 1.5 * TS
     u = _odd_profile(T, 4096)
-    lmat, _ = _assemble_block(D, T, 0, 128, 4096, corrected=False, ustar=u)
     with pytest.raises(ComputationError):
-        _parity_halves(lmat)
+        _assemble_block(D, T, 0, 128, 4096, corrected=False, ustar=u)
 
 
 def test_c_T_numeric_matches_dense_generalized_route():
@@ -413,8 +455,8 @@ def test_c_T_numeric_matches_dense_generalized_route():
     h = T / n_grid
     u, up, _ = _branch_grid(D, T, n_grid)
     phi = _dense_trig_basis(T, n_modes, n_grid)
-    k = np.repeat(np.arange(1, n_modes + 1), 2)
-    ksq = np.concatenate(([0.0], (2.0 * math.pi * k / T) ** 2))
+    ksq = (2.0 * math.pi * np.arange(1, n_modes + 1) / T) ** 2
+    ksq = np.concatenate(([0.0], ksq, ksq))
     gram = (phi * (D * (D + 2.0) / 4.0 * u ** (q - 2.0))[None, :]) @ phi.T * h
     v = phi @ u ** (q - 1.0) * h
     mins = []
@@ -436,17 +478,25 @@ def test_degree_lemma_over_all_assembled_degrees():
         for frac in (0.6, 1.2, 2.0, 4.0):
             T = frac * t_star(d)
             u, up, _ = _branch_grid(d, T, 4096)
-            lmat, b = _assemble_block(d, T, 0, 128, 4096, corrected=False, ustar=u)
-            mvals = np.linalg.eigvalsh(np.diag(b) - lmat)
+            halves, b = _assemble_block(d, T, 0, 128, 4096, corrected=False, ustar=u)
+            mvals = np.sort(
+                np.concatenate(
+                    [
+                        np.linalg.eigvalsh(np.diag(bh) - half)
+                        for half, bh in zip(halves, np.split(b, [129]))
+                    ]
+                )
+            )
             assert mvals[0] >= -1e-12 * mvals[-1]
+            # degree 0 is constrained against u_* (even half) and u_*' (odd half)
+            coords = (_trig_coords(u, T, 128)[:129], _trig_coords(up, T, 128)[129:])
             mins = []
             for ell in range(7):
-                lmat, b = _assemble_block(d, T, ell, 128, 4096, corrected=ell == 0, ustar=u)
+                halves, b = _assemble_block(d, T, ell, 128, 4096, corrected=ell == 0, ustar=u)
                 vals = []
-                # degree 0 is constrained against u_* (even half) and u_*' (odd half)
-                for (idx, half), x in zip(_parity_halves(lmat), (u, up)):
-                    row = (b * _trig_coords(x, T, 128))[idx] if ell == 0 else None
-                    vals.append(_lowest_eigenvalue(half, b[idx], row))
+                for half, bh, x in zip(halves, np.split(b, [129]), coords):
+                    row = bh * x if ell == 0 else None
+                    vals.append(_lowest_eigenvalue(half, bh, row))
                 mins.append(min(vals))
             assert all(lo <= hi for lo, hi in zip(mins[1:], mins[2:]))
             assert c_T_numeric(d, T) == pytest.approx(min(mins), rel=1e-12)
