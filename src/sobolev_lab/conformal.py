@@ -344,13 +344,19 @@ def hersch_normalize(
 
     roots = list(exact_zeros)
     for i in sign_changes:
-        root_log = brentq(
+        root_log, info = brentq(
             lambda u: _flow_moment(math.exp(u), t, w, g, area_sub),
             math.log(grid[i]),
             math.log(grid[i + 1]),
             xtol=1e-14,
             rtol=8.9e-16,
+            full_output=True,
+            disp=False,
         )
+        if not info.converged:
+            raise ComputationError(
+                "center-of-mass root did not converge: %s" % info.flag
+            )
         roots.append(math.exp(root_log))
     roots.sort()
     delta_star = min(roots, key=lambda r: abs(math.log(r)))

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, DenseOutput, solve_ivp
 from scipy.linalg import eigh, hankel, null_space, toeplitz
 from scipy.linalg.blas import dgemm
 from scipy.optimize import brentq, minimize
@@ -211,16 +211,24 @@ def _series_bracket(d: int, a: float, x) -> np.ndarray:
     return v2 / 2.0 * h2 + v3 / 6.0 * h3 + v4 / 24.0 * h4 + v5 / 120.0 * h5
 
 
+def _root(f, a: float, b: float, **tol) -> float:
+    """brentq's root of f in [a, b]; ComputationError when it did not converge."""
+    x, info = brentq(f, a, b, full_output=True, disp=False, **tol)
+    if not info.converged:
+        raise ComputationError(
+            "brentq did not converge in [%.17g, %.17g]: %s" % (a, b, info.flag)
+        )
+    return float(x)
+
+
 def _turning_offset(d: int, amp: float) -> float:
     """Root of V(u0 + y) = V(u0 + amp) below zero, in offset coordinates."""
-    return float(
-        brentq(
-            lambda y: float(_series_gap(d, amp, y)),
-            -2.0 * amp,
-            -amp * (1.0 - 1e-12),
-            xtol=amp * 1e-12,
-            rtol=8.9e-16,
-        )
+    return _root(
+        lambda y: float(_series_gap(d, amp, y)),
+        -2.0 * amp,
+        -amp * (1.0 - 1e-12),
+        xtol=amp * 1e-12,
+        rtol=8.9e-16,
     )
 
 
@@ -241,7 +249,7 @@ def u_min_turning(d: int, alpha: float) -> float:
     def g(u):
         return potential(u, d) - level
 
-    return float(brentq(g, 1e-14, base, xtol=1e-15, rtol=8.9e-16))
+    return _root(g, 1e-14, base, xtol=1e-15, rtol=8.9e-16)
 
 
 def _theta_rule(n: int):
@@ -364,6 +372,183 @@ def _rhs(t, y, d, q):
     return (up, force)
 
 
+def _nonzero(row) -> tuple:
+    """The (index, value) pairs of a tableau row's nonzero entries."""
+    return tuple((j, a) for j, a in enumerate(row.tolist()) if a != 0.0)
+
+
+def _combine(row, k) -> tuple:
+    """sum_j a_j k_j over the nonzero entries of a row, for stage pairs k_j."""
+    s0 = s1 = 0.0
+    for j, a in row:
+        f0, f1 = k[j]
+        s0 += a * f0
+        s1 += a * f1
+    return s0, s1
+
+
+class _FloatDOP853(DOP853):
+    """scipy's DOP853 for a system of two equations, each step in Python floats.
+
+    scipy takes every stage, error norm and dense-output stage as numpy
+    arithmetic on 2-element arrays, while the orbit needs only 27-42 steps
+    per half period. On a 2-core host (d = 3..5, T = 1.5 and 2 T_*, medians
+    of 3 alternating processes) scipy's steps took 8.0 ms per half period,
+    about 230 us a step, of a 15.4 ms ``_branch_grid`` call; these take
+    2.0 ms, and the call 7.1 ms. The method is scipy's: the tableau
+    (the class attributes A, B, C, E3, E5, A_EXTRA, C_EXTRA), the DOP853
+    error norm, the step-size control of its RungeKutta and the nfev count
+    (12 per attempted step, 3 per dense output), so ``solve_ivp`` takes the
+    same steps; only the order of roundoff differs. ``solve_ivp`` drives it,
+    with its events and its initial step, through the array-wrapping
+    ``self.fun``. The steps call the raw ``fun``, which must return two
+    floats (``_rhs`` does), and keep their state in ``_y``, ``_y_old`` and
+    the stage pairs ``_k``; ``self.y`` is refreshed for the driver, and
+    scipy's ``f``, ``y_old`` and ``K`` are not kept.
+    """
+
+    SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
+    # rows as their nonzero entries: about half of DOP853's tableau is zeros
+    _STAGES = tuple(zip(DOP853.C[1:].tolist(), map(_nonzero, DOP853.A[1:])))
+    _EXTRA = tuple(zip(DOP853.C_EXTRA.tolist(), map(_nonzero, DOP853.A_EXTRA)))
+    _B, _E3, _E5 = map(_nonzero, (DOP853.B, DOP853.E3, DOP853.E5))
+
+    def __init__(self, fun, t0, y0, t_bound, **options):
+        super().__init__(fun, t0, y0, t_bound, **options)
+        if self.n != 2:
+            raise PreconditionError("the float DOP853 steps two equations")
+        self._float_fun = fun
+        # a numpy scalar here would make every step operation a numpy one
+        self.h_abs = float(self.h_abs)
+        self.direction = float(self.direction)
+        self._rtol = np.broadcast_to(self.rtol, 2).tolist()
+        self._atol = np.broadcast_to(self.atol, 2).tolist()
+        self._y = tuple(self.y.tolist())
+        self._y_old = None
+        self._k = [tuple(self.f.tolist())]
+
+    def _stage(self, t, y, k, c, row, h):
+        """Appends fun(t + c h, y + h sum_j a_j k_j) to the stages k."""
+        s0, s1 = _combine(row, k)
+        k.append(self._float_fun(t + c * h, (y[0] + s0 * h, y[1] + s1 * h)))
+
+    def _step_impl(self):
+        t, y = self.t, self._y
+        direction = self.direction
+        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+        if self.h_abs > self.max_step:
+            h_abs = self.max_step
+        elif self.h_abs < min_step:
+            h_abs = min_step
+        else:
+            h_abs = self.h_abs
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+            t_new = t + h_abs * direction
+            if direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+            h = t_new - t
+            h_abs = abs(h)
+            k = [self._k[-1]]
+            for c, row in self._STAGES:
+                self._stage(t, y, k, c, row, h)
+            s0, s1 = _combine(self._B, k)
+            y_new = (y[0] + h * s0, y[1] + h * s1)
+            k.append(self._float_fun(t + h, y_new))
+            self.nfev += 12
+            err5 = err3 = 0.0
+            for yi, yn, e5, e3, at, rt in zip(
+                y, y_new, _combine(self._E5, k), _combine(self._E3, k),
+                self._atol, self._rtol,
+            ):
+                scale = at + max(abs(yi), abs(yn)) * rt
+                err5 += (e5 / scale) ** 2
+                err3 += (e3 / scale) ** 2
+            if err5 == 0.0 and err3 == 0.0:
+                error_norm = 0.0
+            else:
+                error_norm = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0)
+            if error_norm < 1.0:
+                if error_norm == 0.0:
+                    factor = self.MAX_FACTOR
+                else:
+                    factor = min(
+                        self.MAX_FACTOR, self.SAFETY * error_norm**self.error_exponent
+                    )
+                if rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(self.MIN_FACTOR, self.SAFETY * error_norm**self.error_exponent)
+            rejected = True
+        self.h_previous = h
+        self.t = t_new
+        self.h_abs = h_abs
+        self._y_old, self._y, self._k = y, y_new, k
+        self.y = np.array(y_new)
+        return True, None
+
+    def _dense_output_impl(self):
+        h, t_old = self.h_previous, self.t_old
+        k = list(self._k)
+        for c, row in self._EXTRA:
+            self._stage(t_old, self._y_old, k, c, row, h)
+        self.nfev += 3
+        return _FloatDenseOutput(t_old, self.t, self._y_old, self._y, k)
+
+
+class _FloatDenseOutput(DenseOutput):
+    """One DOP853 step as floats: its two end states and its 16 stages."""
+
+    def __init__(self, t_old, t, y_old, y, k):
+        super().__init__(t_old, t)
+        self.h = t - t_old
+        self.y_old, self.y, self.k = y_old, y, k
+
+    def _call_impl(self, t):
+        # a scalar t, as the event root-find asks; _sample reads many steps
+        # at once
+        return _dop853_eval((self,), np.zeros(1, dtype=int), np.atleast_1d(t))[:, 0]
+
+
+def _dop853_eval(steps, seg, t) -> np.ndarray:
+    """The DOP853 interpolant of steps[seg[i]] at t[i], shape (2, len(t)).
+
+    Builds the 7 interpolation coefficients F of every step at once, as
+    scipy's DOP853 does for one (F[3:] = h D K), and evaluates the
+    polynomial as its Dop853DenseOutput does.
+    """
+    h = np.array([s.h for s in steps])
+    y_old = np.array([s.y_old for s in steps])
+    dy = np.array([s.y for s in steps]) - y_old
+    k = np.array([s.k for s in steps])
+    hc = h[:, None]
+    coef = np.empty((len(steps), 7, 2))
+    coef[:, 0] = dy
+    coef[:, 1] = hc * k[:, 0] - dy
+    coef[:, 2] = 2.0 * dy - hc * (k[:, 12] + k[:, 0])
+    coef[:, 3:] = h[:, None, None] * (DOP853.D @ k)
+    t_old = np.array([s.t_old for s in steps])
+    x = ((t - t_old[seg]) / h[seg])[:, None]
+    coef = coef[seg]
+    y = np.zeros((len(seg), 2))
+    for i in range(7):
+        y += coef[:, 6 - i]
+        y *= x if i % 2 == 0 else 1.0 - x
+    return (y + y_old[seg]).T
+
+
+def _sample(sol, t) -> np.ndarray:
+    """u and u' at the times t of a ``_FloatDOP853`` solution, in one pass."""
+    ts, steps = sol.sol.ts, sol.sol.interpolants
+    # the step a time falls in, a boundary going to the earlier step, as in
+    # scipy's OdeSolution
+    seg = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, len(steps) - 1)
+    return _dop853_eval(steps, seg, t)
+
+
 def _integrate(d: int, alpha: float, t_end: float, rtol=1e-12, atol=1e-14, events=None):
     q = _q_of(d)
     sol = solve_ivp(
@@ -371,7 +556,7 @@ def _integrate(d: int, alpha: float, t_end: float, rtol=1e-12, atol=1e-14, event
         (0.0, t_end),
         (alpha, 0.0),
         args=(d, q),
-        method="DOP853",
+        method=_FloatDOP853,
         rtol=rtol,
         atol=atol,
         dense_output=True,
@@ -388,14 +573,15 @@ def _mirrored_samples(sol, step: float, n: int, closed: bool) -> tuple:
     The ODE is reversible and u'(0) = 0, so over one period P the orbit obeys
     u(P - t) = u(t) and u'(P - t) = -u'(t). P is (n - 1) step on a ``closed``
     grid, which holds both ends, and n step on a periodic one. Only the first
-    half of the grid is read from the dense solution ``sol``, which needs to
-    cover [0, P/2]; every later sample copies its mirror, so u is exactly even
-    and u' exactly odd on the grid (u' = 0 at a sample on P/2).
+    half of the grid is read, by ``_sample`` from the float steps of the
+    ``_FloatDOP853`` solution ``sol``, which need to cover [0, P/2]; every
+    later sample copies its mirror, so u is exactly even and u' exactly odd
+    on the grid (u' = 0 at a sample on P/2).
     """
     m = n - 1 if closed else n
     half = m // 2
     u, up = np.empty(n), np.empty(n)
-    u[: half + 1], up[: half + 1] = sol.sol(np.arange(half + 1) * step)
+    u[: half + 1], up[: half + 1] = _sample(sol, np.arange(half + 1) * step)
     if m % 2 == 0:
         up[half] = 0.0
     u[half + 1 :] = u[m - n + 1 : m - half][::-1]
@@ -447,7 +633,7 @@ def energy_drift(d: int, alpha: float, n_periods: int = 10) -> float:
     tau = period(d, alpha)
     sol = _integrate(d, alpha, n_periods * tau)
     tgrid = np.linspace(0.0, n_periods * tau, 2048)
-    u, up = sol.sol(tgrid)
+    u, up = _sample(sol, tgrid)
     h = 0.5 * up * up + potential(u, d)
     return float(np.max(np.abs(h - potential(alpha, d))))
 
@@ -471,7 +657,7 @@ def inverse_period(d: int, T: float) -> float:
             break
     if hi is None:
         raise ComputationError("could not bracket the amplitude below 1")
-    return float(brentq(lambda a: period(d, a) - T, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    return _root(lambda a: period(d, a) - T, lo, hi, xtol=1e-14, rtol=8.9e-16)
 
 
 # ---------------------------------------------------------------------------
@@ -1414,9 +1600,7 @@ def distance_to_branch(profile: PeriodicProfile) -> tuple:
     span = p.T / len(subs)
     # the extremum of the overlap is a root of its derivative: brentq pins it
     # to roundoff, where a search on the flat top stops near sqrt(eps)
-    sigma = float(
-        brentq(slope_at, subs[i0] - span, subs[i0] + span, xtol=1e-14, rtol=8.9e-16)
-    )
+    sigma = _root(slope_at, subs[i0] - span, subs[i0] + span, xtol=1e-14, rtol=8.9e-16)
     c_best = cross_at(sigma) / e_star
     # delta from the residual spectrum, not from e_u - cross^2 / e_star,
     # which subtracts two numbers of the size of the energy

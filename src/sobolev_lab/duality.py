@@ -16,7 +16,6 @@ multi-start policy everywhere.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -204,7 +203,7 @@ def brute_force_norm(matrix: np.ndarray, q: float, n_angles: int = 60) -> float:
         return lq_norm(a[:, 0], q)
     k = n - 1
     grids = [np.linspace(0.0, math.pi, n_angles, endpoint=False)] * k
-    mesh = np.array(list(itertools.product(*grids))).T
+    mesh = np.array(np.meshgrid(*grids, indexing="ij")).reshape(k, -1)
     pts = _angles_to_unit(mesh)
     vals = np.sum(np.abs(a @ pts) ** q, axis=0)
     i0 = int(np.argmax(vals))

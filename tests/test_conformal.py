@@ -1,10 +1,13 @@
 """Stereographic projection, Moebius flows, pullbacks, Hersch balancing."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
+from sobolev_lab import conformal
 from sobolev_lab.conformal import (
     axis_moment,
     dilation_of_zeta,
@@ -22,7 +25,7 @@ from sobolev_lab.conformal import (
     stereo_jacobian,
     zeta_of_dilation,
 )
-from sobolev_lab.errors import DomainError
+from sobolev_lab.errors import ComputationError, DomainError
 from sobolev_lab.specialfn import gauss_rule, sphere_area
 from sobolev_lab.zonal import (
     SphereParams,
@@ -212,3 +215,11 @@ def test_hersch_identity_input_needs_no_motion():
     fn = q_zeta(np.zeros(4), p)
     res = hersch_normalize(fn, density_exponent=p.q)
     assert res.delta_star == pytest.approx(1.0, rel=1e-9)
+
+
+def test_hersch_unconverged_root_raises_typed_error(monkeypatch):
+    monkeypatch.setattr(conformal, "brentq", functools.partial(scipy.optimize.brentq, maxiter=1))
+    p = SphereParams(3, 1.0)
+    fn = q_zeta(np.array([0.0, 0.0, 0.0, 0.3]), p)
+    with pytest.raises(ComputationError, match="did not converge"):
+        hersch_normalize(fn, density_exponent=p.q)

@@ -8,18 +8,26 @@ Closed-form anchors (frozen from 40-digit evaluations):
     curve limit (q+2)(q-2)/(12(q-1)).
 """
 
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh, null_space
 
+from sobolev_lab import cylinder
 from sobolev_lab.cylinder import (
+    _FloatDOP853,
     _assemble_block,
     _branch_grid,
+    _integrate,
     _lowest_eigenvalue,
     _multiplication_halves,
+    _q_of,
+    _rhs,
+    _sample,
     _trig_coords,
     CylinderParams,
     c_T,
@@ -540,6 +548,67 @@ def test_solve_orbit_is_exactly_even_and_matches_full_period():
         ref_u, ref_up = _full_period_reference(d, alpha, orb.t)
         assert np.max(np.abs(orb.u - ref_u)) <= 1e-10
         assert np.max(np.abs(orb.up - ref_up)) <= 1e-10
+
+
+def _scipy_dop853(d, alpha, t_end, **options):
+    """The same orbit run through scipy's own DOP853."""
+    return solve_ivp(
+        _rhs, (0.0, t_end), (alpha, 0.0), args=(d, _q_of(d)), method="DOP853",
+        rtol=1e-12, atol=1e-14, dense_output=True, **options,
+    )
+
+
+def test_float_dop853_takes_scipys_steps():
+    # the error estimate cancels, so its roundoff moves accepted step sizes
+    # (by up to 6.6e-3 relative here): the step count, nfev and samples
+    # agree, step times need not be bitwise equal
+    n = 4096
+    for d in (3, 4, 5, 6):
+        for frac in (1.2, 1.5, 2.0):
+            T = frac * t_star(d)
+            alpha = inverse_period(d, T)
+            ours, ref = _integrate(d, alpha, 0.5 * T), _scipy_dop853(d, alpha, 0.5 * T)
+            assert len(ours.t) == len(ref.t)
+            assert ours.nfev == ref.nfev
+            t = np.arange(n // 2 + 1) * (T / n)
+            assert np.max(np.abs(_sample(ours, t) - ref.sol(t))) <= 1e-12
+
+
+def test_float_dop853_rejects_steps_as_scipy_does():
+    # too large a first step forces rejected attempts; nfev counts 12 per
+    # attempt, 3 per dense output and 1 for the initial slope
+    d, T = 4, 1.5 * t_star(4)
+    alpha = inverse_period(d, T)
+    for first in (1.0, 3.0):
+        ref = _scipy_dop853(d, alpha, 0.5 * T, first_step=first)
+        ours = solve_ivp(
+            _rhs, (0.0, 0.5 * T), (alpha, 0.0), args=(d, _q_of(d)),
+            method=_FloatDOP853, rtol=1e-12, atol=1e-14, dense_output=True,
+            first_step=first,
+        )
+        steps = len(ref.t) - 1
+        rejected = (ref.nfev - 1 - 15 * steps) // 12
+        assert rejected > 0
+        assert len(ours.t) == len(ref.t)
+        assert ours.nfev == ref.nfev
+
+
+def test_solve_orbit_period_matches_scipy_dop853():
+    def turning(t, y, *args):
+        return y[1]
+
+    turning.direction = 1.0
+    turning.terminal = True
+    for d, alpha in ((3, 0.9), (4, 0.95), (5, 0.99), (6, 0.99)):
+        ref = _scipy_dop853(d, alpha, 0.51 * period(d, alpha), events=turning)
+        tau = 2.0 * float(ref.t_events[0][0])
+        assert solve_orbit(d, alpha).period == pytest.approx(tau, rel=1e-12, abs=0.0)
+
+
+def test_unconverged_root_raises_typed_error(monkeypatch):
+    monkeypatch.setattr(cylinder, "brentq", functools.partial(scipy.optimize.brentq, maxiter=1))
+    with pytest.raises(ComputationError, match="did not converge"):
+        inverse_period(D, 1.5 * TS)
 
 
 def test_c_T_on_long_periods_is_positive_and_falls():
