@@ -22,6 +22,7 @@ from sobolev_lab.cylinder import (
     _FloatDOP853,
     _assemble_block,
     _branch_grid,
+    _dop853_eval,
     _integrate,
     _lowest_eigenvalue,
     _multiplication_halves,
@@ -125,6 +126,90 @@ def test_period_two_routes_agree():
 
 def test_period_frozen_regression():
     assert period(D, 0.9) == pytest.approx(6.859418363896389, rel=1e-12)
+
+
+def _period_reference(mp, d, alpha):
+    """tau(alpha) by 50-digit Gauss-Legendre quadrature of the same integral.
+
+    The lower turning point is polished by mpmath's Newton iteration from the
+    double-precision one, and W = (V(alpha) - V(u)) / ((alpha - u)(u - umin))
+    is formed directly: at 50 digits the difference keeps 30 of them.
+    """
+    with mp.workdps(50):
+        dd = mp.mpf(d)
+        q = 2 * dd / (dd - 2)
+
+        def V(u):
+            return -((dd - 2) ** 2) * u * u / 8 + dd * (dd - 2) / (4 * q) * u**q
+
+        a = mp.mpf(alpha)
+        level = V(a)
+        umin = mp.findroot(lambda u: V(u) - level, mp.mpf(u_min_turning(d, alpha)))
+        span = a - umin
+
+        def inv_sqrt_w(theta):
+            u = umin + span * mp.sin(theta) ** 2
+            return mp.sqrt((a - u) * (u - umin) / (level - V(u)))
+
+        val = mp.quad(inv_sqrt_w, [0, mp.pi / 2], method="gauss-legendre")
+        return float(2 * mp.sqrt(2) * val)
+
+
+def test_period_matches_mpmath_reference():
+    # below 2e-3 the series route, above it the direct one; both within 5e-11
+    mp = pytest.importorskip("mpmath")
+    for d in (3, 4, 5, 6):
+        base = u0(d)
+        amps = list(np.geomspace(1e-5, 1e-2, 13)) + [0.3 * (1 - base), 0.9 * (1 - base)]
+        for amp in amps:
+            alpha = base + float(amp)
+            ref = _period_reference(mp, d, alpha)
+            assert period(d, alpha) == pytest.approx(ref, rel=5e-11, abs=0.0), (d, amp)
+
+
+def test_theta_table_matches_the_span_masks():
+    # the endpoint bands are ub < 1e-3 span and au < 1e-3 span; no node lies
+    # near enough to 1e-3 for rounding the products by a span to move it
+    for n in (240,):
+        tab = cylinder._theta_table(n)
+        assert tab is cylinder._theta_table(n)
+        assert min(np.min(np.abs(tab.st2 - 1e-3)), np.min(np.abs(tab.ct2 - 1e-3))) > 1e-9
+        for span in (1e-6, 3e-3, 0.37, 1.0, 1.9):
+            ub, au = span * tab.st2, span * tab.ct2
+            near_min, near_max = ub < 1e-3 * span, au < 1e-3 * span
+            nodes = np.arange(n)
+            assert np.array_equal(nodes[tab.near_min], np.flatnonzero(near_min))
+            assert np.array_equal(nodes[tab.near_max], np.flatnonzero(near_max))
+            assert np.array_equal(nodes[tab.bulk], np.flatnonzero(~(near_min | near_max)))
+
+
+def test_inverse_period_evaluates_each_amplitude_once(monkeypatch):
+    calls = []
+
+    def recording(d, alpha, *args):
+        calls.append(alpha)
+        return period(d, alpha, *args)
+
+    monkeypatch.setattr(cylinder, "period", recording)
+    total = 0
+    for d in (3, 4, 5, 6):
+        for frac in (1.02, 1.5, 3.0):
+            calls.clear()
+            inverse_period(d, frac * t_star(d))
+            assert len(set(calls)) == len(calls), (d, frac)
+            total += len(calls)
+    # evaluating u0 (1 + 1e-9) first and both bracket ends twice took 193
+    assert total < 193
+
+
+def test_inverse_period_bracket_failures_raise_typed_errors(monkeypatch):
+    T = 1.5 * TS
+    monkeypatch.setattr(cylinder, "period", lambda d, alpha, *args: T + 1.0)
+    with pytest.raises(ComputationError, match="lower bracket"):
+        inverse_period(D, T)
+    monkeypatch.setattr(cylinder, "period", lambda d, alpha, *args: T - 1.0)
+    with pytest.raises(ComputationError, match="bracket the amplitude"):
+        inverse_period(D, T)
 
 
 def test_inverse_period_round_trip():
@@ -559,9 +644,9 @@ def _scipy_dop853(d, alpha, t_end, **options):
 
 
 def test_float_dop853_takes_scipys_steps():
-    # the error estimate cancels, so its roundoff moves accepted step sizes
-    # (by up to 6.6e-3 relative here): the step count, nfev and samples
-    # agree, step times need not be bitwise equal
+    # the stages' roundoff moves accepted step sizes (by up to 7.6e-5
+    # relative here): the step count, nfev and samples agree, step times
+    # need not be bitwise equal
     n = 4096
     for d in (3, 4, 5, 6):
         for frac in (1.2, 1.5, 2.0):
@@ -603,6 +688,20 @@ def test_solve_orbit_period_matches_scipy_dop853():
         ref = _scipy_dop853(d, alpha, 0.51 * period(d, alpha), events=turning)
         tau = 2.0 * float(ref.t_events[0][0])
         assert solve_orbit(d, alpha).period == pytest.approx(tau, rel=1e-12, abs=0.0)
+
+
+def test_float_event_interpolant_matches_the_batched_one():
+    # the event root-find asks one step at one time at once; _sample asks
+    # many steps at many times: the two evaluate the same polynomial
+    d, T = 4, 1.5 * t_star(4)
+    sol = _integrate(d, inverse_period(d, T), 0.5 * T)
+    steps = sol.sol.interpolants
+    for i in (0, len(steps) // 2, len(steps) - 1):
+        step = steps[i]
+        for x in (0.0, 0.3, 0.77, 1.0):
+            t = step.t_old + x * (step.t - step.t_old)
+            batched = _dop853_eval((step,), np.zeros(1, dtype=int), np.array([t]))[:, 0]
+            assert np.array_equal(step(t), batched)
 
 
 def test_unconverged_root_raises_typed_error(monkeypatch):
