@@ -1,36 +1,17 @@
-"""Hot numeric kernels with a numba path and a pure-numpy fallback.
+"""The three hot numpy kernels.
 
 Three inner loops dominate the library's Python-level cost: the Gegenbauer
 recursion table behind every zonal basis, the two-axis sphere moment behind
 the distance optimizer's objective, and the fixed-point ascent behind the
-finite operator norm.  Each has an explicit-loop implementation (compiled
-with numba when available) and a vectorized numpy twin.
-
-Selection: the environment variable ``SOBOLEV_LAB_NUMBA`` picks the path at
-import time ("0"/"false"/"off" forces numpy); if numba is not importable the
-numpy path is used silently.  ``BACKEND`` records the choice.
+finite operator norm. The library calls each through its module-level
+binding (``gegenbauer_table``, ``zeta_moment``, ``lq_ascent``). The
+``*_numpy`` names are the same functions, kept so that a timing harness
+which wraps the bindings can still time the bare kernels.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_FLAG = os.environ.get("SOBOLEV_LAB_NUMBA", "1").strip().lower()
-_WANT_NUMBA = _FLAG not in ("0", "false", "off", "no")
-
-try:  # pragma: no cover - exercised via BACKEND checks
-    if not _WANT_NUMBA:
-        raise ImportError("numba disabled by SOBOLEV_LAB_NUMBA")
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover
-    njit = None
-    HAS_NUMBA = False
-
-BACKEND = "numba" if HAS_NUMBA else "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -51,23 +32,6 @@ def gegenbauer_table_numpy(alpha: float, lmax: int, t: np.ndarray) -> np.ndarray
     return out
 
 
-def _gegenbauer_table_loops(alpha, lmax, t):
-    n = t.shape[0]
-    out = np.empty((lmax + 1, n))
-    for i in range(n):
-        out[0, i] = 1.0
-    if lmax >= 1:
-        for i in range(n):
-            out[1, i] = 2.0 * alpha * t[i]
-    for ell in range(1, lmax):
-        c1 = 2.0 * (ell + alpha)
-        c2 = ell + 2.0 * alpha - 1.0
-        c3 = 1.0 / (ell + 1.0)
-        for i in range(n):
-            out[ell + 1, i] = (c1 * t[i] * out[ell, i] - c2 * out[ell - 1, i]) * c3
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Two-axis sphere moment: sum_ij tw_i cw_j f_i (sq / (1 - a t_i - rho r_i c_j))^expo
 # where sq = sqrt(1 - a^2 - rho^2), r_i = sqrt(1 - t_i^2).
@@ -78,18 +42,6 @@ def zeta_moment_numpy(a, rho, sq, expo, tn, tw, fvals, cn, cw):
     denom = 1.0 - a * tn[:, None] - rho * rad[:, None] * cn[None, :]
     ker = (sq / denom) ** expo
     return float((tw * fvals) @ ker @ cw)
-
-
-def _zeta_moment_loops(a, rho, sq, expo, tn, tw, fvals, cn, cw):
-    total = 0.0
-    for i in range(tn.shape[0]):
-        rad = np.sqrt(1.0 - tn[i] * tn[i])
-        row = 0.0
-        base = 1.0 - a * tn[i]
-        for j in range(cn.shape[0]):
-            row += cw[j] * (sq / (base - rho * rad * cn[j])) ** expo
-        total += tw[i] * fvals[i] * row
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -119,60 +71,6 @@ def lq_ascent_numpy(A, q, f0, max_iter, tol):
     return f, it
 
 
-def _lq_ascent_loops(A, q, f0, max_iter, tol):
-    m, n = A.shape
-    f = f0.copy()
-    nrm = 0.0
-    for k in range(n):
-        nrm += f[k] * f[k]
-    nrm = np.sqrt(nrm)
-    for k in range(n):
-        f[k] /= nrm
-    y = np.empty(m)
-    g = np.empty(n)
-    it = 0
-    for it in range(1, max_iter + 1):
-        for i in range(m):
-            acc = 0.0
-            for k in range(n):
-                acc += A[i, k] * f[k]
-            y[i] = acc
-        for i in range(m):
-            ay = abs(y[i])
-            y[i] = ay ** (q - 2.0) * y[i] if ay > 0.0 else 0.0
-        gn = 0.0
-        for k in range(n):
-            acc = 0.0
-            for i in range(m):
-                acc += A[i, k] * y[i]
-            g[k] = acc
-            gn += acc * acc
-        gn = np.sqrt(gn)
-        if gn == 0.0:
-            break
-        dplus = 0.0
-        dminus = 0.0
-        for k in range(n):
-            fk = g[k] / gn
-            dplus += (fk - f[k]) ** 2
-            dminus += (fk + f[k]) ** 2
-            f[k] = fk
-        if min(np.sqrt(dplus), np.sqrt(dminus)) < tol:
-            break
-    return f, it
-
-
-if HAS_NUMBA:  # pragma: no branch
-    gegenbauer_table_jit = njit(cache=True)(_gegenbauer_table_loops)
-    zeta_moment_jit = njit(cache=True)(_zeta_moment_loops)
-    lq_ascent_jit = njit(cache=True)(_lq_ascent_loops)
-    gegenbauer_table = gegenbauer_table_jit
-    zeta_moment = zeta_moment_jit
-    lq_ascent = lq_ascent_jit
-else:
-    gegenbauer_table_jit = None
-    zeta_moment_jit = None
-    lq_ascent_jit = None
-    gegenbauer_table = gegenbauer_table_numpy
-    zeta_moment = zeta_moment_numpy
-    lq_ascent = lq_ascent_numpy
+gegenbauer_table = gegenbauer_table_numpy
+zeta_moment = zeta_moment_numpy
+lq_ascent = lq_ascent_numpy

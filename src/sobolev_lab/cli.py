@@ -45,7 +45,6 @@ class RunConfig:
     eps_grid: tuple = (0.02, 0.01, 0.005)
     alpha_grid: tuple = ()
     seed: int = 0
-    format: str = "json"
     out: str | None = None
 
 
@@ -93,7 +92,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eps-grid", type=str, default=None, help="comma-separated eps values")
     p.add_argument("--alpha-grid", type=str, default=None, help="comma-separated amplitudes")
     p.add_argument("--seed", type=int, default=None, help="rng seed")
-    p.add_argument("--format", choices=("json", "csv"), default=None, help="output format")
     p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
     p.add_argument("--config", type=str, default=None, help="key=value config file")
 
@@ -150,7 +148,6 @@ _CONFIG_CASTS = {
     "eps_grid": str,
     "alpha_grid": str,
     "seed": int,
-    "format": str,
     "out": str,
     "family": str,
 }
@@ -176,8 +173,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
             return cfg[name]
         return default
 
-    if pick("format", "json") not in ("json", "csv"):
-        raise DomainError("format must be json or csv")
     eps_text = pick("eps_grid", None)
     alpha_text = pick("alpha_grid", None)
     config = RunConfig(
@@ -190,7 +185,6 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         eps_grid=_parse_grid(eps_text) if eps_text is not None else (0.02, 0.01, 0.005),
         alpha_grid=_parse_grid(alpha_text) if alpha_text is not None else (),
         seed=pick("seed", 0),
-        format=pick("format", "json"),
         out=pick("out", None),
     )
     if getattr(args, "family", None) is None and "family" in cfg:

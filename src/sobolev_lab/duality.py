@@ -105,7 +105,7 @@ def op_norm_ascent(
     best = 0.0
     best_f = None
     for f0 in _ascent_starts(m, n, seed, n_random):
-        f, _ = _kernels.lq_ascent(a, q, np.ascontiguousarray(f0), max_iter, tol)
+        f, _ = _kernels.lq_ascent(a, q, f0, max_iter, tol)
         val = lq_norm(a @ f, q)
         if val > best:
             best, best_f = val, f
@@ -119,6 +119,8 @@ def op_norm_ascent(
         return -lq_norm(a @ (x / nx), q)
 
     res = minimize(neg, best_f, method="Nelder-Mead", options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000})
+    if not res.success:
+        raise ComputationError("Nelder-Mead polish did not converge: %s" % res.message)
     return max(best, -float(res.fun))
 
 
@@ -134,7 +136,9 @@ def adjoint_norm_fixed_point(
 
     Iterates g <- normalize_{q'}( psi^{-1}(A A^T g) ) where psi is the q'-norm
     duality map psi(g) = |g|^(q'-2) g; fixed points satisfy the stationarity
-    condition of the constrained maximization. Multi-start, keep the best.
+    condition of the constrained maximization. Multi-start, keep the best of
+    the starts that met the stop rule or reached A A^T g = 0; a start cut off
+    by ``max_iter`` stops anywhere on its way up and is not ranked.
     """
     a = np.ascontiguousarray(matrix, dtype=float)
     qp = q_conjugate(q)
@@ -148,7 +152,7 @@ def adjoint_norm_fixed_point(
             return None
         return g / nrm
 
-    best = 0.0
+    ranked = []
     rng = np.random.default_rng(seed)
     g_starts = [np.eye(m)[j] for j in range(m)]
     g_starts.append(np.ones(m) / lq_norm(np.ones(m), qp))
@@ -173,8 +177,12 @@ def adjoint_norm_fixed_point(
             if abs(val - prev) < tol * max(val, 1.0):
                 break
             prev = val
-        best = max(best, float(np.linalg.norm(a.T @ g)))
-    return best
+        else:
+            continue  # max_iter ran out before the stop rule
+        ranked.append(float(np.linalg.norm(a.T @ g)))
+    if not ranked:
+        raise ComputationError("adjoint fixed point converged from no start")
+    return max(ranked)
 
 
 def _angles_to_unit(angles: np.ndarray) -> np.ndarray:
@@ -213,6 +221,8 @@ def brute_force_norm(matrix: np.ndarray, q: float, n_angles: int = 60) -> float:
         return -lq_norm(a @ f, q)
 
     res = minimize(neg, mesh[:, i0], method="Powell", options={"xtol": 1e-13, "ftol": 1e-14, "maxiter": 10000})
+    if not res.success:
+        raise ComputationError("Powell polish did not converge: %s" % res.message)
     return max(float(vals[i0] ** (1.0 / q)), -float(res.fun))
 
 

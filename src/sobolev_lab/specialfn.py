@@ -125,8 +125,8 @@ def gegenbauer(ell: int, alpha: float, t):
     if alpha <= 0.0:
         raise DomainError("gegenbauer requires alpha > 0")
     scalar = np.isscalar(t) or np.ndim(t) == 0
-    tt = np.atleast_1d(np.asarray(t, dtype=float))
-    table = _kernels.gegenbauer_table(float(alpha), int(ell), np.ascontiguousarray(tt))
+    tt = np.asarray(t, dtype=float).ravel()
+    table = _kernels.gegenbauer_table(float(alpha), int(ell), tt)
     row = table[ell]
     return float(row[0]) if scalar else row.reshape(np.shape(t))
 
@@ -137,7 +137,7 @@ def gegenbauer_table(alpha: float, lmax: int, t: np.ndarray) -> np.ndarray:
         raise DomainError("lmax must be nonnegative")
     if alpha <= 0.0:
         raise DomainError("gegenbauer requires alpha > 0")
-    tt = np.ascontiguousarray(np.asarray(t, dtype=float).ravel())
+    tt = np.asarray(t, dtype=float).ravel()
     return _kernels.gegenbauer_table(float(alpha), int(lmax), tt)
 
 

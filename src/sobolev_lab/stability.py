@@ -92,11 +92,11 @@ def zeta_moment_integral(
         float(rho),
         math.sqrt(1.0 - r2),
         (d + 2.0 * s) / 2.0,
-        np.ascontiguousarray(basis.rule.nodes),
-        np.ascontiguousarray(basis.rule.weights),
-        np.ascontiguousarray(fn.samples),
-        np.ascontiguousarray(crule.nodes),
-        np.ascontiguousarray(crule.weights),
+        basis.rule.nodes,
+        basis.rule.weights,
+        fn.samples,
+        crule.nodes,
+        crule.weights,
     )
     return float(sphere_area(d - 2) * val) if d >= 2 else float(val)
 

@@ -149,8 +149,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "error:" in err
     # unknown config key
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("bogus = 1\n", encoding="utf-8")
-    assert run_cli(capsys, ["constants", "--config", str(cfg)])[0] == 2
+    for line in ("bogus = 1\n", "format = csv\n"):
+        cfg.write_text(line, encoding="utf-8")
+        assert run_cli(capsys, ["constants", "--config", str(cfg)])[0] == 2
     # uncastable config value
     cfg.write_text("d = three\n", encoding="utf-8")
     assert run_cli(capsys, ["constants", "--config", str(cfg)])[0] == 2
@@ -169,6 +170,7 @@ def test_parser_level_errors_raise_systemexit_2(capsys):
         ["constants", "--d", "3"],
         ["be-scan", "--d", "3", "--s", "1.0"],
         ["nonsense"],
+        ["constants", "--d", "3", "--s", "1.0", "--format", "csv"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

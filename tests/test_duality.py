@@ -12,7 +12,9 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.optimize
 
+from sobolev_lab import duality
 from sobolev_lab.duality import (
     adjoint_norm_fixed_point,
     brute_force_norm,
@@ -24,6 +26,7 @@ from sobolev_lab.duality import (
     q_conjugate,
 )
 from sobolev_lab.errors import (
+    ComputationError,
     DegenerateInputError,
     DomainError,
     PreconditionError,
@@ -193,3 +196,53 @@ def test_wide_and_tall_shapes():
         vw = finite_operator(wide, q).op_norm
         assert vt > 0 and vw > 0
         assert brute_force_norm(tall, q) == pytest.approx(vt, rel=1e-8)
+
+
+def test_zero_matrix_has_norm_zero_and_no_dual_vector():
+    op = finite_operator(np.zeros((3, 2)), 3.0)
+    assert op.op_norm == op.primal_norm == op.adjoint_norm == 0.0
+    with pytest.raises(DegenerateInputError):
+        dual_vector(np.array([1.0, 0.0]), op)
+
+
+def test_zero_row_leaves_the_norm_unchanged():
+    rng = np.random.default_rng(19)
+    a = rng.standard_normal((3, 3))
+    padded = np.insert(a, 1, 0.0, axis=0)
+    for q in (1.5, 3.0):
+        val = finite_operator(padded, q).op_norm
+        assert val == pytest.approx(finite_operator(a, q).op_norm, rel=1e-9)
+        assert brute_force_norm(padded, q) == pytest.approx(val, rel=1e-8)
+
+
+def test_q_near_one_agrees_with_brute_force():
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((4, 3))
+    for q in (1.02, 1.05, 1.1):
+        val = finite_operator(a, q).op_norm
+        assert brute_force_norm(a, q) == pytest.approx(val, rel=1e-8)
+
+
+def _minimize_capped_at_one_iteration(*args, **kwargs):
+    kwargs["options"] = dict(kwargs["options"], maxiter=1)
+    return scipy.optimize.minimize(*args, **kwargs)
+
+
+def test_unconverged_nelder_mead_polish_raises(monkeypatch):
+    monkeypatch.setattr(duality, "minimize", _minimize_capped_at_one_iteration)
+    a = np.random.default_rng(29).standard_normal((4, 3))
+    with pytest.raises(ComputationError, match="Nelder-Mead"):
+        op_norm_ascent(a, 3.0)
+
+
+def test_unconverged_powell_polish_raises(monkeypatch):
+    monkeypatch.setattr(duality, "minimize", _minimize_capped_at_one_iteration)
+    a = np.random.default_rng(29).standard_normal((4, 3))
+    with pytest.raises(ComputationError, match="Powell"):
+        brute_force_norm(a, 3.0)
+
+
+def test_adjoint_fixed_point_without_a_converged_start_raises():
+    a = np.random.default_rng(29).standard_normal((4, 3))
+    with pytest.raises(ComputationError, match="no start"):
+        adjoint_norm_fixed_point(a, 3.0, max_iter=1)

@@ -1,111 +1,24 @@
-"""Backend parity: the numba kernels and their numpy twins must agree.
+"""The kernel bindings and one end-to-end number through them.
 
-The SOBOLEV_LAB_NUMBA flag swaps implementations at import time, so any
-numerical daylight between the two paths would make results depend on the
-environment.
+The library calls each kernel through its module-level binding; the bench
+harness wraps those bindings and times the ``*_numpy`` functions, so the two
+must be the same objects.
 """
 
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
 from sobolev_lab import _kernels
-
-needs_numba = pytest.mark.skipif(
-    not _kernels.HAS_NUMBA, reason="numba backend not active"
-)
+from sobolev_lab.conformal import q_zeta
+from sobolev_lab.zonal import SphereParams, sharp_constant, sobolev_quotient
 
 
-@needs_numba
-def test_gegenbauer_table_paths_agree():
-    rng = np.random.default_rng(0)
-    t = rng.uniform(-1.0, 1.0, size=257)
-    for alpha in (0.5, 1.0, 1.7, 2.5):
-        a = _kernels.gegenbauer_table_numpy(alpha, 64, t)
-        b = _kernels.gegenbauer_table_jit(alpha, 64, t)
-        assert np.allclose(a, b, rtol=1e-11, atol=1e-11)
-
-
-@needs_numba
-def test_zeta_moment_paths_agree():
-    rng = np.random.default_rng(1)
-    tn = rng.uniform(-1.0, 1.0, size=256)
-    tw = rng.uniform(0.1, 1.0, size=256)
-    fvals = rng.standard_normal(256)
-    cn = rng.uniform(-1.0, 1.0, size=64)
-    cw = rng.uniform(0.1, 1.0, size=64)
-    for a, rho, expo in ((0.3, 0.4, 2.5), (-0.6, 0.1, 1.0), (0.0, 0.85, 4.0)):
-        sq = np.sqrt(1.0 - a * a - rho * rho)
-        v1 = _kernels.zeta_moment_numpy(a, rho, sq, expo, tn, tw, fvals, cn, cw)
-        v2 = _kernels.zeta_moment_jit(a, rho, sq, expo, tn, tw, fvals, cn, cw)
-        assert v1 == pytest.approx(v2, rel=1e-12)
-
-
-@needs_numba
-def test_lq_ascent_paths_agree():
-    rng = np.random.default_rng(2)
-    for q in (1.5, 3.0, 6.0):
-        a = rng.standard_normal((6, 5))
-        f0 = np.ones(5) / np.sqrt(5.0)
-        f1, _ = _kernels.lq_ascent_numpy(a, q, f0.copy(), 4000, 1e-13)
-        f2, _ = _kernels.lq_ascent_jit(a, q, f0.copy(), 4000, 1e-13)
-        assert min(
-            float(np.linalg.norm(f1 - f2)), float(np.linalg.norm(f1 + f2))
-        ) < 1e-10
-        v1 = float(np.sum(np.abs(a @ f1) ** q) ** (1.0 / q))
-        v2 = float(np.sum(np.abs(a @ f2) ** q) ** (1.0 / q))
-        assert v1 == pytest.approx(v2, rel=1e-12)
-
-
-def test_active_dispatch_matches_backend():
-    if _kernels.HAS_NUMBA:
-        assert _kernels.BACKEND == "numba"
-        assert _kernels.gegenbauer_table is _kernels.gegenbauer_table_jit
-        assert _kernels.zeta_moment is _kernels.zeta_moment_jit
-        assert _kernels.lq_ascent is _kernels.lq_ascent_jit
-    else:
-        assert _kernels.BACKEND == "numpy"
-        assert _kernels.gegenbauer_table is _kernels.gegenbauer_table_numpy
-
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, SOBOLEV_LAB_NUMBA="0")
-    out = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            "from sobolev_lab import _kernels; "
-            "print(_kernels.BACKEND, _kernels.zeta_moment is _kernels.zeta_moment_numpy)",
-        ],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert out.returncode == 0
-    assert out.stdout.split() == ["numpy", "True"]
+def test_bindings_are_the_numpy_kernels():
+    assert _kernels.gegenbauer_table is _kernels.gegenbauer_table_numpy
+    assert _kernels.zeta_moment is _kernels.zeta_moment_numpy
+    assert _kernels.lq_ascent is _kernels.lq_ascent_numpy
 
 
 def test_numpy_backend_full_pipeline_spot_check():
-    # one end-to-end number computed with the fallback backend only
-    code = (
-        "from sobolev_lab.zonal import SphereParams, sharp_constant, sobolev_quotient\n"
-        "from sobolev_lab.conformal import q_zeta\n"
-        "import numpy as np\n"
-        "p = SphereParams(3, 1.0)\n"
-        "fn = q_zeta(np.array([0.0, 0.0, 0.0, 0.6]), p)\n"
-        "print('%.12g' % abs(sobolev_quotient(fn) / sharp_constant(p) - 1.0))\n"
-    )
-    env = dict(os.environ, SOBOLEV_LAB_NUMBA="0")
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert out.returncode == 0
-    assert float(out.stdout.strip()) < 1e-9
+    p = SphereParams(3, 1.0)
+    fn = q_zeta(np.array([0.0, 0.0, 0.0, 0.6]), p)
+    assert abs(sobolev_quotient(fn) / sharp_constant(p) - 1.0) < 1e-9

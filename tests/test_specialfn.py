@@ -103,6 +103,13 @@ def test_gegenbauer_table_consistent_with_single_degree():
         assert np.allclose(table[ell], gegenbauer(ell, 1.5, t), rtol=1e-13, atol=1e-13)
 
 
+def test_gegenbauer_keeps_the_shape_of_a_2d_argument():
+    t = np.linspace(-0.95, 0.95, 21)
+    got = gegenbauer(4, 1.5, t.reshape(3, 7))
+    assert got.shape == (3, 7)
+    assert np.array_equal(got, gegenbauer(4, 1.5, t).reshape(3, 7))
+
+
 def test_gegenbauer_at_one_matches_evaluation():
     for alpha in (0.5, 1.0, 2.5):
         for ell in range(9):
