@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
@@ -49,6 +48,7 @@ __all__ = [
     "CylinderParams",
     "PeriodicProfile",
     "Orbit",
+    "Branch",
     "QuarticConstants",
     "DegenerateCurve",
     "SplitReport",
@@ -62,6 +62,7 @@ __all__ = [
     "solve_orbit",
     "energy_drift",
     "inverse_period",
+    "optimizer_branch",
     "profile_from_samples",
     "profile_from_fourier",
     "synthesize_profile",
@@ -112,8 +113,7 @@ class CylinderParams:
 
     @property
     def q(self) -> float:
-        frac = Fraction(2 * self.d, self.d - 2)
-        return float(frac.numerator) / float(frac.denominator)
+        return _q_of(self.d)
 
     @property
     def t_star(self) -> float:
@@ -441,7 +441,7 @@ class _FloatDOP853(DOP853):
     arithmetic on 2-element arrays, while the orbit needs only 27-42 steps
     per half period. On a 2-core host (d = 3..5, T = 1.5 and 2 T_*, medians
     of 3 alternating processes) scipy's steps took 8.0 ms per half period,
-    about 230 us a step, of a 15.4 ms ``_branch_grid`` call; these take
+    about 230 us a step, of a 15.4 ms ``optimizer_branch`` call; these take
     2.0 ms, and the call 7.1 ms. The method is scipy's: the tableau
     (the class attributes A, B, C, E3, E5, A_EXTRA, C_EXTRA), the DOP853
     error norm, the step-size control of its RungeKutta and the nfev count
@@ -749,6 +749,42 @@ def inverse_period(d: int, T: float) -> float:
     )
 
 
+@dataclass(frozen=True)
+class Branch:
+    """The optimizer branch u_* of the period-T cylinder on a uniform grid.
+
+    At and below T_* u_* is the constant alpha = u0; above, it is the orbit
+    whose period is T, with alpha its amplitude (the ``inverse_period``
+    root). u and u' sit at t_j = j T / N, j < N; ``optimizer_branch`` builds
+    them.
+    """
+
+    params: CylinderParams
+    alpha: float
+    u: np.ndarray
+    up: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.u, self.up):
+            arr.setflags(write=False)
+
+
+def optimizer_branch(d: int, T: float, n_grid: int = 4096) -> Branch:
+    """The optimizer branch at (d, T), sampled on n_grid points.
+
+    Above T_* the orbit is integrated over half a period and mirrored, so u
+    is exactly even and u' exactly odd on the grid.
+    """
+    params = CylinderParams(d=d, T=T)
+    if T <= params.t_star:
+        alpha = u0(d)
+        return Branch(params, alpha, np.full(n_grid, alpha), np.zeros(n_grid))
+    alpha = inverse_period(d, T)
+    sol = _integrate(d, alpha, 0.5 * T)
+    u, up = _mirrored_samples(sol, T / n_grid, n_grid, closed=False)
+    return Branch(params, alpha, u, up)
+
+
 # ---------------------------------------------------------------------------
 # periodic profiles
 
@@ -837,43 +873,40 @@ def profile_norm2_grid(profile: PeriodicProfile) -> float:
     return math.sqrt(profile.params.T / m * float(np.dot(profile.samples, profile.samples)))
 
 
-def _rfft_mult(m: int) -> np.ndarray:
+def _energy_form(params: CylinderParams, m: int) -> tuple:
+    """(omega, form): E_T on the rfft bins of m uniform samples of one period.
+
+    omega holds the bins' angular frequencies 2 pi k / T, and form(power) is
+    |S^(d-1)| T/m^2 sum_k mult_k (omega_k^2 + ((d-2)/2)^2) power_k, where
+    mult_k = 2 counts the conjugate bin that rfft leaves out (1 for k = 0
+    and, m even, k = m/2). So form(|rfft(u)|^2) = E_T[u].
+    """
     n = m // 2 + 1
+    omega = 2.0 * math.pi / params.T * np.arange(n)
     mult = np.full(n, 2.0)
     mult[0] = 1.0
     if m % 2 == 0:
         mult[-1] = 1.0
-    return mult
+    weight = mult * (omega**2 + (params.d - 2.0) ** 2 / 4.0)
+    area = sphere_area(params.d - 1)
+
+    def form(power) -> float:
+        return area * (params.T / (m * m) * float(np.dot(weight, power)))
+
+    return omega, form
 
 
 def energy_profile(profile: PeriodicProfile) -> float:
     """E_T[u] = |S^(d-1)| int (u'^2 + ((d-2)/2)^2 u^2) dt, spectrally exact."""
-    p = profile.params
-    m = len(profile.samples)
-    spec = np.fft.rfft(profile.samples)
-    omega = 2.0 * math.pi / p.T * np.arange(len(spec))
-    beta2 = (p.d - 2.0) ** 2 / 4.0
-    mult = _rfft_mult(m)
-    val = p.T / (m * m) * float(np.dot(mult * (omega**2 + beta2), np.abs(spec) ** 2))
-    return sphere_area(p.d - 1) * val
+    _, form = _energy_form(profile.params, len(profile.samples))
+    return form(np.abs(np.fft.rfft(profile.samples)) ** 2)
 
 
 def energy_bilinear_profile(p1: PeriodicProfile, p2: PeriodicProfile) -> float:
     if p1.params != p2.params or len(p1.samples) != len(p2.samples):
         raise PreconditionError("profiles must share cylinder and grid")
-    p = p1.params
-    m = len(p1.samples)
-    s1 = np.fft.rfft(p1.samples)
-    s2 = np.fft.rfft(p2.samples)
-    omega = 2.0 * math.pi / p.T * np.arange(len(s1))
-    beta2 = (p.d - 2.0) ** 2 / 4.0
-    mult = _rfft_mult(m)
-    val = (
-        p.T
-        / (m * m)
-        * float(np.dot(mult * (omega**2 + beta2), (s1 * np.conj(s2)).real))
-    )
-    return sphere_area(p.d - 1) * val
+    _, form = _energy_form(p1.params, len(p1.samples))
+    return form((np.fft.rfft(p1.samples) * np.conj(np.fft.rfft(p2.samples))).real)
 
 
 def lq_norm_profile(profile: PeriodicProfile, p_exp: float | None = None) -> float:
@@ -899,10 +932,9 @@ def quotient_profile(profile: PeriodicProfile) -> float:
 
 def ustar_profile(d: int, T: float, n_grid: int = 4096) -> PeriodicProfile:
     """The optimizer branch as a profile: constant below T_*, orbit above."""
-    params = CylinderParams(d=d, T=T)
-    u, _, _ = _branch_grid(d, T, n_grid)
-    n_modes = 1 if T <= params.t_star else min(128, (n_grid - 1) // 2)
-    return profile_from_samples(params, u, n_modes=n_modes)
+    br = optimizer_branch(d, T, n_grid)
+    n_modes = 1 if T <= br.params.t_star else min(128, (n_grid - 1) // 2)
+    return profile_from_samples(br.params, br.u, n_modes=n_modes)
 
 
 def sobolev_constant_cylinder(
@@ -920,14 +952,10 @@ def sobolev_constant_cylinder(
     relative, otherwise an inconsistency is raised.
     """
     params = CylinderParams(d=d, T=T)
-    q = params.q
-    area = sphere_area(d - 1)
     if T <= params.t_star:
-        value = (d - 2.0) ** 2 / 4.0 * (T * area) ** (1.0 - 2.0 / q)
+        value = (d - 2.0) ** 2 / 4.0 * (T * sphere_area(d - 1)) ** (1.0 - 2.0 / params.q)
     else:
-        alpha = inverse_period(d, T)
-        ints = orbit_integrals(d, alpha, n_theta=n_theta)
-        value = area ** (1.0 - 2.0 / q) * ints["i_energy"] / ints["i_q"] ** (2.0 / q)
+        value = orbit_branch_value(d, T, n_theta=n_theta)
     if cross_validate:
         descent, _ = minimize_quotient(d, T, seed=seed)
         if abs(descent - value) > 1e-4 * abs(value):
@@ -1141,54 +1169,27 @@ def _multiplication_halves(w: np.ndarray, n_modes: int) -> tuple:
     return (even, toep - hank), coupling
 
 
-def _branch_grid(d: int, T: float, n_grid: int) -> tuple:
-    """Samples of the optimizer branch and its derivative on the grid.
+def _assemble_block(br: Branch, n_modes: int, n_grid: int) -> tuple:
+    """Galerkin halves of L and the diagonal of B for the degree-0 Hessian block.
 
-    Above T_* the orbit is integrated over half a period and mirrored, so the
-    samples are exactly even and the derivative exactly odd.
+    L is -d^2/dt^2 + ((d-2)/2)^2 - (d(d+2)/4) u_*^(q-2), without the q-norm
+    term (``_q_norm_term``); B is the E_T-form -d^2/dt^2 + ((d-2)/2)^2,
+    diagonal in the trig basis. Degree ell adds ell(ell+d-2) to the
+    diagonals of both. The potential term comes from one FFT of the weight.
+    Returns ((L_even, L_odd), bdiag): L on the constant and cosines, L on the
+    sines, and bdiag in the block order of ``_trig_coords``. Raises when the
+    block between the halves is not negligible, that is when u_* is not even.
     """
-    ts = t_star(d)
-    tgrid = np.arange(n_grid) * (T / n_grid)
-    if T <= ts:
-        return np.full(n_grid, u0(d)), np.zeros(n_grid), tgrid
-    alpha = inverse_period(d, T)
-    sol = _integrate(d, alpha, 0.5 * T)
-    u, up = _mirrored_samples(sol, T / n_grid, n_grid, closed=False)
-    return u, up, tgrid
-
-
-def _assemble_block(
-    d: int,
-    T: float,
-    ell: int,
-    n_modes: int,
-    n_grid: int,
-    corrected: bool,
-    ustar: np.ndarray | None = None,
-) -> tuple:
-    """Galerkin halves of L and the diagonal of B for the degree-ell Hessian block.
-
-    L is the second-variation operator -d^2/dt^2 + ell(ell+d-2) + ((d-2)/2)^2
-    - (d(d+2)/4) u_*^(q-2), plus the rank-one term d <u^(q-1), .> u^(q-1) /
-    int u^q when ``corrected`` (only meaningful at ell = 0); B is the
-    E_T-form -d^2/dt^2 + ell(ell+d-2) + ((d-2)/2)^2, diagonal in the trig
-    basis. The potential term comes from one FFT of the weight. Returns
-    ((L_even, L_odd), bdiag): L on the constant and cosines, L on the sines,
-    and bdiag in the block order of ``_trig_coords``. Raises when the block
-    between the halves is not negligible, that is when u_* is not even.
-    """
-    q = _q_of(d)
-    if ustar is None:
-        ustar, _, _ = _branch_grid(d, T, n_grid)
+    # n_modes and n_grid keep their names: the benchmark's Hill span binds them
+    if len(br.u) != n_grid:
+        raise PreconditionError("branch has %d samples, not %d" % (len(br.u), n_grid))
+    d, T, q = br.params.d, br.params.T, br.params.q
     ksq = (2.0 * math.pi * np.arange(1, n_modes + 1) / T) ** 2
-    mell = ell * (ell + d - 2.0) + (d - 2.0) ** 2 / 4.0
-    bdiag = np.concatenate(([0.0], ksq, ksq)) + mell
-    wgrid = d * (d + 2.0) / 4.0 * ustar ** (q - 2.0)
+    bdiag = np.concatenate(([0.0], ksq, ksq)) + (d - 2.0) ** 2 / 4.0
+    wgrid = d * (d + 2.0) / 4.0 * br.u ** (q - 2.0)
     (m_even, m_odd), coupling = _multiplication_halves(wgrid, n_modes)
     l_even = np.diag(bdiag[: n_modes + 1]) - m_even
     l_odd = np.diag(bdiag[n_modes + 1 :]) - m_odd
-    if corrected:
-        l_even += _q_norm_term(d, T, ustar, n_modes)
     scale = max(float(np.max(np.abs(l_even))), float(np.max(np.abs(l_odd))))
     if coupling > _PARITY_TOL * scale:
         raise ComputationError(
@@ -1198,26 +1199,26 @@ def _assemble_block(
     return (l_even, l_odd), bdiag
 
 
-def _q_norm_term(d: int, T: float, ustar: np.ndarray, n_modes: int) -> np.ndarray:
+def _q_norm_term(br: Branch, n_modes: int) -> np.ndarray:
     """Even half of the rank-one term d <u^(q-1), .> u^(q-1) / int u^q.
 
-    u^(q-1) is even exactly when the weight u^(q-2) is, so the parity guard
-    on the weight also covers the sine coordinates dropped here.
+    The degree-0 second variation adds it to L. u^(q-1) is even exactly when
+    the weight u^(q-2) is, so the parity guard on the weight also covers the
+    sine coordinates dropped here.
     """
-    q = _q_of(d)
-    v = _trig_coords(ustar ** (q - 1.0), T, n_modes)[: n_modes + 1]
-    iq = float(np.sum(ustar**q)) * (T / len(ustar))
+    d, T, q = br.params.d, br.params.T, br.params.q
+    v = _trig_coords(br.u ** (q - 1.0), T, n_modes)[: n_modes + 1]
+    iq = float(np.sum(br.u**q)) * (T / len(br.u))
     return (d / iq) * np.outer(v, v)
 
 
 # The branch u_* is even about its maximum at t = 0 (u'(0) = 0 and the ODE is
 # reversible), so the weight has Im w^ = 0 and no block entry couples a sine
 # row to the constant or a cosine row: every degree-ell block is two blocks.
-# _branch_grid mirrors its half-period orbit, so the grid weight is exactly
+# optimizer_branch mirrors its half-period orbit, so the grid weight is exactly
 # even and Im w^ is the roundoff of its FFT: over d = 3..6 and T in
-# [0.5, 5] T_*, corrected and uncorrected, the coupling bound 2 max |Im w^_j|
-# measures at most 3.4e-20 of max |L| (d = 5, T = 5 T_*, uncorrected), and
-# exactly 0 at and below T_*. The bound only has to catch a weight that is not
+# [0.5, 5] T_*, the coupling bound 2 max |Im w^_j| measures at most 3.4e-20
+# of max |L| (d = 5, T = 5 T_*), and exactly 0 at and below T_*. The bound only has to catch a weight that is not
 # even: a shifted or perturbed orbit couples the halves at order one (the
 # perturbed orbit of the tests has coupling 0.54).
 _PARITY_TOL = 1e-9
@@ -1258,21 +1259,25 @@ def hessian_block_spectrum(
     (scaling plus the incipient cos/sin pair), 2 above (scaling and
     translation).
     """
-    CylinderParams(d=d, T=T)
     if ell < 0:
         raise DomainError("degree must be nonnegative")
     if corrected is None:
         corrected = ell == 0
-    halves, _ = _assemble_block(d, T, ell, n_modes, n_grid, corrected)
-    vals = np.sort(np.concatenate([eigh(half, eigvals_only=True) for half in halves]))
-    return make_spectrum_report(vals, (2 * n_modes + 1, n_grid))
+    br = optimizer_branch(d, T, n_grid)
+    halves, _ = _assemble_block(br, n_modes, n_grid)
+    if corrected:
+        halves = (halves[0] + _q_norm_term(br, n_modes), halves[1])
+    # degree ell is the degree-0 block shifted by ell(ell+d-2) on the diagonal
+    shift = ell * (ell + d - 2.0)
+    vals = [eigh(h + shift * np.eye(len(h)), eigvals_only=True) for h in halves]
+    return make_spectrum_report(np.sort(np.concatenate(vals)), (2 * n_modes + 1, n_grid))
 
 
-def zero_mode_pairing(d: int, T: float, n_modes: int = 128, n_grid: int = 4096) -> float:
-    """<du_*, L_0 du_*> for the translation mode (zero above T_*)."""
-    u, up, _ = _branch_grid(d, T, n_grid)
-    halves, _ = _assemble_block(d, T, 0, n_modes, n_grid, corrected=True, ustar=u)
-    coords = np.split(_trig_coords(up, T, n_modes), [n_modes + 1])
+def zero_mode_pairing(br: Branch, n_modes: int = 128) -> float:
+    """<du_*, L_0 du_*> for the translation mode of the branch (zero above T_*)."""
+    (l_even, l_odd), _ = _assemble_block(br, n_modes, len(br.u))
+    halves = (l_even + _q_norm_term(br, n_modes), l_odd)
+    coords = np.split(_trig_coords(br.up, br.params.T, n_modes), [n_modes + 1])
     return float(sum(x @ half @ x for x, half in zip(coords, halves)))
 
 
@@ -1302,21 +1307,19 @@ def c_T_numeric(d: int, T: float, n_modes: int = 128, n_grid: int = 4096) -> flo
     the lowest eigenvalue is nondecreasing in ell, and degree 1 bounds every
     higher degree from below.
     """
-    u, up, _ = _branch_grid(d, T, n_grid)
-    (l_even, l_odd), bbase = _assemble_block(
-        d, T, 0, n_modes, n_grid, corrected=False, ustar=u
-    )
+    br = optimizer_branch(d, T, n_grid)
+    (l_even, l_odd), bbase = _assemble_block(br, n_modes, n_grid)
     cut = n_modes + 1
     b_even, b_odd = bbase[:cut], bbase[cut:]
     # u_* is even and its translation mode u_*' odd, so each constraint
     # lives in one parity half of the degree-0 block
     deg0 = min(
         _lowest_eigenvalue(
-            l_even + _q_norm_term(d, T, u, n_modes),
+            l_even + _q_norm_term(br, n_modes),
             b_even,
-            (bbase * _trig_coords(u, T, n_modes))[:cut],
+            (bbase * _trig_coords(br.u, T, n_modes))[:cut],
         ),
-        _lowest_eigenvalue(l_odd, b_odd, (bbase * _trig_coords(up, T, n_modes))[cut:]),
+        _lowest_eigenvalue(l_odd, b_odd, (bbase * _trig_coords(br.up, T, n_modes))[cut:]),
     )
     # degree 1 is the uncorrected degree-0 block shifted by d - 1 on the
     # diagonal
@@ -1371,7 +1374,9 @@ def quartic_constants(
     area = sphere_area(d - 1)
     sigma = ts * area
 
-    halves, _ = _assemble_block(d, ts, 0, n_modes, n_grid, corrected=True)
+    br = optimizer_branch(d, ts, n_grid)
+    (l_even, l_odd), _ = _assemble_block(br, n_modes, n_grid)
+    halves = (l_even + _q_norm_term(br, n_modes), l_odd)
     h = ts / n_grid
     tgrid = np.arange(n_grid) * h
     r_star = np.cos(2.0 * math.pi * tgrid / ts)
@@ -1656,7 +1661,6 @@ def distance_to_branch(profile: PeriodicProfile) -> tuple:
     multiples c u_*(. - shift), scanned over all grid shifts and refined.
     """
     p = profile.params
-    d = p.d
     if p.T <= p.t_star:
         # constants are E_T-orthogonal to every other Fourier mode, so the
         # nearest one is the mean and delta the energy of what is left
@@ -1665,22 +1669,17 @@ def distance_to_branch(profile: PeriodicProfile) -> tuple:
         return math.sqrt(energy_profile(rest)), c_best, 0.0
 
     m = len(profile.samples)
-    ustar, _, _ = _branch_grid(d, p.T, m)
     spec_u = np.fft.rfft(profile.samples)
-    spec_s = np.fft.rfft(ustar)
-    omega = 2.0 * math.pi / p.T * np.arange(len(spec_u))
-    beta2 = (d - 2.0) ** 2 / 4.0
-    mult = _rfft_mult(m)
-    weight = mult * (omega**2 + beta2) * p.T / (m * m) * sphere_area(d - 1)
-    e_star = float(np.dot(weight, np.abs(spec_s) ** 2))
+    spec_s = np.fft.rfft(optimizer_branch(p.d, p.T, m).u)
+    omega, form = _energy_form(p, m)
+    e_star = form(np.abs(spec_s) ** 2)
     prod = spec_u * np.conj(spec_s)
 
     def cross_at(sigma: float) -> float:
-        return float(np.dot(weight, (prod * np.exp(1j * omega * sigma)).real))
+        return form((prod * np.exp(1j * omega * sigma)).real)
 
     def slope_at(sigma: float) -> float:
-        terms = 1j * omega * prod * np.exp(1j * omega * sigma)
-        return float(np.dot(weight, terms.real))
+        return form((1j * omega * prod * np.exp(1j * omega * sigma)).real)
 
     subs = np.arange(m) * (p.T / m)
     subs = subs[:: max(1, m // 256)]
@@ -1694,5 +1693,5 @@ def distance_to_branch(profile: PeriodicProfile) -> tuple:
     # delta from the residual spectrum, not from e_u - cross^2 / e_star,
     # which subtracts two numbers of the size of the energy
     resid = spec_u - c_best * spec_s * np.exp(-1j * omega * sigma)
-    delta = math.sqrt(float(np.dot(weight, np.abs(resid) ** 2)))
+    delta = math.sqrt(form(np.abs(resid) ** 2))
     return delta, c_best, sigma % p.T

@@ -304,14 +304,11 @@ def cylinder_checks(
     )
 
     t_eps = ts * (1.0 + 1e-8)
-    alpha_eps = cylinder.inverse_period(d, t_eps)
-    ints_eps = cylinder.orbit_integrals(d, alpha_eps)
+    orbit_val = cylinder.orbit_branch_value(d, t_eps)
     from .specialfn import sphere_area
 
-    q = 2.0 * d / (d - 2.0)
-    orbit_val = sphere_area(d - 1) ** (1.0 - 2.0 / q) * ints_eps["i_energy"] / ints_eps[
-        "i_q"
-    ] ** (2.0 / q)
+    # the constant branch's closed form, continued just past T_*
+    q = cylinder.CylinderParams(d, t_eps).q
     const_val = (d - 2.0) ** 2 / 4.0 * (t_eps * sphere_area(d - 1)) ** (1.0 - 2.0 / q)
     out.append(
         _le(
@@ -335,13 +332,12 @@ def cylinder_checks(
         )
     )
 
-    pair = cylinder.zero_mode_pairing(d, T, n_modes=n_modes)
-    orb_t = cylinder.ustar_profile(d, T)
-    dprof = cylinder.profile_from_samples(
-        orb_t.params, np.gradient(orb_t.samples, T / len(orb_t.samples), edge_order=2)
-    )
-    scale = cylinder.energy_profile(dprof)
-    out.append(_le("cylinder.translation_zero_mode", abs(pair) / scale, 1e-8))
+    if T > ts:
+        # at and below T_* u_*' = 0: there is no translation mode to pair
+        br = cylinder.optimizer_branch(d, T)
+        pair = cylinder.zero_mode_pairing(br, n_modes=n_modes)
+        scale = cylinder.energy_profile(cylinder.profile_from_samples(br.params, br.up))
+        out.append(_le("cylinder.translation_zero_mode", abs(pair) / scale, 1e-8))
 
     tl = 0.5 * ts
     out.append(
@@ -355,7 +351,7 @@ def cylinder_checks(
     out.append(_gt("cylinder.ct_positive_above", cylinder.c_T(d, T, n_modes=n_modes), 0.0))
 
     if T > ts:
-        orbT = cylinder.solve_orbit(d, cylinder.inverse_period(d, T))
+        orbT = cylinder.solve_orbit(d, br.alpha)
         out.append(
             _le("cylinder.l1_factorization", cylinder.l1_factorization_residual(orbT), 1e-7)
         )

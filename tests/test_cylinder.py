@@ -17,19 +17,20 @@ import scipy.optimize
 from scipy.integrate import solve_ivp
 from scipy.linalg import eigh, null_space
 
-from sobolev_lab import cylinder
+from sobolev_lab import cylinder, verify
 from sobolev_lab.cylinder import (
     _FloatDOP853,
     _assemble_block,
-    _branch_grid,
     _dop853_eval,
     _integrate,
     _lowest_eigenvalue,
     _multiplication_halves,
+    _q_norm_term,
     _q_of,
     _rhs,
     _sample,
     _trig_coords,
+    Branch,
     CylinderParams,
     c_T,
     c_T_formula,
@@ -46,6 +47,7 @@ from sobolev_lab.cylinder import (
     lq_norm_profile,
     minimize_quotient,
     ode_residual,
+    optimizer_branch,
     orbit_branch_value,
     orbit_integrals,
     period,
@@ -66,7 +68,7 @@ from sobolev_lab.cylinder import (
     ustar_profile,
     zero_mode_pairing,
 )
-from sobolev_lab.errors import ComputationError, DomainError
+from sobolev_lab.errors import ComputationError, DomainError, PreconditionError
 from sobolev_lab.specialfn import sphere_area
 from sobolev_lab.zonal import SphereParams, sharp_constant
 
@@ -478,9 +480,10 @@ def test_fft_hill_block_matches_dense_product():
     assert np.max(np.abs(dense[:cut, cut:])) <= coupling + 1e-13 * np.max(np.abs(dense))
     # the whole corrected degree-0 block of the even branch against its dense
     # assembly, whose cross block is roundoff
-    u, _, _ = _branch_grid(D, T, n_grid)
-    halves, _ = _assemble_block(D, T, 0, n_modes, n_grid, corrected=True, ustar=u)
-    ref = _dense_hessian_block(D, T, 0, u, n_modes)
+    br = optimizer_branch(D, T, n_grid)
+    (even, odd), _ = _assemble_block(br, n_modes, n_grid)
+    halves = (even + _q_norm_term(br, n_modes), odd)
+    ref = _dense_hessian_block(D, T, 0, br.u, n_modes)
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(halves[0] - ref[:cut, :cut])) <= 1e-13 * scale
     assert np.max(np.abs(halves[1] - ref[cut:, cut:])) <= 1e-13 * scale
@@ -510,9 +513,14 @@ def test_rescaled_standard_problem_matches_generalized():
     # ell >= 1: shifting the degree-0 block and rescaling by the diagonal B
     # gives the lowest generalized eigenvalue of (L_ell, B_ell)
     T = 1.5 * TS
-    lbase, bbase = _assemble_block(D, T, 0, 128, 4096, corrected=False)
+    br = optimizer_branch(D, T)
+    lbase, bbase = _assemble_block(br, 128, 4096)
+    ksq = (2.0 * math.pi * np.arange(1, 129) / T) ** 2
     for ell in range(1, 7):
-        halves, b = _assemble_block(D, T, ell, 128, 4096, corrected=False)
+        # the degree-ell block assembled on its own, by the dense reference
+        dense = _dense_hessian_block(D, T, ell, br.u, 128)
+        halves = (dense[:129, :129], dense[129:, 129:])
+        b = np.concatenate(([0.0], ksq, ksq)) + ell * (ell + D - 2.0) + (D - 2.0) ** 2 / 4.0
         shift = ell * (ell + D - 2.0)
         for lmat, bh, l0, b0 in zip(halves, np.split(b, [129]), lbase, np.split(bbase, [129])):
             ref = eigh(lmat, np.diag(bh), eigvals_only=True, subset_by_index=(0, 0))[0]
@@ -527,7 +535,7 @@ def test_parity_split_spectrum_matches_full_block():
     # block, assembled densely on the full basis
     for frac in (0.7, 1.0, 1.4, 1.8):
         T = frac * TS
-        u, _, _ = _branch_grid(D, T, 4096)
+        u = optimizer_branch(D, T).u
         for ell in (0, 2):
             ref = np.linalg.eigvalsh(_dense_hessian_block(D, T, ell, u, 128))
             vals = hessian_block_spectrum(D, T, ell=ell).eigenvalues
@@ -536,9 +544,10 @@ def test_parity_split_spectrum_matches_full_block():
 
 def test_parity_split_rejects_a_weight_that_is_not_even():
     T = 1.5 * TS
-    u = _odd_profile(T, 4096)
+    br = optimizer_branch(D, T)
+    odd = Branch(br.params, br.alpha, _odd_profile(T, 4096), br.up)
     with pytest.raises(ComputationError):
-        _assemble_block(D, T, 0, 128, 4096, corrected=False, ustar=u)
+        _assemble_block(odd, 128, 4096)
 
 
 def test_c_T_numeric_matches_dense_generalized_route():
@@ -546,7 +555,8 @@ def test_c_T_numeric_matches_dense_generalized_route():
     T, n_modes, n_grid = 1.5 * TS, 128, 4096
     q = 2.0 * D / (D - 2.0)
     h = T / n_grid
-    u, up, _ = _branch_grid(D, T, n_grid)
+    br = optimizer_branch(D, T, n_grid)
+    u, up = br.u, br.up
     phi = _dense_trig_basis(T, n_modes, n_grid)
     ksq = (2.0 * math.pi * np.arange(1, n_modes + 1) / T) ** 2
     ksq = np.concatenate(([0.0], ksq, ksq))
@@ -566,26 +576,31 @@ def test_c_T_numeric_matches_dense_generalized_route():
 
 def test_degree_lemma_over_all_assembled_degrees():
     # c_T_numeric solves degrees 0 and 1 only; here every degree 0..6 is
-    # assembled on its own and solved on its parity halves
+    # solved on its parity halves, degree ell as the degree-0 block shifted
+    # by ell(ell+d-2)
     for d in (3, 4, 5, 6):
         for frac in (0.6, 1.2, 2.0, 4.0):
             T = frac * t_star(d)
-            u, up, _ = _branch_grid(d, T, 4096)
-            halves, b = _assemble_block(d, T, 0, 128, 4096, corrected=False, ustar=u)
+            br = optimizer_branch(d, T)
+            base, b0 = _assemble_block(br, 128, 4096)
             mvals = np.sort(
                 np.concatenate(
                     [
                         np.linalg.eigvalsh(np.diag(bh) - half)
-                        for half, bh in zip(halves, np.split(b, [129]))
+                        for half, bh in zip(base, np.split(b0, [129]))
                     ]
                 )
             )
             assert mvals[0] >= -1e-12 * mvals[-1]
             # degree 0 is constrained against u_* (even half) and u_*' (odd half)
-            coords = (_trig_coords(u, T, 128)[:129], _trig_coords(up, T, 128)[129:])
+            coords = (_trig_coords(br.u, T, 128)[:129], _trig_coords(br.up, T, 128)[129:])
             mins = []
             for ell in range(7):
-                halves, b = _assemble_block(d, T, ell, 128, 4096, corrected=ell == 0, ustar=u)
+                shift = ell * (ell + d - 2.0)
+                halves = [half + shift * np.eye(len(half)) for half in base]
+                if ell == 0:
+                    halves[0] = halves[0] + _q_norm_term(br, 128)
+                b = b0 + shift
                 vals = []
                 for half, bh, x in zip(halves, np.split(b, [129]), coords):
                     row = bh * x if ell == 0 else None
@@ -610,14 +625,15 @@ def _full_period_reference(d, alpha, t):
     return sol.sol(t)
 
 
-def test_branch_grid_is_exactly_even_and_matches_full_period():
+def test_optimizer_branch_is_exactly_even_and_matches_full_period():
     # at 1.5 T_*; on longer periods the full-period run itself drifts off the
     # symmetric orbit (1.7e-10 at d = 4, 2 T_*), which is what mirroring avoids
     n = 4096
     j = np.arange(1, n)
     for d in (3, 4, 5, 6):
         T = 1.5 * t_star(d)
-        u, up, t = _branch_grid(d, T, n)
+        br = optimizer_branch(d, T, n)
+        u, up, t = br.u, br.up, np.arange(n) * (T / n)
         assert np.array_equal(u[j], u[n - j])
         assert np.array_equal(up[j], -up[n - j])
         ref_u, ref_up = _full_period_reference(d, inverse_period(d, T), t)
@@ -734,7 +750,53 @@ def test_hill_solves_use_one_lapack(monkeypatch):
 
 
 def test_translation_zero_mode_pairing():
-    assert zero_mode_pairing(D, 9.0) < 1e-8
+    assert zero_mode_pairing(optimizer_branch(D, 9.0)) < 1e-8
+
+
+def test_branch_holds_its_amplitude_and_freezes_its_samples():
+    for d in (3, 4):
+        ts = t_star(d)
+        for T in (0.5 * ts, ts):
+            br = optimizer_branch(d, T, 64)
+            assert br.alpha == u0(d)
+            assert np.array_equal(br.u, np.full(64, u0(d)))
+            assert not np.any(br.up)
+        br = optimizer_branch(d, 1.5 * ts, 64)
+        assert br.alpha == inverse_period(d, 1.5 * ts)
+        assert br.u[0] == br.alpha
+        for arr in (br.u, br.up):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+    # the assembly takes the branch on the grid it is told
+    with pytest.raises(PreconditionError):
+        _assemble_block(optimizer_branch(D, 1.5 * TS, 2048), 128, 4096)
+
+
+def test_verify_cylinder_solves_each_branch_once(monkeypatch):
+    counts = {"inverse_period": 0, "_integrate": 0}
+
+    def counted(name):
+        inner = getattr(cylinder, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(cylinder, name, counted(name))
+    assert all(r.passed for r in verify.cylinder_checks())
+    assert counts["inverse_period"] <= 5
+    assert counts["_integrate"] <= 6
+
+
+def test_verify_cylinder_below_bifurcation_pairs_no_translation_mode():
+    # u_* is constant there, so its translation mode is zero and the
+    # pairing's scale would divide by zero
+    results = verify.cylinder_checks(T=0.8 * TS)
+    assert all(r.passed for r in results)
+    assert "cylinder.translation_zero_mode" not in [r.name for r in results]
 
 
 def test_ct_closed_form_below_bifurcation():
