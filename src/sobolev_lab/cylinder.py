@@ -1180,7 +1180,7 @@ def _assemble_block(br: Branch, n_modes: int, n_grid: int) -> tuple:
     sines, and bdiag in the block order of ``_trig_coords``. Raises when the
     block between the halves is not negligible, that is when u_* is not even.
     """
-    # n_modes and n_grid keep their names: the benchmark's Hill span binds them
+    # n_modes and n_grid keep these names: perfbench's hill_assembly span reads them
     if len(br.u) != n_grid:
         raise PreconditionError("branch has %d samples, not %d" % (len(br.u), n_grid))
     d, T, q = br.params.d, br.params.T, br.params.q
