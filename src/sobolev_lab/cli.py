@@ -82,17 +82,34 @@ def _parse_grid(text: str) -> tuple:
         raise DomainError("bad grid value in %r" % text) from exc
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d", type=int, default=None, help="ambient dimension")
-    p.add_argument("--s", type=float, default=None, help="smoothness order")
-    p.add_argument("--T", type=float, default=None, help="cylinder period")
-    p.add_argument("--bandlimit", type=int, default=None, help="zonal bandlimit L")
-    p.add_argument("--quad-order", type=int, default=None, help="quadrature order N")
-    p.add_argument("--modes", type=int, default=None, help="fourier modes K")
-    p.add_argument("--eps-grid", type=str, default=None, help="comma-separated eps values")
-    p.add_argument("--alpha-grid", type=str, default=None, help="comma-separated amplitudes")
-    p.add_argument("--seed", type=int, default=None, help="rng seed")
-    p.add_argument("--out", type=str, default=None, help="output file (default stdout)")
+_FLAGS = {
+    "d": dict(type=int, help="ambient dimension"),
+    "s": dict(type=float, help="smoothness order"),
+    "T": dict(type=float, help="cylinder period"),
+    "bandlimit": dict(type=int, help="zonal bandlimit L"),
+    "quad-order": dict(type=int, help="quadrature order N"),
+    "modes": dict(type=int, help="fourier modes K"),
+    "eps-grid": dict(type=str, help="comma-separated eps values"),
+    "alpha-grid": dict(type=str, help="comma-separated amplitudes"),
+    "seed": dict(type=int, help="rng seed"),
+    "family": dict(type=str, choices=("degree2", "degree3"), help="perturbation family"),
+    "out": dict(type=str, help="output file (default stdout)"),
+}
+
+# the flags each subcommand reads besides --out and --config; its config
+# file may set these keys and out, with dashes read as underscores
+_COMMAND_FLAGS = {
+    "constants": ("d", "s", "modes"),
+    "verify": ("d", "s", "T", "bandlimit", "quad-order", "modes", "seed"),
+    "period-map": ("d", "alpha-grid"),
+    "be-scan": ("d", "s", "bandlimit", "quad-order", "eps-grid", "family"),
+    "quartic": ("d", "eps-grid"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
+    for name in _COMMAND_FLAGS[command] + ("out",):
+        p.add_argument("--" + name, default=None, **_FLAGS[name])
     p.add_argument("--config", type=str, default=None, help="key=value config file")
 
 
@@ -104,23 +121,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("constants", help="sharp/stability constants for (d, s)")
-    _add_common(p)
+    _add_flags(p, "constants")
 
     p = sub.add_parser("verify", help="run an invariant suite")
     p.add_argument("suite", choices=_SUITE_NAMES)
-    _add_common(p)
+    _add_flags(p, "verify")
 
     p = sub.add_parser("period-map", help="period map alpha -> tau(alpha) as CSV")
-    _add_common(p)
+    _add_flags(p, "period-map")
 
     p = sub.add_parser("be-scan", help="stability quotient curve for a zonal family")
-    p.add_argument(
-        "--family", choices=("degree2", "degree3"), default=None, help="perturbation family"
-    )
-    _add_common(p)
+    _add_flags(p, "be-scan")
 
     p = sub.add_parser("quartic", help="degenerate quotient curve at the bifurcation")
-    _add_common(p)
+    _add_flags(p, "quartic")
     return parser
 
 
@@ -138,30 +152,19 @@ def _read_config(path: str) -> dict:
     return values
 
 
-_CONFIG_CASTS = {
-    "d": int,
-    "s": float,
-    "T": float,
-    "bandlimit": int,
-    "quad_order": int,
-    "modes": int,
-    "eps_grid": str,
-    "alpha_grid": str,
-    "seed": int,
-    "out": str,
-    "family": str,
-}
-
-
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     """Flags win over config values, which win over defaults."""
     cfg = {}
     if getattr(args, "config", None):
+        casts = {
+            name.replace("-", "_"): _FLAGS[name]["type"]
+            for name in _COMMAND_FLAGS[args.command] + ("out",)
+        }
         for key, raw in _read_config(args.config).items():
-            if key not in _CONFIG_CASTS:
+            if key not in casts:
                 raise DomainError("unknown config key %r" % key)
             try:
-                cfg[key] = _CONFIG_CASTS[key](raw)
+                cfg[key] = casts[key](raw)
             except ValueError as exc:
                 raise DomainError("bad config value for %r: %r" % (key, raw)) from exc
 

@@ -7,11 +7,12 @@ through the explicit dual pair
 
     g = ||Af||_q^(1-q) |Af|^(q-2) Af,        f = A^T g / |A^T g|.
 
-The constructor computes alpha twice, by projected gradient ascent on the
-primal side and by a fixed-point iteration on the dual side, and insists the
-two agree; for n <= 4 a dense angular grid gives a third, assumption-free
-value. The quotient ||Af||_q / |f| is nonconvex for q > 2, hence the
-multi-start policy everywhere.
+The constructor computes alpha twice, by a fixed-point ascent on the primal
+side and by a fixed-point iteration on the dual side, and insists the two
+agree; for n <= 4 a dense angular grid gives a third, assumption-free value.
+Both iterations stop on their stationarity condition, and only starts that
+met it are ranked. The quotient ||Af||_q / |f| is nonconvex for q > 2, hence
+the multi-start policy everywhere.
 """
 
 from __future__ import annotations
@@ -95,33 +96,29 @@ def op_norm_ascent(
     max_iter: int = 4000,
     tol: float = 1e-14,
 ) -> float:
-    """max ||Af||_q over the unit sphere, by multi-start ascent plus polish."""
+    """max ||Af||_q over the unit sphere, by multi-start fixed-point ascent.
+
+    Each start iterates f <- normalize(A^T psi(Af)) with psi(y) = |y|^(q-2) y
+    until a step moves f by less than ``tol`` (up to sign). That stop rule is
+    the stationarity condition of the constrained maximization, so a start
+    that met it is a critical point and needs no polish. Keep the best of the
+    starts that met it; a start cut off by ``max_iter`` stops anywhere on its
+    way up and is not ranked.
+    """
     a = np.ascontiguousarray(matrix, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise DomainError("matrix must be a nonempty 2D array")
     if not q > 1.0:
         raise DomainError("exponent q must exceed 1")
     m, n = a.shape
-    best = 0.0
-    best_f = None
+    ranked = []
     for f0 in _ascent_starts(m, n, seed, n_random):
-        f, _ = _kernels.lq_ascent(a, q, f0, max_iter, tol)
-        val = lq_norm(a @ f, q)
-        if val > best:
-            best, best_f = val, f
-    if best_f is None or best == 0.0:
-        return 0.0
-
-    def neg(x):
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            return 0.0
-        return -lq_norm(a @ (x / nx), q)
-
-    res = minimize(neg, best_f, method="Nelder-Mead", options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 20000})
-    if not res.success:
-        raise ComputationError("Nelder-Mead polish did not converge: %s" % res.message)
-    return max(best, -float(res.fun))
+        f, it = _kernels.lq_ascent(a, q, f0, max_iter, tol)
+        if it < max_iter:
+            ranked.append(lq_norm(a @ f, q))
+    if not ranked:
+        raise ComputationError("primal ascent converged from no start")
+    return max(ranked)
 
 
 def adjoint_norm_fixed_point(

@@ -469,9 +469,7 @@ def subcritical_check(
         return SubcriticalReport(0.0, 0, np.empty(0), True)
     s_sub = d * (0.5 - 1.0 / q_sub)
     ells = np.arange(l_max + 1, dtype=float)
-    mult = np.exp(
-        gammaln(ells + d / 2.0 + s_sub) - gammaln(ells + d / 2.0 - s_sub)
-    )
+    mult = gamma_multiplier(SphereParams(d, s_sub), ells)
     den = ells * (ells + d - 1.0) + d / (q_sub - 2.0)
     ratio = mult / den
     tail = ratio[-100:]

@@ -116,7 +116,7 @@ def test_out_flag_writes_file(tmp_path, capsys):
 
 
 def test_reruns_are_byte_identical(capsys):
-    argv = ["be-scan", "--family", "degree2", "--d", "3", "--s", "1.0", "--seed", "0"]
+    argv = ["be-scan", "--family", "degree2", "--d", "3", "--s", "1.0"]
     _, first, _ = run_cli(capsys, argv)
     _, second, _ = run_cli(capsys, argv)
     assert first == second
@@ -149,7 +149,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert "error:" in err
     # unknown config key
     cfg = tmp_path / "bad.cfg"
-    for line in ("bogus = 1\n", "format = csv\n"):
+    for line in ("bogus = 1\n", "format = csv\n", "seed = 1\n"):
         cfg.write_text(line, encoding="utf-8")
         assert run_cli(capsys, ["constants", "--config", str(cfg)])[0] == 2
     # uncastable config value
@@ -171,6 +171,9 @@ def test_parser_level_errors_raise_systemexit_2(capsys):
         ["be-scan", "--d", "3", "--s", "1.0"],
         ["nonsense"],
         ["constants", "--d", "3", "--s", "1.0", "--format", "csv"],
+        # each subcommand takes only the flags it reads
+        ["quartic", "--d", "3", "--modes", "64"],
+        ["period-map", "--d", "3", "--alpha-grid", "0.8,0.9", "--seed", "1"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)

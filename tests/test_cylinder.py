@@ -884,6 +884,36 @@ def test_quartic_gap_positive_across_dimensions():
         )
 
 
+def test_quartic_constants_runs_no_eigensolve(monkeypatch):
+    # the T_* halves are diagonal, so their spectra are read off the diagonal
+    def refuse(*args, **kwargs):
+        raise AssertionError("quartic_constants called eigh")
+
+    monkeypatch.setattr(cylinder, "eigh", refuse)
+    for d in (3, 4, 5):
+        qc = quartic_constants(d)
+        assert len(qc.diagnostics["kernel_eigenvalues"]) == 3
+        assert qc.diagnostics["limit_identity"] == pytest.approx(
+            qc.limit_constant, rel=1e-6
+        )
+
+
+def test_quartic_constants_refuses_a_non_constant_branch(monkeypatch):
+    # an even but non-constant branch at T_* keeps the parity split and
+    # fills the off-diagonals, so the diagonal read must refuse it
+    n = 4096
+    t = np.arange(n) * (TS / n)
+    bumped = Branch(
+        params=CylinderParams(d=D, T=TS),
+        alpha=u0(D) + 1e-3,
+        u=u0(D) + 1e-3 * np.cos(2.0 * math.pi * t / TS),
+        up=-1e-3 * (2.0 * math.pi / TS) * np.sin(2.0 * math.pi * t / TS),
+    )
+    monkeypatch.setattr(cylinder, "optimizer_branch", lambda d, T, n_grid=4096: bumped)
+    with pytest.raises(ComputationError, match="not diagonal"):
+        quartic_constants(D)
+
+
 def test_degenerate_curve_extrapolates_to_limit():
     dc = degenerate_quotient_curve(D)
     assert dc.extrapolated_limit == pytest.approx(8.0 / 15.0, rel=1e-5)

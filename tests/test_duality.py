@@ -228,11 +228,30 @@ def _minimize_capped_at_one_iteration(*args, **kwargs):
     return scipy.optimize.minimize(*args, **kwargs)
 
 
-def test_unconverged_nelder_mead_polish_raises(monkeypatch):
-    monkeypatch.setattr(duality, "minimize", _minimize_capped_at_one_iteration)
+def test_op_norm_ascent_without_a_converged_start_raises():
     a = np.random.default_rng(29).standard_normal((4, 3))
-    with pytest.raises(ComputationError, match="Nelder-Mead"):
-        op_norm_ascent(a, 3.0)
+    with pytest.raises(ComputationError, match="no start"):
+        op_norm_ascent(a, 3.0, max_iter=1)
+
+
+def test_op_norm_ascent_runs_no_optimizer(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("op_norm_ascent called scipy's minimize")
+
+    monkeypatch.setattr(duality, "minimize", refuse)
+    a = np.diag([2.0, 3.0])
+    assert op_norm_ascent(a, 3.0) == pytest.approx(3.0, rel=1e-10)
+    assert op_norm_ascent(a, 1.5) == pytest.approx(793.0 ** (1.0 / 6.0), rel=1e-10)
+    u = np.array([1.0, -2.0, 0.5])
+    v = np.array([0.7, 1.1])
+    for q in (1.5, 3.0):
+        assert op_norm_ascent(np.outer(u, v), q) == pytest.approx(
+            lq_norm(u, q) * np.linalg.norm(v), rel=1e-10
+        )
+    b = np.random.default_rng(7).standard_normal((3, 5))
+    assert op_norm_ascent(b, 2.0) == pytest.approx(
+        float(scipy.linalg.svdvals(b)[0]), rel=1e-10
+    )
 
 
 def test_unconverged_powell_polish_raises(monkeypatch):
