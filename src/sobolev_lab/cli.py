@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,25 +26,9 @@ from .errors import (
 )
 from .zonal import SphereParams
 
-__all__ = ["RunConfig", "build_parser", "main"]
+__all__ = ["build_parser", "main"]
 
 _SUITE_NAMES = ("sphere", "conformal", "stability", "cylinder", "duality", "all")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Merged flag/config values steering one CLI invocation."""
-
-    d: int | None = None
-    s: float | None = None
-    T: float | None = None
-    bandlimit: int = 64
-    quad_order: int = 256
-    modes: int = 128
-    eps_grid: tuple = (0.02, 0.01, 0.005)
-    alpha_grid: tuple = ()
-    seed: int = 0
-    out: str | None = None
 
 
 def _fmt_float(x: float) -> str:
@@ -106,6 +89,18 @@ _COMMAND_FLAGS = {
     "quartic": ("d", "eps-grid"),
 }
 
+# the flags each subcommand cannot run without, given by flag or config
+_REQUIRED_FLAGS = {
+    "constants": ("d", "s"),
+    "verify": (),
+    "period-map": ("d", "alpha-grid"),
+    "be-scan": ("d", "s", "family"),
+    "quartic": ("d",),
+}
+
+# the flags whose library parameter has another name
+_LIBRARY_NAMES = {"quad_order": "order", "modes": "n_modes"}
+
 
 def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
     for name in _COMMAND_FLAGS[command] + ("out",):
@@ -152,110 +147,84 @@ def _read_config(path: str) -> dict:
     return values
 
 
-def _merge_config(args: argparse.Namespace) -> RunConfig:
-    """Flags win over config values, which win over defaults."""
-    cfg = {}
-    if getattr(args, "config", None):
-        casts = {
-            name.replace("-", "_"): _FLAGS[name]["type"]
-            for name in _COMMAND_FLAGS[args.command] + ("out",)
-        }
+def _merge_config(args: argparse.Namespace) -> None:
+    """Fill each flag left unset from the config file, then parse the grids.
+
+    A config value is cast and checked as its flag is, so a bad one is a
+    usage error even where the flag wins.
+    """
+    if args.config:
+        names = _COMMAND_FLAGS[args.command] + ("out",)
+        flags = {name.replace("-", "_"): _FLAGS[name] for name in names}
         for key, raw in _read_config(args.config).items():
-            if key not in casts:
+            if key not in flags:
                 raise DomainError("unknown config key %r" % key)
             try:
-                cfg[key] = casts[key](raw)
+                value = flags[key]["type"](raw)
             except ValueError as exc:
                 raise DomainError("bad config value for %r: %r" % (key, raw)) from exc
-
-    def pick(name, default):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        if name in cfg:
-            return cfg[name]
-        return default
-
-    eps_text = pick("eps_grid", None)
-    alpha_text = pick("alpha_grid", None)
-    config = RunConfig(
-        d=pick("d", None),
-        s=pick("s", None),
-        T=pick("T", None),
-        bandlimit=pick("bandlimit", 64),
-        quad_order=pick("quad_order", 256),
-        modes=pick("modes", 128),
-        eps_grid=_parse_grid(eps_text) if eps_text is not None else (0.02, 0.01, 0.005),
-        alpha_grid=_parse_grid(alpha_text) if alpha_text is not None else (),
-        seed=pick("seed", 0),
-        out=pick("out", None),
-    )
-    if getattr(args, "family", None) is None and "family" in cfg:
-        args.family = cfg["family"]
-    return config
+            choices = flags[key].get("choices")
+            if choices is not None and value not in choices:
+                raise DomainError("bad config value for %r: %r" % (key, raw))
+            if getattr(args, key) is None:
+                setattr(args, key, value)
+    for key in ("eps_grid", "alpha_grid"):
+        if getattr(args, key, None) is not None:
+            setattr(args, key, _parse_grid(getattr(args, key)))
 
 
-def _require(parser, cfg: RunConfig, **fields) -> None:
-    for name, value in fields.items():
-        if value is None:
-            parser.error("the flag --%s is required for this command" % name)
+def _given(args: argparse.Namespace, *flags) -> dict:
+    """The values of ``flags`` set by flag or config, keyed by library name.
+
+    A flag left unset is left out, so the library's own default applies.
+    """
+    given = {}
+    for flag in flags:
+        key = flag.replace("-", "_")
+        if getattr(args, key) is not None:
+            given[_LIBRARY_NAMES.get(key, key)] = getattr(args, key)
+    return given
 
 
-def cmd_constants(cfg: RunConfig) -> str:
-    params = SphereParams(cfg.d, cfg.s)
+def cmd_constants(args: argparse.Namespace) -> str:
+    d, s = args.d, args.s
+    params = SphereParams(d, s)
     record = {
-        "d": cfg.d,
-        "s": cfg.s,
+        "d": d,
+        "s": s,
         "q": params.q,
         "s_ds": zonal.sharp_constant(params),
-        "be_upper": stability.upper_bound_constant(cfg.d, cfg.s),
+        "be_upper": stability.upper_bound_constant(d, s),
     }
-    if cfg.d >= 3:
-        ts = cylinder.t_star(cfg.d)
+    if d >= 3:
+        ts = cylinder.t_star(d)
         record["t_star"] = ts
         for frac in (25, 50, 75, 100):
-            record["c_t_formula_frac_%d" % frac] = cylinder.c_T_formula(
-                cfg.d, ts * frac / 100.0
-            )
+            record["c_t_formula_frac_%d" % frac] = cylinder.c_T_formula(d, ts * frac / 100.0)
         record["quartic_constant"] = cylinder.quartic_constants(
-            cfg.d, n_modes=cfg.modes
+            d, **_given(args, "modes")
         ).limit_constant
     return render_json(record)
 
 
-def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> tuple:
-    results = verify.run_suite(
-        args.suite,
-        d=cfg.d if cfg.d is not None else 3,
-        s=cfg.s if cfg.s is not None else 1.0,
-        T=cfg.T if cfg.T is not None else 9.0,
-        bandlimit=cfg.bandlimit,
-        order=cfg.quad_order,
-        n_modes=cfg.modes,
-        seed=cfg.seed,
-    )
+def cmd_verify(args: argparse.Namespace) -> tuple:
+    results = verify.run_suite(args.suite, **_given(args, *_COMMAND_FLAGS["verify"]))
     ok = all(r.passed for r in results)
     return verify.format_report(results), 0 if ok else 1
 
 
-def cmd_period_map(parser, cfg: RunConfig) -> str:
-    if not cfg.alpha_grid:
-        parser.error("period-map needs a nonempty --alpha-grid")
-    rows = []
-    for alpha in cfg.alpha_grid:
-        rows.append((alpha, cylinder.period(cfg.d, alpha)))
+def cmd_period_map(args: argparse.Namespace) -> str:
+    rows = [(alpha, cylinder.period(args.d, alpha)) for alpha in args.alpha_grid]
     return render_csv(("alpha", "tau"), rows)
 
 
-def cmd_be_scan(parser, args, cfg: RunConfig) -> str:
-    if getattr(args, "family", None) is None:
-        parser.error("be-scan needs --family degree2|degree3")
-    params = SphereParams(cfg.d, cfg.s)
-    degree = 2 if args.family == "degree2" else 3
-    coeffs = np.zeros(cfg.bandlimit + 1)
-    coeffs[degree] = 1.0
-    rfn = zonal.from_coeffs(coeffs, params, order=cfg.quad_order)
-    curve = stability.quotient_curve(rfn, eps_grid=cfg.eps_grid)
+def cmd_be_scan(args: argparse.Namespace) -> str:
+    params = SphereParams(args.d, args.s)
+    bandlimit = zonal.DEFAULT_BANDLIMIT if args.bandlimit is None else args.bandlimit
+    coeffs = np.zeros(bandlimit + 1)
+    coeffs[2 if args.family == "degree2" else 3] = 1.0
+    rfn = zonal.from_coeffs(coeffs, params, **_given(args, "quad-order"))
+    curve = stability.quotient_curve(rfn, **_given(args, "eps-grid"))
     rows = [
         (e, qv, curve.extrapolated_limit)
         for e, qv in zip(curve.eps, curve.quotient)
@@ -263,8 +232,8 @@ def cmd_be_scan(parser, args, cfg: RunConfig) -> str:
     return render_csv(("eps", "quotient", "extrapolated_limit"), rows)
 
 
-def cmd_quartic(cfg: RunConfig) -> str:
-    curve = cylinder.degenerate_quotient_curve(cfg.d, eps_grid=cfg.eps_grid)
+def cmd_quartic(args: argparse.Namespace) -> str:
+    curve = cylinder.degenerate_quotient_curve(args.d, **_given(args, "eps-grid"))
     rows = [
         (e, qv, curve.extrapolated_limit)
         for e, qv in zip(curve.eps, curve.quotient)
@@ -272,9 +241,9 @@ def cmd_quartic(cfg: RunConfig) -> str:
     return render_csv(("eps", "quotient", "extrapolated_limit"), rows)
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+def _emit(text: str, out: str | None) -> None:
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -284,22 +253,21 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _merge_config(args)
+        _merge_config(args)
+        for flag in _REQUIRED_FLAGS[args.command]:
+            if getattr(args, flag.replace("-", "_")) in (None, ()):
+                parser.error("%s needs --%s, by flag or config" % (args.command, flag))
         code = 0
         if args.command == "constants":
-            _require(parser, cfg, d=cfg.d, s=cfg.s)
-            text = cmd_constants(cfg)
+            text = cmd_constants(args)
         elif args.command == "verify":
-            text, code = cmd_verify(args, cfg)
+            text, code = cmd_verify(args)
         elif args.command == "period-map":
-            _require(parser, cfg, d=cfg.d)
-            text = cmd_period_map(parser, cfg)
+            text = cmd_period_map(args)
         elif args.command == "be-scan":
-            _require(parser, cfg, d=cfg.d, s=cfg.s)
-            text = cmd_be_scan(parser, args, cfg)
+            text = cmd_be_scan(args)
         else:
-            _require(parser, cfg, d=cfg.d)
-            text = cmd_quartic(cfg)
+            text = cmd_quartic(args)
     except (DomainError, PreconditionError, FileNotFoundError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         sys.stderr.write("run with --help for usage\n")
@@ -307,7 +275,7 @@ def main(argv=None) -> int:
     except (ComputationError, InconsistencyError, DegenerateInputError) as exc:
         sys.stderr.write("verification failure: %s\n" % exc)
         return 1
-    _emit(text, cfg)
+    _emit(text, args.out)
     return code
 
 

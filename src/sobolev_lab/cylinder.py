@@ -937,6 +937,11 @@ def ustar_profile(d: int, T: float, n_grid: int = 4096) -> PeriodicProfile:
     return profile_from_samples(br.params, br.u, n_modes=n_modes)
 
 
+def _constant_branch_value(d: int, T: float) -> float:
+    """Quotient ((d-2)^2/4) |Sigma_T|^(1-2/q) of the constant branch at period T."""
+    return (d - 2.0) ** 2 / 4.0 * (T * sphere_area(d - 1)) ** (1.0 - 2.0 / _q_of(d))
+
+
 def sobolev_constant_cylinder(
     d: int,
     T: float,
@@ -952,7 +957,7 @@ def sobolev_constant_cylinder(
     """
     params = CylinderParams(d=d, T=T)
     if T <= params.t_star:
-        value = (d - 2.0) ** 2 / 4.0 * (T * sphere_area(d - 1)) ** (1.0 - 2.0 / params.q)
+        value = _constant_branch_value(d, T)
     else:
         value = orbit_branch_value(d, T, n_theta=n_theta)
     if cross_validate:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ComputationError, DomainError, PreconditionError
 from .specialfn import (
@@ -28,6 +27,7 @@ from .specialfn import (
     gegenbauer_at_one,
     gegenbauer_table,
     harmonic_multiplicity,
+    log_gamma,
     sphere_geometry,
 )
 
@@ -109,10 +109,10 @@ class ZonalBasis:
         log_h = (
             math.log(math.pi)
             + (1.0 - 2.0 * lam) * math.log(2.0)
-            + gammaln(ells + 2.0 * lam)
+            + log_gamma(ells + 2.0 * lam)
             - np.log(ells + lam)
-            - 2.0 * gammaln(lam)
-            - gammaln(ells + 1.0)
+            - 2.0 * log_gamma(lam)
+            - log_gamma(ells + 1.0)
         )
         self.norms = norms = np.exp(
             0.5 * (log_h + math.log(self.geometry.subsphere_area))
@@ -275,11 +275,7 @@ def norm2(fn: ZonalFn) -> float:
 def gamma_multiplier(params: SphereParams, ell) -> float | np.ndarray:
     """Energy multiplier Gamma(ell + d/2 + s) / Gamma(ell + d/2 - s)."""
     ells = np.asarray(ell, dtype=float)
-    out = np.exp(
-        gammaln(ells + params.d / 2.0 + params.s)
-        - gammaln(ells + params.d / 2.0 - params.s)
-    )
-    return float(out) if np.isscalar(ell) else out
+    return gamma_ratio(ells + params.d / 2.0 + params.s, ells + params.d / 2.0 - params.s)
 
 
 def energy(fn: ZonalFn) -> float:

@@ -128,6 +128,11 @@ def test_config_file_supplies_values(tmp_path, capsys):
     code, out, _ = run_cli(capsys, ["constants", "--config", str(cfg)])
     assert code == 0
     assert json.loads(out)["d"] == 4
+    cfg.write_text("d = 3\ns = 1.0\nfamily = degree2\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, ["be-scan", "--config", str(cfg)])
+    assert code == 0
+    _, direct, _ = run_cli(capsys, ["be-scan", "--family", "degree2", "--d", "3", "--s", "1.0"])
+    assert out == direct
 
 
 def test_flags_override_config(tmp_path, capsys):
@@ -138,6 +143,35 @@ def test_flags_override_config(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["d"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv, defaults, config",
+    [
+        (["constants", "--d", "3", "--s", "1"], ["--modes", "128"], None),
+        (
+            ["be-scan", "--family", "degree2", "--d", "3", "--s", "1.0"],
+            ["--bandlimit", "64", "--quad-order", "256", "--eps-grid", "0.02,0.01,0.005"],
+            None,
+        ),
+        (["quartic", "--d", "3"], ["--eps-grid", "0.02,0.01,0.005"], None),
+        (["verify", "cylinder"], ["--d", "3", "--T", "9.0", "--modes", "128", "--seed", "0"], None),
+        (
+            ["be-scan", "--family", "degree2", "--d", "3", "--s", "1.0"],
+            [],
+            "bandlimit = 64\nquad-order = 256\neps-grid = 0.02,0.01,0.005\n",
+        ),
+    ],
+)
+def test_omitted_flags_take_the_library_defaults(tmp_path, capsys, argv, defaults, config):
+    spelled = argv + defaults
+    if config is not None:
+        cfg = tmp_path / "defaults.cfg"
+        cfg.write_text(config, encoding="utf-8")
+        spelled += ["--config", str(cfg)]
+    omitted = run_cli(capsys, argv)
+    assert omitted[0] == 0
+    assert omitted == run_cli(capsys, spelled)
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -155,6 +189,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     # uncastable config value
     cfg.write_text("d = three\n", encoding="utf-8")
     assert run_cli(capsys, ["constants", "--config", str(cfg)])[0] == 2
+    # config value outside its flag's choices
+    cfg.write_text("d = 3\ns = 1.0\nfamily = bogus\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, ["be-scan", "--config", str(cfg)])
+    assert code == 2
+    assert "error:" in err
     # missing config file
     code, _, _ = run_cli(
         capsys, ["constants", "--config", str(tmp_path / "absent.cfg")]
