@@ -30,8 +30,7 @@ from itertools import chain
 
 import numpy as np
 from scipy.integrate import DOP853, DenseOutput, solve_ivp
-from scipy.linalg import eigh, hankel, null_space, toeplitz
-from scipy.linalg.blas import dgemm
+from scipy.linalg import eigh, hankel, toeplitz
 from scipy.optimize import brentq, minimize
 
 from .errors import (
@@ -1222,16 +1221,39 @@ def _q_norm_term(br: Branch, n_modes: int) -> np.ndarray:
 # optimizer_branch mirrors its half-period orbit, so the grid weight is exactly
 # even and Im w^ is the roundoff of its FFT: over d = 3..6 and T in
 # [0.5, 5] T_*, the coupling bound 2 max |Im w^_j| measures at most 3.4e-20
-# of max |L| (d = 5, T = 5 T_*), and exactly 0 at and below T_*. The bound only has to catch a weight that is not
-# even: a shifted or perturbed orbit couples the halves at order one (the
-# perturbed orbit of the tests has coupling 0.54).
-# At T_* the branch is the constant u0, so the weight's rfft is Re w^_0 alone
-# and the q-norm term touches only the constant coordinate: both halves are
-# diagonal, with off-diagonal entries 0.0 at n_grid = 4096 for d = 3..10 and
-# at most 1.3e-16 absolute at n_grid 1000, 3000 and 4095. quartic_constants
-# reads its spectrum off the diagonals and holds the off-diagonal entries to
-# the same _PARITY_TOL of max |L|.
+# of max |L| (d = 5, T = 5 T_*), and exactly 0 at and below T_*. The bound
+# only has to catch a weight that is not even: a shifted or perturbed orbit
+# couples the halves at order one (the perturbed orbit of the tests has
+# coupling 0.54).
+# At and below T_* the branch is the constant u0, so the weight's rfft is
+# Re w^_0 alone and the q-norm term touches only the constant coordinate:
+# both halves are diagonal, with off-diagonal entries at most 2.3e-20 of
+# max |L| over d = 3..10 and T in [0.1, 1] T_*, at n_grid 1000, 3000, 4095
+# and 4096. c_T_numeric and quartic_constants read their spectra off the
+# diagonals (``_diagonals``) and hold the off-diagonal entries to the same
+# _PARITY_TOL of max |L|.
 _PARITY_TOL = 1e-9
+
+
+def _diagonals(halves) -> list:
+    """Diagonals of Hessian halves that the constant branch makes diagonal.
+
+    Raises when an off-diagonal entry exceeds _PARITY_TOL of max |L|: the
+    branch is then not constant. A constant weight means a constant u_*, so
+    the guard also certifies that the degree-0 constraint against u_* lies
+    on the constant coordinate.
+    """
+    scale = max(float(np.max(np.abs(half))) for half in halves)
+    diags = [np.diag(half) for half in halves]
+    coupling = max(
+        float(np.max(np.abs(half - np.diag(dg)))) for half, dg in zip(halves, diags)
+    )
+    if coupling > _PARITY_TOL * scale:
+        raise ComputationError(
+            "Hessian halves are not diagonal (%.3g): the branch is not constant"
+            % coupling
+        )
+    return diags
 
 
 def _lowest_eigenvalue(
@@ -1240,16 +1262,26 @@ def _lowest_eigenvalue(
     """Lowest eigenvalue of (L, diag(b)), on the complement of ``row`` if given.
 
     B is diagonal, so y = D^(1/2) v turns the generalized problem into the
-    standard one for D^(-1/2) L D^(-1/2), constrained against D^(-1/2) row.
-    A zero row (the translation mode of a constant branch) constrains nothing.
+    standard one for M = D^(-1/2) L D^(-1/2), constrained against
+    x = D^(-1/2) row. The Householder reflection H = I - 2 v v^T with
+    v ~ x + sign(x_0) |x| e_0 maps x onto a multiple of e_0, so H M H without
+    its row and column 0 is M on the complement of x. A zero row (the
+    translation mode of a constant branch) constrains nothing.
     """
     rs = 1.0 / np.sqrt(bdiag)
     mat = rs[:, None] * lmat * rs[None, :]
     if row is not None and np.linalg.norm(row) > 1e-12:
-        z = null_space((rs * row)[None, :])
-        # scipy's BLAS, as for eigh: alternating with numpy's own OpenBLAS
-        # makes each library wait for the other's spinning threads
-        mat = dgemm(1.0, z, dgemm(1.0, mat, z), trans_a=True)
+        x = rs * row
+        v = x.copy()
+        v[0] += math.copysign(float(np.linalg.norm(x)), x[0])
+        v /= np.linalg.norm(v)
+        # H M H = M - 2 v w^T - 2 w v^T with w = M v - (v^T M v) v. M v is a
+        # numpy gemv, which is safe between scipy eigensolves: a numpy GEMM
+        # or eigh there leaves each OpenBLAS waiting for the other's spinning
+        # threads, while a 257-size gemv measured no such wait
+        mv = mat @ v
+        w = mv - float(v @ mv) * v
+        mat = mat[1:, 1:] - 2.0 * (np.outer(v[1:], w[1:]) + np.outer(w[1:], v[1:]))
     return float(eigh(mat, eigvals_only=True, subset_by_index=(0, 0))[0])
 
 
@@ -1317,6 +1349,22 @@ def c_T_numeric(d: int, T: float, n_modes: int = 128, n_grid: int = 4096) -> flo
     (l_even, l_odd), bbase = _assemble_block(br, n_modes, n_grid)
     cut = n_modes + 1
     b_even, b_odd = bbase[:cut], bbase[cut:]
+    # degree 1 is the uncorrected degree-0 block shifted by d - 1 on the
+    # diagonal
+    shift = d - 1.0
+    if T <= br.params.t_star:
+        # the constant branch makes every half diagonal (see _PARITY_TOL): the
+        # constraint against u_* drops the constant coordinate, and u_*' = 0
+        # constrains nothing
+        q_even, even, odd = _diagonals(
+            (l_even + _q_norm_term(br, n_modes), l_even, l_odd)
+        )
+        deg0 = min(np.min(q_even[1:] / b_even[1:]), np.min(odd / b_odd))
+        deg1 = min(
+            np.min((dg + shift) / (b + shift))
+            for dg, b in ((even, b_even), (odd, b_odd))
+        )
+        return float(min(deg0, deg1))
     # u_* is even and its translation mode u_*' odd, so each constraint
     # lives in one parity half of the degree-0 block
     deg0 = min(
@@ -1327,9 +1375,6 @@ def c_T_numeric(d: int, T: float, n_modes: int = 128, n_grid: int = 4096) -> flo
         ),
         _lowest_eigenvalue(l_odd, b_odd, (bbase * _trig_coords(br.up, T, n_modes))[cut:]),
     )
-    # degree 1 is the uncorrected degree-0 block shifted by d - 1 on the
-    # diagonal
-    shift = d - 1.0
     deg1 = min(
         _lowest_eigenvalue(half + shift * np.eye(len(b)), b + shift)
         for half, b in ((l_even, b_even), (l_odd, b_odd))
@@ -1390,14 +1435,8 @@ def quartic_constants(
 
     # the T_* branch is the constant u0, so both halves are diagonal (see the
     # comment at _PARITY_TOL) and their spectra are read off the diagonals
-    scale = max(float(np.max(np.abs(half))) for half in halves)
-    coupling = max(float(np.max(np.abs(h - np.diag(np.diag(h))))) for h in halves)
-    if coupling > _PARITY_TOL * scale:
-        raise ComputationError(
-            "Hessian halves at T_* are not diagonal (%.3g): the branch is not constant"
-            % coupling
-        )
-    evals = np.concatenate([np.diag(half) for half in halves])
+    evals = np.concatenate(_diagonals(halves))
+    scale = float(np.max(np.abs(evals)))
     ker = np.abs(evals) < 1e-6 * scale
     if int(np.sum(ker)) != 3:
         raise ComputationError(

@@ -550,28 +550,55 @@ def test_parity_split_rejects_a_weight_that_is_not_even():
         _assemble_block(odd, 128, 4096)
 
 
-def test_c_T_numeric_matches_dense_generalized_route():
-    # the dense product and one generalized eigh per degree, as reference
-    T, n_modes, n_grid = 1.5 * TS, 128, 4096
-    q = 2.0 * D / (D - 2.0)
+def _dense_c_T(d, T, n_modes=128, n_grid=4096):
+    """c_T from the dense product and one generalized eigh per degree 0..6."""
+    q = 2.0 * d / (d - 2.0)
     h = T / n_grid
-    br = optimizer_branch(D, T, n_grid)
+    br = optimizer_branch(d, T, n_grid)
     u, up = br.u, br.up
     phi = _dense_trig_basis(T, n_modes, n_grid)
     ksq = (2.0 * math.pi * np.arange(1, n_modes + 1) / T) ** 2
     ksq = np.concatenate(([0.0], ksq, ksq))
-    gram = (phi * (D * (D + 2.0) / 4.0 * u ** (q - 2.0))[None, :]) @ phi.T * h
+    gram = (phi * (d * (d + 2.0) / 4.0 * u ** (q - 2.0))[None, :]) @ phi.T * h
     v = phi @ u ** (q - 1.0) * h
     mins = []
     for ell in range(7):
-        bmat = np.diag(ksq + ell * (ell + D - 2.0) + (D - 2.0) ** 2 / 4.0)
+        bmat = np.diag(ksq + ell * (ell + d - 2.0) + (d - 2.0) ** 2 / 4.0)
         lmat = bmat - gram
         if ell == 0:
-            lmat = lmat + D / (float(np.sum(u**q)) * h) * np.outer(v, v)
+            lmat = lmat + d / (float(np.sum(u**q)) * h) * np.outer(v, v)
             z = null_space(np.vstack([bmat @ (phi @ u * h), bmat @ (phi @ up * h)]))
             lmat, bmat = z.T @ lmat @ z, z.T @ bmat @ z
         mins.append(eigh(lmat, bmat, eigvals_only=True, subset_by_index=(0, 0))[0])
-    assert c_T_numeric(D, T) == pytest.approx(min(mins), rel=1e-12)
+    return min(mins)
+
+
+def test_c_T_numeric_matches_dense_generalized_route():
+    # the dense product and one generalized eigh per degree, as reference
+    T = 1.5 * TS
+    assert c_T_numeric(D, T) == pytest.approx(_dense_c_T(D, T), rel=1e-12)
+
+
+def test_c_T_numeric_at_and_below_bifurcation_runs_no_eigensolve(monkeypatch):
+    # the constant branch makes every Hill half diagonal, so c_T is read off
+    # the diagonals
+    fracs = (0.3, 0.6, 0.95, 1.0)
+    cases = [(d, frac * t_star(d)) for d in (3, 4, 5, 6) for frac in fracs]
+    dense = [_dense_c_T(d, T) for d, T in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("c_T_numeric called eigh at or below T_*")
+
+    monkeypatch.setattr(cylinder, "eigh", refuse)
+    for (d, T), ref in zip(cases, dense):
+        val = c_T_numeric(d, T)
+        if T == t_star(d):
+            # c_T vanishes at T_*
+            assert abs(val - c_T_formula(d, T)) <= 1e-15
+            assert abs(val - ref) <= 1e-15
+        else:
+            assert val == pytest.approx(c_T_formula(d, T), rel=1e-12)
+            assert val == pytest.approx(ref, rel=1e-12)
 
 
 def test_degree_lemma_over_all_assembled_degrees():
@@ -608,6 +635,41 @@ def test_degree_lemma_over_all_assembled_degrees():
                 mins.append(min(vals))
             assert all(lo <= hi for lo, hi in zip(mins[1:], mins[2:]))
             assert c_T_numeric(d, T) == pytest.approx(min(mins), rel=1e-12)
+
+
+def _null_space_lowest_eigenvalue(lmat, bdiag, row):
+    """Reference for the constrained _lowest_eigenvalue: complement from null_space."""
+    rs = 1.0 / np.sqrt(bdiag)
+    z = null_space((rs * row)[None, :])
+    mat = z.T @ (rs[:, None] * lmat * rs[None, :]) @ z
+    return eigh(mat, eigvals_only=True, subset_by_index=(0, 0))[0]
+
+
+def test_householder_projection_matches_null_space_complement():
+    # measured: at most 9.6e-16 relative over these halves and rows
+    for d in (3, 4, 5, 6):
+        for frac in (1.2, 2.0, 4.0):
+            T = frac * t_star(d)
+            br = optimizer_branch(d, T)
+            (l_even, l_odd), b = _assemble_block(br, 128, 4096)
+            b_even, b_odd = np.split(b, [129])
+            even_row = (b * _trig_coords(br.u, T, 128))[:129]
+            odd_row = (b * _trig_coords(br.up, T, 128))[129:]
+            for lmat, bh, row in (
+                (l_even + _q_norm_term(br, 128), b_even, even_row),
+                (l_odd, b_odd, odd_row),
+            ):
+                ref = _null_space_lowest_eigenvalue(lmat, bh, row)
+                assert _lowest_eigenvalue(lmat, bh, row) == pytest.approx(ref, rel=1e-13)
+    # synthetic rows: a negative leading entry, a zero leading entry (the
+    # reflection sign falls back to +) and a row along e_0 alone
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((40, 40))
+    lmat, bh = a + a.T, rng.uniform(1.0, 5.0, 40)
+    tail = rng.standard_normal(39)
+    for row in (np.r_[-2.0, tail], np.r_[0.0, tail], np.r_[3.0, np.zeros(39)]):
+        ref = _null_space_lowest_eigenvalue(lmat, bh, row)
+        assert _lowest_eigenvalue(lmat, bh, row) == pytest.approx(ref, rel=1e-13)
 
 
 def _full_period_reference(d, alpha, t):
@@ -898,20 +960,26 @@ def test_quartic_constants_runs_no_eigensolve(monkeypatch):
         )
 
 
-def test_quartic_constants_refuses_a_non_constant_branch(monkeypatch):
-    # an even but non-constant branch at T_* keeps the parity split and
-    # fills the off-diagonals, so the diagonal read must refuse it
+@pytest.mark.parametrize(
+    "frac, solve",
+    [(1.0, lambda T: quartic_constants(D)), (0.7, lambda T: c_T_numeric(D, T))],
+    ids=["quartic_constants", "c_T_numeric"],
+)
+def test_quartic_constants_refuses_a_non_constant_branch(monkeypatch, frac, solve):
+    # an even but non-constant branch at or below T_* keeps the parity split
+    # and fills the off-diagonals, so the diagonal read must refuse it
     n = 4096
-    t = np.arange(n) * (TS / n)
+    T = frac * TS
+    t = np.arange(n) * (T / n)
     bumped = Branch(
-        params=CylinderParams(d=D, T=TS),
+        params=CylinderParams(d=D, T=T),
         alpha=u0(D) + 1e-3,
-        u=u0(D) + 1e-3 * np.cos(2.0 * math.pi * t / TS),
-        up=-1e-3 * (2.0 * math.pi / TS) * np.sin(2.0 * math.pi * t / TS),
+        u=u0(D) + 1e-3 * np.cos(2.0 * math.pi * t / T),
+        up=-1e-3 * (2.0 * math.pi / T) * np.sin(2.0 * math.pi * t / T),
     )
     monkeypatch.setattr(cylinder, "optimizer_branch", lambda d, T, n_grid=4096: bumped)
     with pytest.raises(ComputationError, match="not diagonal"):
-        quartic_constants(D)
+        solve(T)
 
 
 def test_degenerate_curve_extrapolates_to_limit():
