@@ -411,11 +411,20 @@ class Orbit:
             arr.setflags(write=False)
 
 
-def _rhs(t, y, d, q):
-    # plain floats: numpy scalar arithmetic costs more than the formula
-    u, up = float(y[0]), float(y[1])
-    force = (d - 2.0) ** 2 / 4.0 * u - d * (d - 2.0) / 4.0 * abs(u) ** (q - 2.0) * u
-    return (up, force)
+def _rhs(d: int):
+    """The orbit's right-hand side (u, u') -> (u', u'') at dimension d.
+
+    Its constants are computed once here, not at every stage. The float
+    steps pass y as two floats, so every stage is float arithmetic, each
+    product in the order of u'' = ((d-2)^2/4) u - (d(d-2)/4) |u|^(q-2) u.
+    """
+    c, k, e = (d - 2.0) ** 2 / 4.0, d * (d - 2.0) / 4.0, _q_of(d) - 2.0
+
+    def rhs(t, y):
+        u, up = y
+        return (up, c * u - k * abs(u) ** e * u)
+
+    return rhs
 
 
 def _nonzero(row) -> tuple:
@@ -450,12 +459,12 @@ class _FloatDOP853(DOP853):
     on the stage array, in scipy's order: summed in another order it
     accepted or rejected other steps than scipy on 18 of 492 amplitudes
     within 60 ulp of the branch roots at d = 3..6, T = 1.2..2 T_*.
-    ``solve_ivp`` drives it,
-    with its events and its initial step, through the array-wrapping
-    ``self.fun``. The steps call the raw ``fun``, which must return two
-    floats (``_rhs`` does), and keep their state in ``_y``, ``_y_old`` and
-    the stage pairs ``_k``; ``self.y`` is refreshed for the driver, and
-    scipy's ``f``, ``y_old`` and ``K`` are not kept.
+    ``solve_ivp`` drives it, with its initial step, through the
+    array-wrapping ``self.fun``. The steps call the raw ``fun``, which must
+    return two floats for two floats (``_rhs(d)`` does; passed without
+    ``args``, scipy does not wrap it), and keep their state in ``_y``,
+    ``_y_old`` and the stage pairs ``_k``; ``self.y`` is refreshed for
+    ``solve_ivp``, and scipy's ``f``, ``y_old`` and ``K`` are not kept.
     """
 
     SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
@@ -562,18 +571,24 @@ class _FloatDenseOutput(DenseOutput):
         self.y_old, self.y, self.k = y_old, y, k
         self._coef = None
 
-    def _call_impl(self, t):
-        # a scalar t, as the event root-find asks, several times a step;
-        # _sample reads many steps at once
+    def at(self, t: float) -> tuple:
+        """(u, u') at one time t, as two floats.
+
+        The turning-point root-find asks one time at a call; ``_sample``
+        reads many steps at once.
+        """
         if self._coef is None:
             self._coef = _dop853_coefs((self,))[0].tolist()
-        x = (float(t) - self.t_old) / self.h
+        x = (t - self.t_old) / self.h
         y0 = y1 = 0.0
         for i, (c0, c1) in enumerate(reversed(self._coef)):
             f = x if i % 2 == 0 else 1.0 - x
             y0 = (y0 + c0) * f
             y1 = (y1 + c1) * f
-        return np.array((y0 + self.y_old[0], y1 + self.y_old[1]))
+        return y0 + self.y_old[0], y1 + self.y_old[1]
+
+    def _call_impl(self, t):
+        return np.array(self.at(float(t)))
 
 
 def _dop853_coefs(steps) -> np.ndarray:
@@ -622,22 +637,36 @@ def _sample(sol, t) -> np.ndarray:
     return _dop853_eval(steps, seg, t)
 
 
-def _integrate(d: int, alpha: float, t_end: float, rtol=1e-12, atol=1e-14, events=None):
-    q = _q_of(d)
+def _integrate(d: int, alpha: float, t_end: float, rtol=1e-12, atol=1e-14):
     sol = solve_ivp(
-        _rhs,
+        _rhs(d),
         (0.0, t_end),
         (alpha, 0.0),
-        args=(d, q),
         method=_FloatDOP853,
         rtol=rtol,
         atol=atol,
         dense_output=True,
-        events=events,
     )
     if not sol.success:
         raise ComputationError("orbit integration failed: %s" % sol.message)
     return sol
+
+
+def _turning_time(steps) -> float:
+    """The first rising zero of u' over the float steps of an orbit.
+
+    The first step whose end states bracket it (u'_old <= 0 <= u'_new; the
+    start, where u' = 0 and falls, does not) is root-found on its
+    interpolant, with scipy's event tolerance xtol = rtol = 4 eps: the root
+    scipy's terminal event on u' would report.
+    """
+    for step in steps:
+        if step.y_old[1] <= 0.0 <= step.y[1]:
+            tol = 4.0 * np.finfo(float).eps  # scipy's solve_event_equation
+            return _root(
+                lambda t: step.at(t)[1], step.t_old, step.t, xtol=tol, rtol=tol
+            )
+    raise ComputationError("no turning point detected within the window")
 
 
 def _mirrored_samples(sol, step: float, n: int, closed: bool) -> tuple:
@@ -669,25 +698,19 @@ def solve_orbit(
     rtol: float = 1e-12,
     atol: float = 1e-14,
 ) -> Orbit:
-    """Integrate half a period adaptively; the period comes from event detection.
+    """Integrate half a period adaptively; the period is twice the turning time.
 
     The profile starts at its maximum (u(0) = alpha, u'(0) = 0) and descends
-    to the turning point at half period, detected as the rising zero of u',
-    where the integration stops; the returning half is its mirror image. The
+    to the turning point at half period, the rising zero of u' (found by
+    ``_turning_time``); the returning half is its mirror image. The
     independent quadrature period brackets the integration window.
     """
+    if n_samples < 2:
+        raise DomainError("need n_samples >= 2, got %r" % (n_samples,))
     _check_alpha(d, alpha)
     tau_quad = period(d, alpha)
-
-    def turning(t, y, *args):
-        return y[1]
-
-    turning.direction = 1.0
-    turning.terminal = True
-    sol = _integrate(d, alpha, 0.51 * tau_quad, rtol, atol, events=turning)
-    if len(sol.t_events[0]) == 0:
-        raise ComputationError("no turning point detected within the window")
-    tau = 2.0 * float(sol.t_events[0][0])
+    sol = _integrate(d, alpha, 0.51 * tau_quad, rtol, atol)
+    tau = 2.0 * _turning_time(sol.sol.interpolants)
     u, up = _mirrored_samples(sol, tau / (n_samples - 1), n_samples, closed=True)
     return Orbit(
         d=d,
@@ -702,6 +725,8 @@ def solve_orbit(
 
 def energy_drift(d: int, alpha: float, n_periods: int = 10) -> float:
     """Max drift of the first integral over several periods."""
+    if n_periods < 1:
+        raise DomainError("need n_periods >= 1, got %r" % (n_periods,))
     _check_alpha(d, alpha)
     tau = period(d, alpha)
     sol = _integrate(d, alpha, n_periods * tau)
@@ -774,6 +799,8 @@ def optimizer_branch(d: int, T: float, n_grid: int = 4096) -> Branch:
     Above T_* the orbit is integrated over half a period and mirrored, so u
     is exactly even and u' exactly odd on the grid.
     """
+    if n_grid < 1:
+        raise DomainError("need n_grid >= 1, got %r" % (n_grid,))
     params = CylinderParams(d=d, T=T)
     if T <= params.t_star:
         alpha = u0(d)
@@ -1256,33 +1283,15 @@ def _diagonals(halves) -> list:
     return diags
 
 
-def _lowest_eigenvalue(
-    lmat: np.ndarray, bdiag: np.ndarray, row: np.ndarray | None = None
-) -> float:
-    """Lowest eigenvalue of (L, diag(b)), on the complement of ``row`` if given.
+def _lowest_eigenvalues(lmat: np.ndarray, bdiag: np.ndarray, count: int = 1) -> list:
+    """The ``count`` lowest eigenvalues of (L, diag(b)), ascending.
 
     B is diagonal, so y = D^(1/2) v turns the generalized problem into the
-    standard one for M = D^(-1/2) L D^(-1/2), constrained against
-    x = D^(-1/2) row. The Householder reflection H = I - 2 v v^T with
-    v ~ x + sign(x_0) |x| e_0 maps x onto a multiple of e_0, so H M H without
-    its row and column 0 is M on the complement of x. A zero row (the
-    translation mode of a constant branch) constrains nothing.
+    standard one for M = D^(-1/2) L D^(-1/2).
     """
     rs = 1.0 / np.sqrt(bdiag)
     mat = rs[:, None] * lmat * rs[None, :]
-    if row is not None and np.linalg.norm(row) > 1e-12:
-        x = rs * row
-        v = x.copy()
-        v[0] += math.copysign(float(np.linalg.norm(x)), x[0])
-        v /= np.linalg.norm(v)
-        # H M H = M - 2 v w^T - 2 w v^T with w = M v - (v^T M v) v. M v is a
-        # numpy gemv, which is safe between scipy eigensolves: a numpy GEMM
-        # or eigh there leaves each OpenBLAS waiting for the other's spinning
-        # threads, while a 257-size gemv measured no such wait
-        mv = mat @ v
-        w = mv - float(v @ mv) * v
-        mat = mat[1:, 1:] - 2.0 * (np.outer(v[1:], w[1:]) + np.outer(w[1:], v[1:]))
-    return float(eigh(mat, eigvals_only=True, subset_by_index=(0, 0))[0])
+    return eigh(mat, eigvals_only=True, subset_by_index=(0, count - 1)).tolist()
 
 
 def hessian_block_spectrum(
@@ -1328,6 +1337,18 @@ def c_T_formula(d: int, T: float) -> float:
     return (mu - (d - 2.0)) / (mu + ((d - 2.0) / 2.0) ** 2)
 
 
+# c_T_numeric reads the second eigenvalue of each degree-0 half only after
+# checking that the lowest ones are the ground states 2 - q and 0. Measured
+# over d = 3..6 and T in {1.001, 1.02, 1.1, 1.3, 1.45, 2, 3, 4, 5} T_*, the
+# even lowest value lies within 3.7e-12 of 2 - q and the odd one within
+# 9.5e-13 of 0; at d = 8 and 10 (T up to 4 T_*) within 1.4e-11 and 6.6e-11.
+# That is the branch's accuracy (DOP853 at 1e-12/1e-14 and the amplitude
+# root). The bound leaves a factor of 15 over the worst. Integrated from an
+# amplitude off the root by 1e-8 relative (d = 3 and 5, 1.5 T_*), the
+# branch moves both values by 1e-8 to 7e-8 and fails it.
+_GROUND_TOL = 1e-9
+
+
 def c_T_numeric(d: int, T: float, n_modes: int = 128, n_grid: int = 4096) -> float:
     """Constrained Rayleigh minimum of <v, L v> / E_T[v] over degrees.
 
@@ -1335,6 +1356,15 @@ def c_T_numeric(d: int, T: float, n_modes: int = 128, n_grid: int = 4096) -> flo
     inner product) to the optimizer and its translation mode; higher degrees
     are unconstrained. The overall constant is the minimum over all degrees,
     and only degrees 0 and 1 can attain it.
+
+    The degree-0 constraints are ground states. u_* solves
+    -u'' + c u = k u^(q-1) with c = ((d-2)/2)^2 and k = d(d-2)/4, and L
+    carries the weight (q-1) k u_*^(q-2), so L u_* = (2-q) B u_*: u_* > 0 is
+    the ground state of the even pencil (L, B). u_*', odd with one sign on
+    (0, T/2), is the ground state of the odd pencil, with eigenvalue 0. So
+    the constrained minimum of each half is its second eigenvalue. B u_* is
+    parallel to u_*^(q-1), so the rank-one q-norm term vanishes on the
+    constrained space and is left out.
 
     Degree lemma: for ell >= 1 the block is the pencil (B0 + s - M, B0 + s)
     with s = ell(ell+d-2), where B0 is the positive diagonal of the degree-0
@@ -1356,30 +1386,28 @@ def c_T_numeric(d: int, T: float, n_modes: int = 128, n_grid: int = 4096) -> flo
         # the constant branch makes every half diagonal (see _PARITY_TOL): the
         # constraint against u_* drops the constant coordinate, and u_*' = 0
         # constrains nothing
-        q_even, even, odd = _diagonals(
-            (l_even + _q_norm_term(br, n_modes), l_even, l_odd)
-        )
-        deg0 = min(np.min(q_even[1:] / b_even[1:]), np.min(odd / b_odd))
+        even, odd = _diagonals((l_even, l_odd))
+        deg0 = min(np.min(even[1:] / b_even[1:]), np.min(odd / b_odd))
         deg1 = min(
             np.min((dg + shift) / (b + shift))
             for dg, b in ((even, b_even), (odd, b_odd))
         )
         return float(min(deg0, deg1))
-    # u_* is even and its translation mode u_*' odd, so each constraint
-    # lives in one parity half of the degree-0 block
-    deg0 = min(
-        _lowest_eigenvalue(
-            l_even + _q_norm_term(br, n_modes),
-            b_even,
-            (bbase * _trig_coords(br.u, T, n_modes))[:cut],
-        ),
-        _lowest_eigenvalue(l_odd, b_odd, (bbase * _trig_coords(br.up, T, n_modes))[cut:]),
-    )
-    deg1 = min(
-        _lowest_eigenvalue(half + shift * np.eye(len(b)), b + shift)
+    (even0, even1), (odd0, odd1) = (
+        _lowest_eigenvalues(half, b, 2)
         for half, b in ((l_even, b_even), (l_odd, b_odd))
     )
-    return min(deg0, deg1)
+    ground = 2.0 - br.params.q
+    if abs(even0 - ground) > _GROUND_TOL or abs(odd0) > _GROUND_TOL:
+        raise ComputationError(
+            "degree-0 ground states %.3g and %.3g are not 2 - q = %.6g and 0: "
+            "the branch is not the critical point" % (even0, odd0, ground)
+        )
+    deg1 = min(
+        _lowest_eigenvalues(half + shift * np.eye(len(b)), b + shift)[0]
+        for half, b in ((l_even, b_even), (l_odd, b_odd))
+    )
+    return min(even1, odd1, deg1)
 
 
 def c_T(d: int, T: float, n_modes: int = 128, n_grid: int = 4096) -> float:

@@ -342,7 +342,13 @@ def cylinder_checks(
             1e-8,
         )
     )
-    out.append(_le("cylinder.ct_zero_at_bifurcation", abs(cylinder.c_T_formula(d, ts)), 1e-12))
+    out.append(
+        _le(
+            "cylinder.ct_zero_at_bifurcation",
+            abs(cylinder.c_T_numeric(d, ts, n_modes=n_modes)),
+            1e-12,
+        )
+    )
     out.append(_gt("cylinder.ct_positive_above", cylinder.c_T(d, T, n_modes=n_modes), 0.0))
 
     if T > ts:

@@ -23,10 +23,9 @@ from sobolev_lab.cylinder import (
     _assemble_block,
     _dop853_eval,
     _integrate,
-    _lowest_eigenvalue,
+    _lowest_eigenvalues,
     _multiplication_halves,
     _q_norm_term,
-    _q_of,
     _rhs,
     _sample,
     _trig_coords,
@@ -259,6 +258,25 @@ def test_domain_errors_on_bad_amplitudes():
         period(D, 1.0)
     with pytest.raises(DomainError):
         inverse_period(D, TS * 0.99)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: solve_orbit(D, 0.9, n_samples=1),
+        lambda: energy_drift(D, 0.9, n_periods=0),
+        lambda: optimizer_branch(D, 1.5 * TS, n_grid=0),
+    ],
+    ids=["orbit_one_sample", "drift_zero_periods", "branch_empty_grid"],
+)
+def test_degenerate_sizes_raise_domain_error_before_any_work(monkeypatch, call):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started on a degenerate size")
+
+    for name in ("period", "inverse_period", "_integrate"):
+        monkeypatch.setattr(cylinder, name, refuse)
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_profile_norms_two_routes():
@@ -619,57 +637,73 @@ def test_degree_lemma_over_all_assembled_degrees():
                 )
             )
             assert mvals[0] >= -1e-12 * mvals[-1]
-            # degree 0 is constrained against u_* (even half) and u_*' (odd half)
+            # degree 0, with its q-norm term, is constrained against u_* (even
+            # half) and u_*' (odd half) on the null_space complement
             coords = (_trig_coords(br.u, T, 128)[:129], _trig_coords(br.up, T, 128)[129:])
             mins = []
             for ell in range(7):
                 shift = ell * (ell + d - 2.0)
                 halves = [half + shift * np.eye(len(half)) for half in base]
+                b = b0 + shift
                 if ell == 0:
                     halves[0] = halves[0] + _q_norm_term(br, 128)
-                b = b0 + shift
-                vals = []
-                for half, bh, x in zip(halves, np.split(b, [129]), coords):
-                    row = bh * x if ell == 0 else None
-                    vals.append(_lowest_eigenvalue(half, bh, row))
+                    vals = [
+                        _null_space_lowest_eigenvalue(half, bh, bh * x)
+                        for half, bh, x in zip(halves, np.split(b, [129]), coords)
+                    ]
+                else:
+                    vals = [
+                        _lowest_eigenvalues(half, bh)[0]
+                        for half, bh in zip(halves, np.split(b, [129]))
+                    ]
                 mins.append(min(vals))
             assert all(lo <= hi for lo, hi in zip(mins[1:], mins[2:]))
             assert c_T_numeric(d, T) == pytest.approx(min(mins), rel=1e-12)
 
 
 def _null_space_lowest_eigenvalue(lmat, bdiag, row):
-    """Reference for the constrained _lowest_eigenvalue: complement from null_space."""
+    """Lowest eigenvalue of (L, diag(b)) on the complement of row, from null_space."""
     rs = 1.0 / np.sqrt(bdiag)
     z = null_space((rs * row)[None, :])
     mat = z.T @ (rs[:, None] * lmat * rs[None, :]) @ z
     return eigh(mat, eigvals_only=True, subset_by_index=(0, 0))[0]
 
 
-def test_householder_projection_matches_null_space_complement():
-    # measured: at most 9.6e-16 relative over these halves and rows
+def test_second_eigenvalue_matches_null_space_constrained_minimum():
+    # u_* and u_*' are the ground states of the even and odd halves, so the
+    # minimum constrained against them (with the q-norm term, on the
+    # null_space complement) is the unconstrained second eigenvalue;
+    # measured: at most 5.1e-14 relative (d = 5, 1.001 T_*, even half)
     for d in (3, 4, 5, 6):
-        for frac in (1.2, 2.0, 4.0):
+        for frac in (1.001, 1.2, 2.0, 4.0):
             T = frac * t_star(d)
             br = optimizer_branch(d, T)
             (l_even, l_odd), b = _assemble_block(br, 128, 4096)
             b_even, b_odd = np.split(b, [129])
             even_row = (b * _trig_coords(br.u, T, 128))[:129]
             odd_row = (b * _trig_coords(br.up, T, 128))[129:]
-            for lmat, bh, row in (
-                (l_even + _q_norm_term(br, 128), b_even, even_row),
-                (l_odd, b_odd, odd_row),
+            for lmat, q_norm, bh, row in (
+                (l_even, _q_norm_term(br, 128), b_even, even_row),
+                (l_odd, 0.0, b_odd, odd_row),
             ):
-                ref = _null_space_lowest_eigenvalue(lmat, bh, row)
-                assert _lowest_eigenvalue(lmat, bh, row) == pytest.approx(ref, rel=1e-13)
-    # synthetic rows: a negative leading entry, a zero leading entry (the
-    # reflection sign falls back to +) and a row along e_0 alone
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((40, 40))
-    lmat, bh = a + a.T, rng.uniform(1.0, 5.0, 40)
-    tail = rng.standard_normal(39)
-    for row in (np.r_[-2.0, tail], np.r_[0.0, tail], np.r_[3.0, np.zeros(39)]):
-        ref = _null_space_lowest_eigenvalue(lmat, bh, row)
-        assert _lowest_eigenvalue(lmat, bh, row) == pytest.approx(ref, rel=1e-13)
+                ref = _null_space_lowest_eigenvalue(lmat + q_norm, bh, row)
+                second = _lowest_eigenvalues(lmat, bh, 2)[1]
+                assert second == pytest.approx(ref, rel=1e-13)
+
+
+def test_c_T_numeric_refuses_a_branch_off_the_critical_point(monkeypatch):
+    # the guard that licenses reading second eigenvalues: integrated from an
+    # amplitude 1e-8 off its root, the branch moves the ground states by 1e-8
+    # and more
+    d, T = 3, 1.5 * t_star(3)
+    br = optimizer_branch(d, T)
+    alpha = br.alpha * (1.0 + 1e-8)
+    sol = _integrate(d, alpha, 0.5 * T)
+    samples = cylinder._mirrored_samples(sol, T / 4096, 4096, closed=False)
+    bad = Branch(br.params, alpha, *samples)
+    monkeypatch.setattr(cylinder, "optimizer_branch", lambda *args: bad)
+    with pytest.raises(ComputationError, match="ground states"):
+        c_T_numeric(d, T)
 
 
 def _full_period_reference(d, alpha, t):
@@ -716,7 +750,7 @@ def test_solve_orbit_is_exactly_even_and_matches_full_period():
 def _scipy_dop853(d, alpha, t_end, **options):
     """The same orbit run through scipy's own DOP853."""
     return solve_ivp(
-        _rhs, (0.0, t_end), (alpha, 0.0), args=(d, _q_of(d)), method="DOP853",
+        _rhs(d), (0.0, t_end), (alpha, 0.0), method="DOP853",
         rtol=1e-12, atol=1e-14, dense_output=True, **options,
     )
 
@@ -745,7 +779,7 @@ def test_float_dop853_rejects_steps_as_scipy_does():
     for first in (1.0, 3.0):
         ref = _scipy_dop853(d, alpha, 0.5 * T, first_step=first)
         ours = solve_ivp(
-            _rhs, (0.0, 0.5 * T), (alpha, 0.0), args=(d, _q_of(d)),
+            _rhs(d), (0.0, 0.5 * T), (alpha, 0.0),
             method=_FloatDOP853, rtol=1e-12, atol=1e-14, dense_output=True,
             first_step=first,
         )
@@ -769,8 +803,8 @@ def test_solve_orbit_period_matches_scipy_dop853():
 
 
 def test_float_event_interpolant_matches_the_batched_one():
-    # the event root-find asks one step at one time at once; _sample asks
-    # many steps at many times: the two evaluate the same polynomial
+    # the turning-point root-find asks one step at one time at once; _sample
+    # asks many steps at many times: the two evaluate the same polynomial
     d, T = 4, 1.5 * t_star(4)
     sol = _integrate(d, inverse_period(d, T), 0.5 * T)
     steps = sol.sol.interpolants
