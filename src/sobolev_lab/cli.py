@@ -221,8 +221,13 @@ def cmd_period_map(args: argparse.Namespace) -> str:
 def cmd_be_scan(args: argparse.Namespace) -> str:
     params = SphereParams(args.d, args.s)
     bandlimit = zonal.DEFAULT_BANDLIMIT if args.bandlimit is None else args.bandlimit
+    degree = 2 if args.family == "degree2" else 3
+    if bandlimit < degree:
+        raise DomainError(
+            "be-scan --family %s needs --bandlimit >= %d" % (args.family, degree)
+        )
     coeffs = np.zeros(bandlimit + 1)
-    coeffs[2 if args.family == "degree2" else 3] = 1.0
+    coeffs[degree] = 1.0
     rfn = zonal.from_coeffs(coeffs, params, **_given(args, "quad-order"))
     curve = stability.quotient_curve(rfn, **_given(args, "eps-grid"))
     rows = [

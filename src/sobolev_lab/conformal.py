@@ -229,18 +229,13 @@ def dilation_of_zeta(rho: float) -> float:
     return math.sqrt((1.0 + rho) / (1.0 - rho))
 
 
-def pullback_zonal(fn: ZonalFn, delta: float, xi: np.ndarray | None = None) -> ZonalFn:
+def pullback_zonal(fn: ZonalFn, delta: float) -> ZonalFn:
     """Conformal pullback J^(1/q) (U o flow) along the function's own axis.
 
-    The flow must share the zonal axis, otherwise zonality would break;
-    passing an explicit xi different from fn.axis raises.
+    The flow shares the zonal axis, so the pullback stays zonal.
     """
     if not delta > 0.0:
         raise DomainError("delta must be positive")
-    if xi is not None:
-        xi = np.asarray(xi, dtype=float)
-        if not np.allclose(xi, fn.axis, atol=1e-12):
-            raise PreconditionError("flow axis must equal the zonal axis")
     basis = fn.basis
     t = basis.rule.nodes
     tnew = gamma_flow_axis(delta, t)
@@ -305,18 +300,19 @@ def _flow_moment(delta: float, tvals, weights, gvals, subsphere_area: float) -> 
     return float(subsphere_area * np.dot(weights, m * gvals))
 
 
-def hersch_normalize(
-    fn: ZonalFn,
-    density_exponent: float,
-    bracket: tuple = (1e-6, 1e6),
-    n_scan: int = 129,
-) -> HerschResult:
+# the dilations hersch_normalize scans first, and the points of its log grid
+_HERSCH_BRACKET = (1e-6, 1e6)
+_HERSCH_N_SCAN = 129
+
+
+def hersch_normalize(fn: ZonalFn, density_exponent: float) -> HerschResult:
     """Find the dilation that balances the density |F|^p along the axis.
 
     Scans G(delta) = integral of the flowed axis coordinate against the
-    density, locates sign changes on a log grid over ``bracket``, refines
-    each by bracketed root finding, and returns the root closest to the
-    identity together with the rebalanced density (zero axis center of mass).
+    density, locates sign changes on a log grid over ``_HERSCH_BRACKET``,
+    refines each by bracketed root finding, and returns the root closest to
+    the identity together with the rebalanced density (zero axis center of
+    mass).
     The bracket expands twice before giving up.
     """
     basis = fn.basis
@@ -328,9 +324,9 @@ def hersch_normalize(
     if not mass > 0.0:
         raise PreconditionError("density has zero mass; nothing to balance")
 
-    lo, hi = bracket
+    lo, hi = _HERSCH_BRACKET
     for _attempt in range(3):
-        grid = np.exp(np.linspace(math.log(lo), math.log(hi), n_scan))
+        grid = np.exp(np.linspace(math.log(lo), math.log(hi), _HERSCH_N_SCAN))
         vals = np.array([_flow_moment(dd, t, w, g, area_sub) for dd in grid])
         sign_changes = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
         exact_zeros = [float(grid[i]) for i in np.nonzero(vals == 0.0)[0]]

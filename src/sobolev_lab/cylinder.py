@@ -89,6 +89,12 @@ __all__ = [
     "distance_to_branch",
 ]
 
+# The default discretization: Gauss nodes of the period quadrature, grid
+# points of the branch, and Fourier modes of each Hill half.
+DEFAULT_N_THETA = 240
+DEFAULT_N_GRID = 4096
+DEFAULT_N_MODES = 128
+
 
 def t_star(d: int) -> float:
     """Bifurcation period 2 pi / sqrt(d-2)."""
@@ -358,7 +364,7 @@ def _w_values(d: int, alpha: float, tab: _ThetaTable) -> tuple:
     return u, au, ub, w
 
 
-def period(d: int, alpha: float, n_theta: int = 240) -> float:
+def period(d: int, alpha: float, n_theta: int = DEFAULT_N_THETA) -> float:
     """Minimal period tau(alpha) by regularized turning-point quadrature."""
     _check_alpha(d, alpha)
     tab = _theta_table(n_theta)
@@ -366,7 +372,7 @@ def period(d: int, alpha: float, n_theta: int = 240) -> float:
     return float(2.0 * math.sqrt(2.0) * np.dot(tab.wts, 1.0 / np.sqrt(w)))
 
 
-def orbit_integrals(d: int, alpha: float, n_theta: int = 240) -> dict:
+def orbit_integrals(d: int, alpha: float, n_theta: int = DEFAULT_N_THETA) -> dict:
     """Period integrals of the orbit: tau, int u^q, int u^2, int u'^2.
 
     All integrals run over one full period and use the same regularized
@@ -793,7 +799,7 @@ class Branch:
             arr.setflags(write=False)
 
 
-def optimizer_branch(d: int, T: float, n_grid: int = 4096) -> Branch:
+def optimizer_branch(d: int, T: float, n_grid: int = DEFAULT_N_GRID) -> Branch:
     """The optimizer branch at (d, T), sampled on n_grid points.
 
     Above T_* the orbit is integrated over half a period and mirrored, so u
@@ -935,18 +941,17 @@ def energy_bilinear_profile(p1: PeriodicProfile, p2: PeriodicProfile) -> float:
     return form((np.fft.rfft(p1.samples) * np.conj(np.fft.rfft(p2.samples))).real)
 
 
-def lq_norm_profile(profile: PeriodicProfile, p_exp: float | None = None) -> float:
+def lq_norm_profile(profile: PeriodicProfile) -> float:
+    """L^q norm over the cylinder at the critical exponent q, on the grid."""
     p = profile.params
-    if p_exp is None:
-        p_exp = p.q
     m = len(profile.samples)
     val = (
         sphere_area(p.d - 1)
         * p.T
         / m
-        * float(np.sum(np.abs(profile.samples) ** p_exp))
+        * float(np.sum(np.abs(profile.samples) ** p.q))
     )
-    return val ** (1.0 / p_exp)
+    return val ** (1.0 / p.q)
 
 
 def quotient_profile(profile: PeriodicProfile) -> float:
@@ -956,10 +961,13 @@ def quotient_profile(profile: PeriodicProfile) -> float:
     return energy_profile(profile) / nq**2
 
 
-def ustar_profile(d: int, T: float, n_grid: int = 4096) -> PeriodicProfile:
+def ustar_profile(d: int, T: float, n_grid: int = DEFAULT_N_GRID) -> PeriodicProfile:
     """The optimizer branch as a profile: constant below T_*, orbit above."""
     br = optimizer_branch(d, T, n_grid)
-    n_modes = 1 if T <= br.params.t_star else min(128, (n_grid - 1) // 2)
+    if T <= br.params.t_star:
+        n_modes = 1
+    else:
+        n_modes = min(DEFAULT_N_MODES, (n_grid - 1) // 2)
     return profile_from_samples(br.params, br.u, n_modes=n_modes)
 
 
@@ -969,34 +977,23 @@ def _constant_branch_value(d: int, T: float) -> float:
 
 
 def sobolev_constant_cylinder(
-    d: int,
-    T: float,
-    cross_validate: bool = False,
-    n_theta: int = 240,
+    d: int, T: float, n_theta: int = DEFAULT_N_THETA
 ) -> float:
     """Sharp constant S_d(T) on the cylinder.
 
     Constant branch ((d-2)^2/4) |Sigma_T|^(1-2/q) for T <= T_*; the
-    single-bump orbit branch quotient for T > T_*. With ``cross_validate``
-    a spectral gradient descent from generic starts must agree to 1e-4
-    relative, otherwise an inconsistency is raised.
+    single-bump orbit branch quotient for T > T_*. ``minimize_quotient`` is
+    the independent route to the same value.
     """
     params = CylinderParams(d=d, T=T)
     if T <= params.t_star:
-        value = _constant_branch_value(d, T)
-    else:
-        value = orbit_branch_value(d, T, n_theta=n_theta)
-    if cross_validate:
-        descent, _ = minimize_quotient(d, T)
-        if abs(descent - value) > 1e-4 * abs(value):
-            raise InconsistencyError(
-                "descent value %.10g vs branch value %.10g for T=%g"
-                % (descent, value, T)
-            )
-    return float(value)
+        return float(_constant_branch_value(d, T))
+    return orbit_branch_value(d, T, n_theta=n_theta)
 
 
-def orbit_branch_value(d: int, T: float, k: int = 1, n_theta: int = 240) -> float:
+def orbit_branch_value(
+    d: int, T: float, k: int = 1, n_theta: int = DEFAULT_N_THETA
+) -> float:
     """Quotient of the k-bump orbit branch on the period-T cylinder.
 
     Diagnostics only for k >= 2: tiling the period-T/k orbit k times gives a
@@ -1047,7 +1044,11 @@ def l1_factorization_residual(orbit: Orbit) -> float:
     return worst
 
 
-def cosh_trial_bound(d: int, T: float, n_nodes: int = 400) -> float:
+# Gauss-Legendre nodes of the trial quotient on (0, T/2)
+_COSH_NODES = 400
+
+
+def cosh_trial_bound(d: int, T: float) -> float:
     """Upper bound on S_d(T) from the truncated homoclinic trial profile.
 
     Places cosh^(-(d-2)/2) centered in the period window and evaluates its
@@ -1056,7 +1057,7 @@ def cosh_trial_bound(d: int, T: float, n_nodes: int = 400) -> float:
     """
     CylinderParams(d=d, T=T)
     q = _q_of(d)
-    base = gauss_rule(n_nodes, 0.0)
+    base = gauss_rule(_COSH_NODES, 0.0)
     tt = (base.nodes + 1.0) * (T / 4.0)
     wt = base.weights * (T / 4.0)
     qq = np.cosh(tt) ** (-(d - 2.0) / 2.0)
@@ -1067,20 +1068,20 @@ def cosh_trial_bound(d: int, T: float, n_nodes: int = 400) -> float:
     return 2.0 * area * e_half / (2.0 * area * q_half) ** (2.0 / q)
 
 
+# the descent's starts: two cosine bumps, then random ones from this seed
+_DESCENT_STARTS = 3
+_DESCENT_SEED = 0
+
+
 def minimize_quotient(
-    d: int,
-    T: float,
-    n_grid: int = 512,
-    seed: int = 0,
-    n_starts: int = 3,
-    maxiter: int = 4000,
+    d: int, T: float, n_grid: int = 512, maxiter: int = 4000
 ) -> tuple:
     """Direct minimization of the quotient over gridded profiles.
 
     Works on the sample values with FFT-differentiation energies; returns
-    (value, PeriodicProfile of the best minimizer found) over the starts
-    whose L-BFGS-B run converged, and raises when none did. Serves as the
-    independent route validating the branch formula.
+    (value, PeriodicProfile of the best minimizer found) over the
+    ``_DESCENT_STARTS`` starts whose L-BFGS-B run converged, and raises when
+    none did. Serves as the independent route validating the branch formula.
     """
     params = CylinderParams(d=d, T=T)
     q = params.q
@@ -1117,12 +1118,12 @@ def minimize_quotient(
 
     tgrid = np.arange(m) * h
     base = u0(d)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_DESCENT_SEED)
     starts = [
         base + 0.3 * base * np.cos(2.0 * math.pi * tgrid / T),
         base - 0.3 * base * np.cos(2.0 * math.pi * tgrid / T),
     ]
-    for _ in range(max(0, n_starts - 2)):
+    for _ in range(_DESCENT_STARTS - 2):
         bump = rng.standard_normal(5)
         pert = sum(
             bump[j] * np.cos(2.0 * math.pi * (j + 1) * tgrid / T + bump[j] ** 2)
@@ -1145,7 +1146,8 @@ def minimize_quotient(
             best_val, best_x = float(res.fun), res.x
     if best_x is None:
         raise ComputationError("quotient descent converged from no start")
-    profile = profile_from_samples(params, best_x, n_modes=min(128, (m - 1) // 2))
+    n_modes = min(DEFAULT_N_MODES, (m - 1) // 2)
+    profile = profile_from_samples(params, best_x, n_modes=n_modes)
     return best_val, profile
 
 
@@ -1211,6 +1213,10 @@ def _assemble_block(br: Branch, n_modes: int, n_grid: int) -> tuple:
     block between the halves is not negligible, that is when u_* is not even.
     """
     # n_modes and n_grid keep these names: perfbench's hill_assembly span reads them
+    if n_modes < 2:
+        # c_T_numeric reads the second eigenvalue of the odd half, which has
+        # n_modes rows, and quartic_constants the second harmonic
+        raise DomainError("need n_modes >= 2, got %r" % (n_modes,))
     if len(br.u) != n_grid:
         raise PreconditionError("branch has %d samples, not %d" % (len(br.u), n_grid))
     d, T, q = br.params.d, br.params.T, br.params.q
@@ -1298,8 +1304,8 @@ def hessian_block_spectrum(
     d: int,
     T: float,
     ell: int,
-    n_modes: int = 128,
-    n_grid: int = 4096,
+    n_modes: int = DEFAULT_N_MODES,
+    n_grid: int = DEFAULT_N_GRID,
 ) -> SpectrumReport:
     """Spectrum of the degree-ell Hessian block at the optimizer branch.
 
@@ -1320,7 +1326,7 @@ def hessian_block_spectrum(
     return make_spectrum_report(np.sort(np.concatenate(vals)), (2 * n_modes + 1, n_grid))
 
 
-def zero_mode_pairing(br: Branch, n_modes: int = 128) -> float:
+def zero_mode_pairing(br: Branch, n_modes: int = DEFAULT_N_MODES) -> float:
     """<du_*, L_0 du_*> for the translation mode of the branch (zero above T_*)."""
     (l_even, l_odd), _ = _assemble_block(br, n_modes, len(br.u))
     halves = (l_even + _q_norm_term(br, n_modes), l_odd)
@@ -1349,7 +1355,9 @@ def c_T_formula(d: int, T: float) -> float:
 _GROUND_TOL = 1e-9
 
 
-def c_T_numeric(d: int, T: float, n_modes: int = 128, n_grid: int = 4096) -> float:
+def c_T_numeric(
+    d: int, T: float, n_modes: int = DEFAULT_N_MODES, n_grid: int = DEFAULT_N_GRID
+) -> float:
     """Constrained Rayleigh minimum of <v, L v> / E_T[v] over degrees.
 
     In the degree-0 block the minimization runs orthogonally (in the E_T
@@ -1410,7 +1418,9 @@ def c_T_numeric(d: int, T: float, n_modes: int = 128, n_grid: int = 4096) -> flo
     return min(even1, odd1, deg1)
 
 
-def c_T(d: int, T: float, n_modes: int = 128, n_grid: int = 4096) -> float:
+def c_T(
+    d: int, T: float, n_modes: int = DEFAULT_N_MODES, n_grid: int = DEFAULT_N_GRID
+) -> float:
     """Quadratic stability constant: closed form below T_*, numeric above."""
     ts = t_star(d)
     if T <= ts * (1.0 + 1e-12):
@@ -1436,15 +1446,20 @@ class QuarticConstants:
     diagnostics: dict
 
 
+# the relative mismatch between a quartic numeric route and its closed form
+# that quartic_constants raises on
+_QUARTIC_REL_TOL = 1e-6
+
+
 def quartic_constants(
-    d: int, n_modes: int = 128, n_grid: int = 4096, rel_tol: float = 1e-6
+    d: int, n_modes: int = DEFAULT_N_MODES, n_grid: int = DEFAULT_N_GRID
 ) -> QuarticConstants:
     """Quartic coefficient, resolvent correction, and their gap at T_*.
 
     The numeric route solves the degree-0 Hessian block for the resolvent of
     the projected quartic source and forms the inner product; every quantity
-    is compared against its closed form and any mismatch beyond ``rel_tol``
-    relative raises an inconsistency.
+    is compared against its closed form and any mismatch beyond
+    ``_QUARTIC_REL_TOL`` relative raises an inconsistency.
     """
     ts = t_star(d)
     params = CylinderParams(d=d, T=ts)
@@ -1483,7 +1498,7 @@ def quartic_constants(
     stray = np.abs(np.delete(scoords, idx_cos2))
     if np.max(stray) > 1e-8 * abs(scoords[idx_cos2]):
         raise InconsistencyError("resolvent is not a pure second-harmonic mode")
-    if abs(coeff_num - coeff_closed) > rel_tol * abs(coeff_closed):
+    if abs(coeff_num - coeff_closed) > _QUARTIC_REL_TOL * abs(coeff_closed):
         raise InconsistencyError(
             "resolvent coefficient %.12g vs closed form %.12g"
             % (coeff_num, coeff_closed)
@@ -1493,7 +1508,7 @@ def quartic_constants(
     ip_closed = (
         (d - 2.0) ** 2 / 4.0 / 96.0 * (q - 1.0) ** 2 * (q - 2.0) * sigma / base**2
     )
-    if abs(ip_num - ip_closed) > rel_tol * abs(ip_closed):
+    if abs(ip_num - ip_closed) > _QUARTIC_REL_TOL * abs(ip_closed):
         raise InconsistencyError(
             "resolvent inner product %.12g vs closed form %.12g" % (ip_num, ip_closed)
         )
@@ -1508,7 +1523,7 @@ def quartic_constants(
         (d - 2.0) ** 2 / 4.0 / 32.0 * (q - 1.0) * (q - 2.0) * (q + 1.0) * sigma
         / base**2
     )
-    if abs(c_num - c_closed) > rel_tol * abs(c_closed):
+    if abs(c_num - c_closed) > _QUARTIC_REL_TOL * abs(c_closed):
         raise InconsistencyError(
             "quartic coefficient %.12g vs closed form %.12g" % (c_num, c_closed)
         )
@@ -1518,7 +1533,7 @@ def quartic_constants(
     e_u = (d - 2.0) ** 2 / 4.0 * base**2 * sigma
     e_r = sigma * (d - 2.0) * (d + 2.0) / 8.0
     limit_check = e_u * gap / e_r**2
-    if abs(limit_check - limit) > rel_tol * abs(limit):
+    if abs(limit_check - limit) > _QUARTIC_REL_TOL * abs(limit):
         raise InconsistencyError(
             "limit identity %.12g vs closed form %.12g" % (limit_check, limit)
         )
@@ -1565,7 +1580,7 @@ def degenerate_quotient_curve(
     d: int,
     eps_grid=(0.02, 0.01, 0.005),
     with_resolvent: bool = True,
-    n_grid: int = 4096,
+    n_grid: int = DEFAULT_N_GRID,
 ) -> DegenerateCurve:
     """Quotient E (E - S ||u||_q^2) / delta^4 along u = u_* + eps r + eps^2 s.
 
@@ -1575,6 +1590,9 @@ def degenerate_quotient_curve(
     extrapolates to the closed-form quartic limit (or to the larger s = 0
     value C_* E[u_*]/E[r]^2).
     """
+    from .stability import _eps_grid, _extrapolate
+
+    eps = _eps_grid(eps_grid)
     qc = quartic_constants(d, n_grid=n_grid)
     ts = t_star(d)
     params = CylinderParams(d=d, T=ts)
@@ -1609,9 +1627,6 @@ def degenerate_quotient_curve(
     e_s = energy_profile(s_prof)
     s_const = sobolev_constant_cylinder(d, ts)
 
-    eps = np.asarray(sorted(eps_grid, reverse=True), dtype=float)
-    if np.any(eps <= 0.0):
-        raise DomainError("eps grid must be positive")
     quot = np.empty(len(eps))
     for i, e in enumerate(eps):
         u = base + e * r_samples + e * e * s_samples
@@ -1619,8 +1634,6 @@ def degenerate_quotient_curve(
         nq2 = (area * h * float(np.sum(np.abs(u) ** q))) ** (2.0 / q)
         delta4 = (e * e * e_r + e**4 * e_s) ** 2
         quot[i] = energy_val * (energy_val - s_const * nq2) / delta4
-
-    from .stability import _extrapolate
 
     limit, err = _extrapolate(eps, quot)
     target = qc.limit_constant if with_resolvent else qc.c_star * e_u / e_r**2
@@ -1661,33 +1674,29 @@ def split_stability_terms(profile: PeriodicProfile) -> tuple:
     p = profile.params
     if abs(p.T - p.t_star) > 1e-12 * p.t_star:
         raise PreconditionError("split comparison is defined at T = T_*")
-    d = p.d
-    base = u0(d)
     m = len(profile.samples)
-    v = profile.samples - base
-    vprof = profile_from_samples(p, v)
-    k1 = vprof.n_modes
-    four = np.array(vprof.fourier)
-    pi1 = np.zeros_like(four)
-    pi1[1] = four[1]
-    pi1[k1 + 1] = four[k1 + 1]
-    perp = np.array(four)
-    perp[0] = 0.0
-    perp[1] = 0.0
-    perp[k1 + 1] = 0.0
-    pi1_prof = profile_from_fourier(p, pi1, n_grid=m)
-    perp_prof = profile_from_fourier(p, perp, n_grid=m)
+    _, form = _energy_form(p, m)
+    power = np.abs(np.fft.rfft(profile.samples - u0(p.d))) ** 2
+    # pi_1 v is rfft bin 1, and pi_perp v the bins 2..(m-1)//2 that
+    # profile_from_samples keeps
+    k = np.arange(len(power))
+    e_pi1 = form(np.where(k == 1, power, 0.0))
+    e_perp = form(np.where((k >= 2) & (k <= (m - 1) // 2), power, 0.0))
     e_u = energy_profile(profile)
-    lhs = e_u - sobolev_constant_cylinder(d, p.T) * lq_norm_profile(profile) ** 2
-    rhs = energy_profile(pi1_prof) ** 2 / e_u + energy_profile(perp_prof)
+    lhs = e_u - sobolev_constant_cylinder(p.d, p.T) * lq_norm_profile(profile) ** 2
+    rhs = e_pi1**2 / e_u + e_perp
     return lhs, rhs
+
+
+# the constants c that split_stability_check reports the sign of
+# deficit - c * remainder for
+_SPLIT_SCAN_C = (0.1, 0.5, 1.0)
 
 
 def split_stability_check(
     d: int,
     family: str = "pi",
     eps_grid=None,
-    scan_c=(0.1, 0.5, 1.0),
     n_grid: int = 2048,
 ) -> SplitReport:
     """Scaling of deficit vs split remainder along a perturbation family.
@@ -1717,7 +1726,7 @@ def split_stability_check(
     slope_rhs = float(np.polyfit(np.log(eps), np.log(np.maximum(rhs, 1e-300)), 1)[0])
     signs = {
         float(c): bool(np.all(lhs - c * rhs >= -1e-12 * np.abs(lhs).max()))
-        for c in scan_c
+        for c in _SPLIT_SCAN_C
     }
     return SplitReport(
         family=family,

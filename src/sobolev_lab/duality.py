@@ -13,6 +13,13 @@ agree; for n <= 4 a dense angular grid gives a third, assumption-free value.
 Both iterations stop on their stationarity condition, and only starts that
 met it are ranked. The quotient ||Af||_q / |f| is nonconvex for q > 2, hence
 the multi-start policy everywhere.
+
+The two iterations are one map. The inverse of the q'-duality map is the
+q-duality map psi(y) = |y|^(q-2) y, so an adjoint step g -> psi(A A^T g),
+normalized, moves f = A^T g / |A^T g| by exactly the primal step
+f -> A^T psi(Af), normalized. The primal and adjoint values therefore differ
+only in their starts and their stop rules; the angular grid is the one route
+that does not share the map.
 """
 
 from __future__ import annotations
@@ -44,6 +51,8 @@ __all__ = [
 ]
 
 _NORM_AGREE_TOL = 1e-9
+# random starts per route, on top of the coordinate vectors and the diagonal
+_N_RANDOM_STARTS = 8
 
 
 def q_conjugate(q: float) -> float:
@@ -78,42 +87,40 @@ class FiniteOperator:
         return self.matrix.shape
 
 
-def _ascent_starts(m: int, n: int, seed: int, n_random: int):
+def _ascent_starts(n: int, seed: int):
     starts = [np.eye(n)[j] for j in range(n)]
     starts.append(np.ones(n) / math.sqrt(n))
     rng = np.random.default_rng(seed)
-    for _ in range(n_random):
+    for _ in range(_N_RANDOM_STARTS):
         v = rng.standard_normal(n)
         starts.append(v / np.linalg.norm(v))
     return starts
 
 
+# the primal stop rule: a step moves f by less than this (up to sign)
+_ASCENT_TOL = 1e-14
+
+
 def op_norm_ascent(
-    matrix: np.ndarray,
-    q: float,
-    seed: int = 0,
-    n_random: int = 8,
-    max_iter: int = 4000,
-    tol: float = 1e-14,
+    matrix: np.ndarray, q: float, seed: int = 0, max_iter: int = 4000
 ) -> float:
     """max ||Af||_q over the unit sphere, by multi-start fixed-point ascent.
 
     Each start iterates f <- normalize(A^T psi(Af)) with psi(y) = |y|^(q-2) y
-    until a step moves f by less than ``tol`` (up to sign). That stop rule is
-    the stationarity condition of the constrained maximization, so a start
-    that met it is a critical point and needs no polish. Keep the best of the
-    starts that met it; a start cut off by ``max_iter`` stops anywhere on its
-    way up and is not ranked.
+    until a step moves f by less than ``_ASCENT_TOL`` (up to sign). That stop
+    rule is the stationarity condition of the constrained maximization, so a
+    start that met it is a critical point and needs no polish. Keep the best
+    of the starts that met it; a start cut off by ``max_iter`` stops anywhere
+    on its way up and is not ranked.
     """
     a = np.ascontiguousarray(matrix, dtype=float)
     if a.ndim != 2 or a.size == 0:
         raise DomainError("matrix must be a nonempty 2D array")
     if not q > 1.0:
         raise DomainError("exponent q must exceed 1")
-    m, n = a.shape
     ranked = []
-    for f0 in _ascent_starts(m, n, seed, n_random):
-        f, it = _kernels.lq_ascent(a, q, f0, max_iter, tol)
+    for f0 in _ascent_starts(a.shape[1], seed):
+        f, it = _kernels.lq_ascent(a, q, f0, max_iter, _ASCENT_TOL)
         if it < max_iter:
             ranked.append(lq_norm(a @ f, q))
     if not ranked:
@@ -121,13 +128,12 @@ def op_norm_ascent(
     return max(ranked)
 
 
+# the adjoint stop rule: |A^T g| moves by less than this times max(|A^T g|, 1)
+_ADJOINT_TOL = 1e-15
+
+
 def adjoint_norm_fixed_point(
-    matrix: np.ndarray,
-    q: float,
-    seed: int = 0,
-    n_random: int = 8,
-    max_iter: int = 5000,
-    tol: float = 1e-15,
+    matrix: np.ndarray, q: float, seed: int = 0, max_iter: int = 5000
 ) -> float:
     """max |A^T g| over the unit q'-norm sphere, by duality-map iteration.
 
@@ -153,7 +159,7 @@ def adjoint_norm_fixed_point(
     rng = np.random.default_rng(seed)
     g_starts = [np.eye(m)[j] for j in range(m)]
     g_starts.append(np.ones(m) / lq_norm(np.ones(m), qp))
-    for _ in range(n_random):
+    for _ in range(_N_RANDOM_STARTS):
         g_starts.append(rng.standard_normal(m))
     for g0 in g_starts:
         g = normalize(np.asarray(g0, dtype=float))
@@ -171,7 +177,7 @@ def adjoint_norm_fixed_point(
                 break
             g = g_next
             val = float(np.linalg.norm(a.T @ g))
-            if abs(val - prev) < tol * max(val, 1.0):
+            if abs(val - prev) < _ADJOINT_TOL * max(val, 1.0):
                 break
             prev = val
         else:
@@ -192,7 +198,11 @@ def _angles_to_unit(angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def brute_force_norm(matrix: np.ndarray, q: float, n_angles: int = 60) -> float:
+# grid points per hyperspherical angle of the brute-force oracle
+_BRUTE_N_ANGLES = 60
+
+
+def brute_force_norm(matrix: np.ndarray, q: float) -> float:
     """Dense angular-grid oracle for n <= 4, polished from the best grid point.
 
     The first maximizing grid point in row-major order seeds the polish, so
@@ -207,7 +217,7 @@ def brute_force_norm(matrix: np.ndarray, q: float, n_angles: int = 60) -> float:
     if n == 1:
         return lq_norm(a[:, 0], q)
     k = n - 1
-    grids = [np.linspace(0.0, math.pi, n_angles, endpoint=False)] * k
+    grids = [np.linspace(0.0, math.pi, _BRUTE_N_ANGLES, endpoint=False)] * k
     mesh = np.array(np.meshgrid(*grids, indexing="ij")).reshape(k, -1)
     pts = _angles_to_unit(mesh)
     vals = np.sum(np.abs(a @ pts) ** q, axis=0)

@@ -55,6 +55,9 @@ __all__ = [
 
 MANIFOLD_TOL = 1e-6
 
+# the default azimuthal Gauss order of the moment G(zeta)
+DEFAULT_N_AZIMUTHAL = 64
+
 
 def deficit(fn: ZonalFn) -> float:
     """Sobolev deficit E_s[U] - S ||U||_q^2; nonnegative up to quadrature."""
@@ -78,7 +81,7 @@ class DistanceResult:
 
 
 def zeta_moment_integral(
-    fn: ZonalFn, a: float, rho: float, n_azimuthal: int = 64
+    fn: ZonalFn, a: float, rho: float, n_azimuthal: int = DEFAULT_N_AZIMUTHAL
 ) -> float:
     """G(zeta) for zeta = a axis + rho axis_perp, by 2D Gauss quadrature."""
     d, s = fn.params.d, fn.params.s
@@ -115,11 +118,11 @@ def _perp_axis(axis: np.ndarray) -> np.ndarray:
 
 
 _SEED_ZETAS = ((0.0, 0.0), (0.6, 0.0), (-0.6, 0.0), (0.3, 0.3), (-0.3, 0.3))
+# L-BFGS-B's projected-gradient stop in distance
+_LBFGS_GTOL = 1e-12
 
 
-def distance(
-    fn: ZonalFn, n_azimuthal: int = 64, gtol: float = 1e-12
-) -> DistanceResult:
+def distance(fn: ZonalFn, n_azimuthal: int = DEFAULT_N_AZIMUTHAL) -> DistanceResult:
     """Distance to the optimizer manifold by multi-start maximization of G.
 
     Runs a 1D maximization along the axis first, then quasi-Newton descents
@@ -171,7 +174,7 @@ def distance(
                 objective,
                 z0,
                 method="L-BFGS-B",
-                options={"gtol": gtol, "ftol": 1e-15, "maxiter": 500},
+                options={"gtol": _LBFGS_GTOL, "ftol": 1e-15, "maxiter": 500},
             )
         except DomainError:
             # the descent ran z off to infinity, where |zeta| rounds to 1
@@ -221,7 +224,7 @@ def distance(
     return result
 
 
-def be_quotient(fn: ZonalFn, n_azimuthal: int = 64) -> float:
+def be_quotient(fn: ZonalFn, n_azimuthal: int = DEFAULT_N_AZIMUTHAL) -> float:
     """Stability quotient deficit / delta^2.
 
     Raises DegenerateInputError on (numerical) optimizers, where the
@@ -255,6 +258,22 @@ class QuotientCurve:
     error_estimate: float
 
 
+def _eps_grid(eps_grid) -> np.ndarray:
+    """The eps values in descending order, checked for an extrapolation.
+
+    They must be finite, positive and distinct, and at least two: a repeated
+    value turns the polynomial fit of ``_extrapolate`` singular.
+    """
+    eps = np.asarray(sorted(eps_grid, reverse=True), dtype=float)
+    if not np.all(np.isfinite(eps) & (eps > 0.0)):
+        raise DomainError("eps grid must be finite and positive")
+    if len(eps) < 2 or np.any(eps[1:] == eps[:-1]):
+        raise DomainError(
+            "eps grid needs two or more values, none repeated; got %s" % eps.tolist()
+        )
+    return eps
+
+
 def _extrapolate(eps: np.ndarray, vals: np.ndarray) -> tuple:
     """Limit at eps = 0 assuming an O(eps) leading error term.
 
@@ -268,21 +287,18 @@ def _extrapolate(eps: np.ndarray, vals: np.ndarray) -> tuple:
         a2 = 2.0 * f2 - f1
         limit = (4.0 * a2 - a1) / 3.0
         return float(limit), float(abs(limit - a2))
+    # _eps_grid leaves at least two points, so a lower-order fit exists
     deg = min(2, len(eps) - 1)
     p_hi = np.polynomial.Polynomial.fit(eps, vals, deg)
     limit = float(p_hi(0.0))
-    if deg >= 1:
-        p_lo = np.polynomial.Polynomial.fit(eps, vals, deg - 1)
-        err = abs(limit - float(p_lo(0.0)))
-    else:
-        err = float("nan")
-    return limit, float(err)
+    p_lo = np.polynomial.Polynomial.fit(eps, vals, deg - 1)
+    return limit, float(abs(limit - float(p_lo(0.0))))
 
 
 def quotient_curve(
     fn: ZonalFn,
     eps_grid=(0.02, 0.01, 0.005),
-    n_azimuthal: int = 64,
+    n_azimuthal: int = DEFAULT_N_AZIMUTHAL,
 ) -> QuotientCurve:
     """Quotient along U = 1 + eps R for an orthogonal perturbation R.
 
@@ -299,9 +315,7 @@ def quotient_curve(
             "(coefficients %.2e, %.2e)"
             % (fn.coeffs[0], fn.coeffs[1] if fn.bandlimit >= 1 else 0.0)
         )
-    eps = np.asarray(sorted(eps_grid, reverse=True), dtype=float)
-    if np.any(eps <= 0.0):
-        raise DomainError("eps grid must be positive")
+    eps = _eps_grid(eps_grid)
     vals = np.empty(len(eps))
     for i, e in enumerate(eps):
         u = analyze(

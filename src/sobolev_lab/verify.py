@@ -43,12 +43,12 @@ class CheckResult:
     detail: str = field(default="")
 
 
-def _le(name, measured, bound, detail=""):
-    return CheckResult(name, bool(measured <= bound), float(measured), float(bound), detail)
+def _le(name, measured, bound):
+    return CheckResult(name, bool(measured <= bound), float(measured), float(bound))
 
 
-def _gt(name, measured, bound, detail=""):
-    return CheckResult(name, bool(measured > bound), float(measured), float(bound), detail)
+def _gt(name, measured, bound):
+    return CheckResult(name, bool(measured > bound), float(measured), float(bound))
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -61,19 +61,36 @@ def _random_zeta(rng: np.random.Generator, d: int, radius: float = 0.85) -> np.n
     return radius * rng.uniform() ** (1.0 / (d + 1)) * v
 
 
+# the degrees of the random test functions of the sphere suites
+_RANDOM_LMAX = 12
+
+
 def _random_bandlimited(
-    rng: np.random.Generator, params: SphereParams, bandlimit: int, order: int, lmax: int = 12
+    rng: np.random.Generator, params: SphereParams, bandlimit: int, order: int
 ) -> zonal.ZonalFn:
     coeffs = np.zeros(bandlimit + 1)
-    raw = rng.standard_normal(lmax + 1)
-    coeffs[: lmax + 1] = raw / (1.0 + np.arange(lmax + 1)) ** 2
+    raw = rng.standard_normal(_RANDOM_LMAX + 1)
+    coeffs[: _RANDOM_LMAX + 1] = raw / (1.0 + np.arange(_RANDOM_LMAX + 1)) ** 2
     return zonal.from_coeffs(coeffs, params, order=order)
 
 
+def _check_bandlimit(bandlimit: int) -> None:
+    """Refuse a bandlimit below the degrees of the random test functions."""
+    if bandlimit < _RANDOM_LMAX:
+        raise DomainError(
+            "the sphere suites need bandlimit >= %d, got %r" % (_RANDOM_LMAX, bandlimit)
+        )
+
+
 def sphere_checks(
-    d: int = 3, s: float = 1.0, bandlimit: int = 64, order: int = 256, seed: int = 0
+    d: int = 3,
+    s: float = 1.0,
+    bandlimit: int = zonal.DEFAULT_BANDLIMIT,
+    order: int = zonal.DEFAULT_ORDER,
+    seed: int = 0,
 ) -> list:
     params = SphereParams(d, s)
+    _check_bandlimit(bandlimit)
     out = []
 
     rng = _rng(seed, 0)
@@ -134,9 +151,14 @@ def sphere_checks(
 
 
 def conformal_checks(
-    d: int = 3, s: float = 1.0, bandlimit: int = 64, order: int = 256, seed: int = 0
+    d: int = 3,
+    s: float = 1.0,
+    bandlimit: int = zonal.DEFAULT_BANDLIMIT,
+    order: int = zonal.DEFAULT_ORDER,
+    seed: int = 0,
 ) -> list:
     params = SphereParams(d, s)
+    _check_bandlimit(bandlimit)
     out = []
 
     rng = _rng(seed, 0)
@@ -196,9 +218,14 @@ def conformal_checks(
 
 
 def stability_checks(
-    d: int = 3, s: float = 1.0, bandlimit: int = 64, order: int = 256, seed: int = 0
+    d: int = 3,
+    s: float = 1.0,
+    bandlimit: int = zonal.DEFAULT_BANDLIMIT,
+    order: int = zonal.DEFAULT_ORDER,
+    seed: int = 0,
 ) -> list:
     params = SphereParams(d, s)
+    _check_bandlimit(bandlimit)
     out = []
 
     coeffs = np.zeros(bandlimit + 1)
@@ -251,7 +278,7 @@ def stability_checks(
 
 
 def cylinder_checks(
-    d: int = 3, T: float = 9.0, n_modes: int = 128, seed: int = 0
+    d: int = 3, T: float = 9.0, n_modes: int = cylinder.DEFAULT_N_MODES
 ) -> list:
     out = []
     ts = cylinder.t_star(d)

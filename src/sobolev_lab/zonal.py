@@ -239,12 +239,11 @@ def sample_zonal(
     params: SphereParams,
     bandlimit: int = DEFAULT_BANDLIMIT,
     order: int = DEFAULT_ORDER,
-    axis: np.ndarray | None = None,
 ) -> ZonalFn:
     """Evaluate a callable profile F(t) on the Gauss grid and analyze it."""
     basis = zonal_basis(params.d, bandlimit, order)
     samples = np.asarray(profile(basis.rule.nodes), dtype=float)
-    return analyze(samples, params, bandlimit, axis=axis)
+    return analyze(samples, params, bandlimit)
 
 
 def eval_zonal(fn: ZonalFn, t) -> np.ndarray | float:
@@ -439,10 +438,13 @@ class SubcriticalReport:
     tail_monotone: bool
 
 
+# the degrees the subcritical quotient is scanned over
+_SUBCRITICAL_L_MAX = 500
+
+
 def subcritical_check(
     d: int,
     q_sub: float,
-    l_max: int = 500,
     bandlimit: int = 16,
     order: int = 64,
     n_random: int = 32,
@@ -451,12 +453,12 @@ def subcritical_check(
     """Scan the spectral quotient behind the subcritical inequality.
 
     For s = d(1/2 - 1/q) the quotient multiplier(ell; s) over
-    (ell(ell+d-1) + d/(q-2)) is scanned for ell <= l_max; its max should sit
-    at ell = 0. A tail-monotonicity guard protects against an l_max that is
-    too small. Random bandlimited U then validate the integral inequality
-    itself: grad-energy plus d/(q-2) mass dominates the constant times the
-    q-norm squared; ``violations`` holds the normalized margins (>= 0 means
-    the inequality held).
+    (ell(ell+d-1) + d/(q-2)) is scanned for ell <= _SUBCRITICAL_L_MAX; its
+    max should sit at ell = 0. A tail-monotonicity guard protects against a
+    scan that is too short. Random bandlimited U then validate the integral
+    inequality itself: grad-energy plus d/(q-2) mass dominates the constant
+    times the q-norm squared; ``violations`` holds the normalized margins
+    (>= 0 means the inequality held).
     """
     qc = 2.0 * d / (d - 2.0) if d > 2 else math.inf
     if not 2.0 <= q_sub < qc:
@@ -464,7 +466,7 @@ def subcritical_check(
     if q_sub == 2.0:
         return SubcriticalReport(0.0, 0, np.empty(0), True)
     s_sub = d * (0.5 - 1.0 / q_sub)
-    ells = np.arange(l_max + 1, dtype=float)
+    ells = np.arange(_SUBCRITICAL_L_MAX + 1, dtype=float)
     mult = gamma_multiplier(SphereParams(d, s_sub), ells)
     den = ells * (ells + d - 1.0) + d / (q_sub - 2.0)
     ratio = mult / den
@@ -472,7 +474,8 @@ def subcritical_check(
     tail_ok = bool(np.all(np.diff(tail) < 0.0))
     if not tail_ok:
         raise ComputationError(
-            "quotient tail is not yet decreasing at l_max=%d; raise l_max" % l_max
+            "quotient tail is not yet decreasing at l_max=%d; raise _SUBCRITICAL_L_MAX"
+            % _SUBCRITICAL_L_MAX
         )
     # The ell = 1 quotient ties ell = 0 exactly (both equal (q-2)/d up to
     # the common normalization; the coordinate directions saturate), so a
@@ -516,12 +519,16 @@ class SpectrumReport:
         ev.setflags(write=False)
 
 
+# an eigenvalue counts as kernel below this fraction of max(max |ev|, 1)
+_KERNEL_REL_TOL = 1e-6
+
+
 def make_spectrum_report(
-    eigenvalues: np.ndarray, discretization: tuple, rel_tol: float = 1e-6
+    eigenvalues: np.ndarray, discretization: tuple
 ) -> SpectrumReport:
     ev = np.sort(np.asarray(eigenvalues, dtype=float))
     scale = float(np.max(np.abs(ev))) if len(ev) else 1.0
-    tol = rel_tol * max(scale, 1.0)
+    tol = _KERNEL_REL_TOL * max(scale, 1.0)
     kdim = int(np.sum(np.abs(ev) < tol))
     return SpectrumReport(
         eigenvalues=ev,

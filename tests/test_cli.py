@@ -201,6 +201,33 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # an eps grid with fewer than two values, or a repeated one
+        ["quartic", "--d", "3", "--eps-grid", ","],
+        ["be-scan", "--family", "degree2", "--d", "3", "--s", "1.0", "--eps-grid", ","],
+        ["quartic", "--d", "3", "--eps-grid", "0.02,0.02,0.01"],
+        # fewer than two Hill modes
+        ["constants", "--d", "3", "--s", "1", "--modes", "0"],
+        ["constants", "--d", "3", "--s", "1", "--modes", "1"],
+        ["verify", "cylinder", "--modes", "0"],
+        ["verify", "cylinder", "--modes", "1"],
+        # a bandlimit below the degrees the command draws or perturbs
+        ["verify", "sphere", "--bandlimit", "11"],
+        ["verify", "conformal", "--bandlimit", "11"],
+        ["verify", "stability", "--bandlimit", "1"],
+        ["be-scan", "--family", "degree2", "--d", "3", "--s", "1", "--bandlimit", "1"],
+    ],
+)
+def test_bad_input_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
 def test_parser_level_errors_raise_systemexit_2(capsys):
     for argv in (
         ["verify", "bogus-suite"],

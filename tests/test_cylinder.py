@@ -378,16 +378,17 @@ def test_cylinder_constant_sits_below_sphere_and_cosh_bound():
 
 
 def test_orbit_branch_cross_validated():
-    assert sobolev_constant_cylinder(
-        D, 1.5 * TS, cross_validate=True
-    ) == pytest.approx(5.308835907872, rel=1e-9)
+    # the descent route to the same value is test_descent_matches_branch_value
+    assert sobolev_constant_cylinder(D, 1.5 * TS) == pytest.approx(
+        5.308835907872, rel=1e-9
+    )
 
 
 def test_descent_matches_branch_value():
-    T = 2.5 * TS
-    val, prof = minimize_quotient(D, T)
-    assert val == pytest.approx(sobolev_constant_cylinder(D, T), rel=1e-6)
-    assert quotient_profile(prof) == pytest.approx(val, rel=1e-9)
+    for T in (1.5 * TS, 2.5 * TS):
+        val, prof = minimize_quotient(D, T)
+        assert val == pytest.approx(sobolev_constant_cylinder(D, T), rel=1e-6)
+        assert quotient_profile(prof) == pytest.approx(val, rel=1e-9)
 
 
 def test_descent_refuses_unconverged_starts():

@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from sobolev_lab import duality
+from sobolev_lab import _kernels, duality
 from sobolev_lab.duality import (
     adjoint_norm_fixed_point,
     brute_force_norm,
@@ -94,6 +94,32 @@ def test_primal_and_adjoint_routes_agree():
         d = adjoint_norm_fixed_point(a, q, seed=k)
         worst = max(worst, abs(p - d) / max(p, 1.0))
     assert worst < 1e-9
+
+
+def test_adjoint_iteration_is_the_primal_ascent_seen_through_a_transpose():
+    # psi_(q')^(-1) = psi_q, so the adjoint step g -> psi_q(A A^T g), then
+    # normalized, moves f = A^T g / |A^T g| by the primal step
+    # f -> normalize(A^T psi_q(A f)): both routes iterate one map
+    rng = np.random.default_rng(8)
+    worst = 0.0
+    for k in range(60):
+        m, n = (int(x) for x in rng.integers(1, 9, size=2))
+        q = (1.5, 2.0, 3.0, 6.0)[k % 4]
+        qp = q_conjugate(q)
+        a = rng.standard_normal((m, n))
+        g = rng.standard_normal(m)
+        f = a.T @ g / np.linalg.norm(a.T @ g)
+        for _ in range(30):
+            y = a @ (a.T @ g)
+            g = np.zeros_like(y)
+            pos = y != 0.0
+            g[pos] = np.abs(y[pos]) ** (1.0 / (qp - 1.0) - 1.0) * y[pos]
+            g /= lq_norm(g, qp)
+            # one primal step: a negative tol never stops the ascent early
+            f, _ = _kernels.lq_ascent(a, q, f, 1, -1.0)
+            shadow = a.T @ g / np.linalg.norm(a.T @ g)
+            worst = max(worst, float(np.max(np.abs(shadow - f))))
+    assert worst < 1e-13
 
 
 def test_operator_stores_both_route_values():

@@ -12,12 +12,21 @@ The period is checked up to the amplitude u0 + 0.99 (1 - u0), at most
 orbit. Closer to the homoclinic orbit the period is ill-conditioned: at the
 3 T_* branch amplitude of d = 6 the two tolerances give periods 1.2e-9
 relative apart.
+
+Each default discretization has one home, a module constant that every
+signature taking it reads, so that a check at N and 2N varies the N the
+library runs at.
 """
+
+import ast
+import pathlib
 
 import numpy as np
 import pytest
 
+from sobolev_lab import cylinder, stability, zonal
 from sobolev_lab.cylinder import (
+    DEFAULT_N_GRID,
     _integrate,
     _mirrored_samples,
     inverse_period,
@@ -44,7 +53,7 @@ def test_orbit_period_and_samples_converge_in_the_ode_tolerance(d, frac):
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 @pytest.mark.parametrize("frac", [1.5, 3.0])
 def test_branch_samples_converge_in_the_ode_tolerance(d, frac):
-    n = 4096
+    n = DEFAULT_N_GRID
     T = frac * t_star(d)
     alpha = inverse_period(d, T)
     ref, tight = (
@@ -53,3 +62,65 @@ def test_branch_samples_converge_in_the_ode_tolerance(d, frac):
     )
     for a, b in zip(ref, tight):
         assert np.max(np.abs(a - b)) <= BOUND
+
+
+# parameter: (module, constant, value); a speedup may not shrink these
+HOMES = {
+    "bandlimit": (zonal, "DEFAULT_BANDLIMIT", 64),
+    "order": (zonal, "DEFAULT_ORDER", 256),
+    "n_modes": (cylinder, "DEFAULT_N_MODES", 128),
+    "n_grid": (cylinder, "DEFAULT_N_GRID", 4096),
+    "n_theta": (cylinder, "DEFAULT_N_THETA", 240),
+    "n_azimuthal": (stability, "DEFAULT_N_AZIMUTHAL", 64),
+}
+
+# module.function of every signature that defaults a parameter to its home
+SPHERE_SUITES = "verify.sphere_checks verify.conformal_checks verify.stability_checks"
+AT_HOME = {
+    "bandlimit": "zonal.analyze zonal.sample_zonal conformal.q_zeta "
+    "conformal.radial_transfer " + SPHERE_SUITES,
+    "order": "zonal.from_coeffs zonal.sample_zonal conformal.q_zeta "
+    "conformal.radial_transfer " + SPHERE_SUITES,
+    "n_modes": "cylinder.hessian_block_spectrum cylinder.zero_mode_pairing "
+    "cylinder.c_T_numeric cylinder.c_T cylinder.quartic_constants "
+    "verify.cylinder_checks",
+    "n_grid": "cylinder.optimizer_branch cylinder.ustar_profile "
+    "cylinder.hessian_block_spectrum cylinder.c_T_numeric cylinder.c_T "
+    "cylinder.quartic_constants cylinder.degenerate_quotient_curve",
+    "n_theta": "cylinder.period cylinder.orbit_integrals "
+    "cylinder.sobolev_constant_cylinder cylinder.orbit_branch_value",
+    "n_azimuthal": "stability.zeta_moment_integral stability.distance "
+    "stability.be_quotient stability.quotient_curve",
+}
+
+
+def _spelled_defaults():
+    """{(module, function, parameter): default node} over the package source."""
+    out = {}
+    for path in pathlib.Path(zonal.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                args = node.args.posonlyargs + node.args.args
+                for arg, default in zip(args[len(args) - len(node.args.defaults):],
+                                        node.args.defaults):
+                    out[path.stem, node.name, arg.arg] = default
+    return out
+
+
+def test_each_default_discretization_has_one_home():
+    for module, name, value in HOMES.values():
+        assert getattr(module, name) == value
+    spelled = _spelled_defaults()
+    for param, sites in AT_HOME.items():
+        home = HOMES[param][1]
+        for site in sites.split():
+            module, function = site.split(".")
+            default = spelled[module, function, param]
+            assert getattr(default, "id", getattr(default, "attr", None)) == home, (
+                module, function, param
+            )
+    # a literal default may differ on purpose (minimize_quotient's 512-point
+    # grid), but never copies the home's value
+    for (module, function, param), default in spelled.items():
+        if param in HOMES and isinstance(default, ast.Constant):
+            assert default.value != HOMES[param][2], (module, function, param)
