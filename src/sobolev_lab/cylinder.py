@@ -26,10 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
-from scipy.integrate import DOP853, DenseOutput, solve_ivp
+from scipy.integrate import DOP853
 from scipy.linalg import eigh, hankel, toeplitz
 from scipy.optimize import brentq, minimize
 
@@ -433,232 +432,217 @@ def _rhs(d: int):
     return rhs
 
 
-def _nonzero(row) -> tuple:
-    """The (index, value) pairs of a tableau row's nonzero entries."""
-    return tuple((j, a) for j, a in enumerate(row.tolist()) if a != 0.0)
+# scipy's RungeKutta step-size control, and DOP853's error and interpolation
+# weights
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_E5, _E3, _D = DOP853.E5, DOP853.E3, DOP853.D
 
 
-def _combine(row, k) -> tuple:
-    """sum_j a_j k_j over the nonzero entries of a row, for stage pairs k_j."""
-    s0 = s1 = 0.0
-    for j, a in row:
-        f0, f1 = k[j]
-        s0 += a * f0
-        s1 += a * f1
-    return s0, s1
+@lru_cache(maxsize=1)
+def _float_stages() -> tuple:
+    """DOP853's stages as straight-line float code, generated from scipy's tableau.
 
-
-class _FloatDOP853(DOP853):
-    """scipy's DOP853 for a system of two equations, each stage in Python floats.
-
-    scipy takes every stage, error norm and dense-output stage as numpy
-    arithmetic on 2-element arrays, while the orbit needs only 27-42 steps
-    per half period. On a 2-core host (d = 3..5, T = 1.5 and 2 T_*, medians
-    of 3 alternating processes) scipy's steps took 8.0 ms per half period,
-    about 230 us a step, of a 15.4 ms ``optimizer_branch`` call; these take
-    2.0 ms, and the call 7.1 ms. The method is scipy's: the tableau
-    (the class attributes A, B, C, E3, E5, A_EXTRA, C_EXTRA), the DOP853
-    error norm, the step-size control of its RungeKutta and the nfev count
-    (12 per attempted step, 3 per dense output), so ``solve_ivp`` takes the
-    same steps; only the stages' roundoff differs. The error estimate
-    cancels to roundoff, so its two sums over the stages are numpy's dot
-    on the stage array, in scipy's order: summed in another order it
-    accepted or rejected other steps than scipy on 18 of 492 amplitudes
-    within 60 ulp of the branch roots at d = 3..6, T = 1.2..2 T_*.
-    ``solve_ivp`` drives it, with its initial step, through the
-    array-wrapping ``self.fun``. The steps call the raw ``fun``, which must
-    return two floats for two floats (``_rhs(d)`` does; passed without
-    ``args``, scipy does not wrap it), and keep their state in ``_y``,
-    ``_y_old`` and the stage pairs ``_k``; ``self.y`` is refreshed for
-    ``solve_ivp``, and scipy's ``f``, ``y_old`` and ``K`` are not kept.
+    Returns two functions. ``attempt(fun, t, y0, y1, k0_0, k0_1, h)`` takes
+    one step of size h from the state (y0, y1) at t with first stage
+    (k0_0, k0_1); it returns the new state and the 13 step stages k0..k12
+    as 26 floats. ``extra(fun, t, y0, y1, h, ks)`` returns the 3
+    dense-output stages k13..k15 of that step as 6 floats. Every combination
+    sums the nonzero products of its tableau row left to right, in column
+    order; the coefficients are literals. Compiled at the first integration:
+    at import it would add about 1 ms to every import of the package.
     """
 
-    SAFETY, MIN_FACTOR, MAX_FACTOR = 0.9, 0.2, 10.0
-    # rows as their nonzero entries: about half of DOP853's tableau is zeros
-    _STAGES = tuple(zip(DOP853.C[1:].tolist(), map(_nonzero, DOP853.A[1:])))
-    _EXTRA = tuple(zip(DOP853.C_EXTRA.tolist(), map(_nonzero, DOP853.A_EXTRA)))
-    _B = _nonzero(DOP853.B)
+    def combo(row, i):
+        terms = ("%r * k%d_%d" % (a, j, i) for j, a in enumerate(row.tolist()) if a)
+        return " + ".join(terms)
 
-    def __init__(self, fun, t0, y0, t_bound, **options):
-        super().__init__(fun, t0, y0, t_bound, **options)
-        if self.n != 2:
-            raise PreconditionError("the float DOP853 steps two equations")
-        self._float_fun = fun
-        # a numpy scalar here would make every step operation a numpy one
-        self.h_abs = float(self.h_abs)
-        self.direction = float(self.direction)
-        self._rtol = np.broadcast_to(self.rtol, 2).tolist()
-        self._atol = np.broadcast_to(self.atol, 2).tolist()
-        self._y = tuple(self.y.tolist())
-        self._y_old = None
-        self._k = [tuple(self.f.tolist())]
+    def stage(s, c, row):
+        return "    k%d_0, k%d_1 = fun(t + %r * h, (y0 + (%s) * h, y1 + (%s) * h))" % (
+            s, s, c, combo(row, 0), combo(row, 1)
+        )
 
-    def _stage(self, t, y, k, c, row, h):
-        """Appends fun(t + c h, y + h sum_j a_j k_j) to the stages k."""
-        s0, s1 = _combine(row, k)
-        k.append(self._float_fun(t + c * h, (y[0] + s0 * h, y[1] + s1 * h)))
+    def stages(lo, hi):
+        return ", ".join("k%d_%d" % (s, i) for s in range(lo, hi) for i in (0, 1))
 
-    def _step_impl(self):
-        t, y = self.t, self._y
-        direction = self.direction
-        min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-        if self.h_abs > self.max_step:
-            h_abs = self.max_step
-        elif self.h_abs < min_step:
-            h_abs = min_step
-        else:
-            h_abs = self.h_abs
+    n = DOP853.n_stages
+    steps = zip(DOP853.C[1:].tolist(), DOP853.A[1:])
+    extra = zip(DOP853.C_EXTRA.tolist(), DOP853.A_EXTRA)
+    source = "\n".join(
+        ["def attempt(fun, t, y0, y1, k0_0, k0_1, h):"]
+        + [stage(s, c, row) for s, (c, row) in enumerate(steps, start=1)]
+        + [
+            "    n0 = y0 + h * (%s)" % combo(DOP853.B, 0),
+            "    n1 = y1 + h * (%s)" % combo(DOP853.B, 1),
+            "    k%d_0, k%d_1 = fun(t + h, (n0, n1))" % (n, n),
+            "    return n0, n1, (%s)" % stages(0, n + 1),
+            "def extra(fun, t, y0, y1, h, ks):",
+            "    %s = ks" % stages(0, n + 1),
+        ]
+        + [stage(s, c, row) for s, (c, row) in enumerate(extra, start=n + 1)]
+        + ["    return %s" % stages(n + 1, n + 4)]
+    )
+    namespace = {}
+    exec(compile(source, "<DOP853 stages>", "exec"), namespace)
+    return namespace["attempt"], namespace["extra"]
+
+
+class _Steps:
+    """The accepted steps of one float DOP853 run, and scipy's nfev count.
+
+    Step i runs from t[i] to t[i+1] = t[i] + h[i] and from the state y[:, i]
+    to y[:, i+1]. Its 7 interpolation coefficients coef[:, :, i] are built
+    from its 16 stages as scipy's DOP853 builds them for one step
+    (F[3:] = h D K), here once for every step of the run. Components come
+    first and steps last, so that sampling many times runs along rows.
+    """
+
+    def __init__(self, t: list, y: list, stages: list, nfev: int):
+        """t: the step times; y and stages: the states and every step's 16
+        stages, as flat lists of floats in (u, u') pairs."""
+        self.t, self.nfev = np.array(t), nfev
+        self.h = np.diff(self.t)
+        y = np.array(y).reshape(len(t), 2)
+        k = np.array(stages).reshape(len(self.h), 16, 2)
+        dy = np.diff(y, axis=0)
+        hc = self.h[:, None]
+        coef = np.empty((len(self.h), 7, 2))
+        coef[:, 0] = dy
+        coef[:, 1] = hc * k[:, 0] - dy
+        coef[:, 2] = 2.0 * dy - hc * (k[:, 12] + k[:, 0])
+        coef[:, 3:] = self.h[:, None, None] * (_D @ k)
+        self.y, self.coef = y.T.copy(), coef.transpose(1, 2, 0).copy()
+
+
+def _dop853(fun, t_end: float, y_start: tuple, rtol: float, atol: float) -> _Steps:
+    """scipy's DOP853 over [0, t_end] for two equations, stepped in Python floats.
+
+    scipy's ``solve_ivp`` takes every stage, error norm and dense-output
+    stage as numpy arithmetic on 2-element arrays, while the orbit needs only
+    27-42 steps per half period. The method is scipy's: its public ``DOP853``
+    constructor supplies the initial step (and makes its 2 evaluations),
+    ``_float_stages`` its tableau, and this loop its error norm and
+    step-size control (no ``max_step``: scipy's default is infinite). nfev
+    counts as scipy does, 12 per attempted step and 3 per dense output, which
+    every accepted step gets. So the steps are scipy's; only the stages'
+    roundoff differs. The error estimate cancels to roundoff, so its two sums
+    over the stages are numpy's dot on the stage array, in scipy's order:
+    summed in another order, the steps accepted or rejected other steps than
+    scipy on 18 of 492 amplitudes within 60 ulp of the branch roots at
+    d = 3..6, T = 1.2..2 T_*. ``fun`` takes and returns (u, u') as two
+    floats (``_rhs(d)`` does).
+
+    On a 2-core host scipy's own steps took 8.0 ms per half period (d = 3..5,
+    T = 1.5 and 2 T_*, medians of 3 alternating processes). Float steps
+    driven by ``solve_ivp`` through scipy's private step hooks took 0.85-0.90
+    ms at d = 4, 1.4 T_*; this loop takes 0.53-0.55 ms there (minimum of 60
+    calls interleaved with the hooked version, 3 processes).
+    """
+    attempt, extra = _float_stages()
+    solver = DOP853(fun, 0.0, y_start, t_end, rtol=rtol, atol=atol)
+    rtol, atol = float(solver.rtol), float(solver.atol)
+    h_abs, nfev, exponent = float(solver.h_abs), solver.nfev, solver.error_exponent
+    (y0, y1), (f0, f1) = solver.y.tolist(), solver.f.tolist()
+    t, ts, ys, stages = 0.0, [0.0], [y0, y1], []
+    while t < t_end:
+        min_step = 10.0 * (math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:
-                return False, self.TOO_SMALL_STEP
-            t_new = t + h_abs * direction
-            if direction * (t_new - self.t_bound) > 0:
-                t_new = self.t_bound
-            h = t_new - t
-            h_abs = abs(h)
-            k = [self._k[-1]]
-            for c, row in self._STAGES:
-                self._stage(t, y, k, c, row, h)
-            s0, s1 = _combine(self._B, k)
-            y_new = (y[0] + h * s0, y[1] + h * s1)
-            k.append(self._float_fun(t + h, y_new))
-            self.nfev += 12
-            # the error sums in scipy's order (class docstring)
-            stages = np.fromiter(chain.from_iterable(k), float, 2 * len(k))
-            stages = stages.reshape(len(k), 2)
-            err5 = err3 = 0.0
-            for yi, yn, e5, e3, at, rt in zip(
-                y, y_new, np.dot(stages.T, self.E5).tolist(),
-                np.dot(stages.T, self.E3).tolist(), self._atol, self._rtol,
-            ):
-                scale = at + max(abs(yi), abs(yn)) * rt
-                err5 += (e5 / scale) ** 2
-                err3 += (e3 / scale) ** 2
+                raise ComputationError(
+                    "orbit integration failed: the step fell below the float "
+                    "spacing at t = %r" % t
+                )
+            t_new = min(t + h_abs, t_end)
+            h = h_abs = t_new - t
+            n0, n1, ks = attempt(fun, t, y0, y1, f0, f1, h)
+            nfev += 12
+            # the error sums in scipy's order (docstring)
+            k = np.fromiter(ks, float, 26).reshape(13, 2).T
+            e50, e51 = np.dot(k, _E5).tolist()
+            e30, e31 = np.dot(k, _E3).tolist()
+            s0 = atol + max(abs(y0), abs(n0)) * rtol
+            s1 = atol + max(abs(y1), abs(n1)) * rtol
+            err5 = (e50 / s0) ** 2 + (e51 / s1) ** 2
+            err3 = (e30 / s0) ** 2 + (e31 / s1) ** 2
             if err5 == 0.0 and err3 == 0.0:
                 error_norm = 0.0
             else:
-                error_norm = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0)
+                error_norm = h * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0)
             if error_norm < 1.0:
                 if error_norm == 0.0:
-                    factor = self.MAX_FACTOR
+                    factor = _MAX_FACTOR
                 else:
-                    factor = min(
-                        self.MAX_FACTOR, self.SAFETY * error_norm**self.error_exponent
-                    )
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm**exponent)
                 if rejected:
                     factor = min(1.0, factor)
                 h_abs *= factor
                 break
-            h_abs *= max(self.MIN_FACTOR, self.SAFETY * error_norm**self.error_exponent)
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**exponent)
             rejected = True
-        self.h_previous = h
-        self.t = t_new
-        self.h_abs = h_abs
-        self._y_old, self._y, self._k = y, y_new, k
-        self.y = np.array(y_new)
-        return True, None
-
-    def _dense_output_impl(self):
-        h, t_old = self.h_previous, self.t_old
-        k = list(self._k)
-        for c, row in self._EXTRA:
-            self._stage(t_old, self._y_old, k, c, row, h)
-        self.nfev += 3
-        return _FloatDenseOutput(t_old, self.t, self._y_old, self._y, k)
+        stages += ks
+        stages += extra(fun, t, y0, y1, h, ks)
+        nfev += 3
+        t, y0, y1, f0, f1 = t_new, n0, n1, ks[24], ks[25]
+        ts.append(t)
+        ys += n0, n1
+    return _Steps(ts, ys, stages, nfev)
 
 
-class _FloatDenseOutput(DenseOutput):
-    """One DOP853 step as floats: its two end states and its 16 stages."""
+# the benchmark's cylinder.ode span wraps this name and reads the run's .nfev
+solve_ivp = _dop853
 
-    def __init__(self, t_old, t, y_old, y, k):
-        super().__init__(t_old, t)
-        self.h = t - t_old
-        self.y_old, self.y, self.k = y_old, y, k
-        self._coef = None
 
-    def at(self, t: float) -> tuple:
-        """(u, u') at one time t, as two floats.
+def _dop853_eval(steps: _Steps, seg, t) -> np.ndarray:
+    """The DOP853 interpolant of step seg[i] at t[i], shape (2, len(t)).
 
-        The turning-point root-find asks one time at a call; ``_sample``
-        reads many steps at once.
-        """
-        if self._coef is None:
-            self._coef = _dop853_coefs((self,))[0].tolist()
-        x = (t - self.t_old) / self.h
+    Evaluates the polynomial in ``steps.coef`` as scipy's Dop853DenseOutput
+    does; ``_step_interpolant`` does the same in floats.
+    """
+    x = (t - steps.t[seg]) / steps.h[seg]
+    factors = (x, 1.0 - x)
+    coef = steps.coef[:, :, seg]
+    y = np.zeros((2, len(seg)))
+    for i in range(7):
+        y += coef[6 - i]
+        y *= factors[i % 2]
+    return y + steps.y[:, seg]
+
+
+def _step_interpolant(steps: _Steps, i: int):
+    """Step i's interpolant as a float function t -> (u, u').
+
+    The turning-point root-find asks one time at a call; ``_sample`` reads
+    many steps at once.
+    """
+    t_old, h = steps.t[i].item(), steps.h[i].item()
+    (b0, b1), coef = steps.y[:, i].tolist(), steps.coef[::-1, :, i].tolist()
+
+    def at(t: float) -> tuple:
+        x = (t - t_old) / h
         y0 = y1 = 0.0
-        for i, (c0, c1) in enumerate(reversed(self._coef)):
-            f = x if i % 2 == 0 else 1.0 - x
+        for j, (c0, c1) in enumerate(coef):
+            f = x if j % 2 == 0 else 1.0 - x
             y0 = (y0 + c0) * f
             y1 = (y1 + c1) * f
-        return y0 + self.y_old[0], y1 + self.y_old[1]
+        return y0 + b0, y1 + b1
 
-    def _call_impl(self, t):
-        return np.array(self.at(float(t)))
-
-
-def _dop853_coefs(steps) -> np.ndarray:
-    """The 7 DOP853 interpolation coefficients F of every step, (len, 7, 2).
-
-    Built as scipy's DOP853 builds them for one step (F[3:] = h D K).
-    """
-    h = np.array([s.h for s in steps])
-    y_old = np.array([s.y_old for s in steps])
-    dy = np.array([s.y for s in steps]) - y_old
-    k = np.array([s.k for s in steps])
-    hc = h[:, None]
-    coef = np.empty((len(steps), 7, 2))
-    coef[:, 0] = dy
-    coef[:, 1] = hc * k[:, 0] - dy
-    coef[:, 2] = 2.0 * dy - hc * (k[:, 12] + k[:, 0])
-    coef[:, 3:] = h[:, None, None] * (DOP853.D @ k)
-    return coef
+    return at
 
 
-def _dop853_eval(steps, seg, t) -> np.ndarray:
-    """The DOP853 interpolant of steps[seg[i]] at t[i], shape (2, len(t)).
-
-    Evaluates the polynomial in the coefficients of ``_dop853_coefs`` as
-    scipy's Dop853DenseOutput does; ``_FloatDenseOutput`` does the same in
-    floats.
-    """
-    coef = _dop853_coefs(steps)[seg]
-    h = np.array([s.h for s in steps])
-    t_old = np.array([s.t_old for s in steps])
-    y_old = np.array([s.y_old for s in steps])
-    x = ((t - t_old[seg]) / h[seg])[:, None]
-    y = np.zeros((len(seg), 2))
-    for i in range(7):
-        y += coef[:, 6 - i]
-        y *= x if i % 2 == 0 else 1.0 - x
-    return (y + y_old[seg]).T
-
-
-def _sample(sol, t) -> np.ndarray:
-    """u and u' at the times t of a ``_FloatDOP853`` solution, in one pass."""
-    ts, steps = sol.sol.ts, sol.sol.interpolants
+def _sample(steps: _Steps, t) -> np.ndarray:
+    """u and u' at the times t of a float DOP853 run, in one pass."""
     # the step a time falls in, a boundary going to the earlier step, as in
     # scipy's OdeSolution
-    seg = np.clip(np.searchsorted(ts, t, side="left") - 1, 0, len(steps) - 1)
+    seg = np.clip(np.searchsorted(steps.t, t, side="left") - 1, 0, len(steps.h) - 1)
     return _dop853_eval(steps, seg, t)
 
 
-def _integrate(d: int, alpha: float, t_end: float, rtol=1e-12, atol=1e-14):
-    sol = solve_ivp(
-        _rhs(d),
-        (0.0, t_end),
-        (alpha, 0.0),
-        method=_FloatDOP853,
-        rtol=rtol,
-        atol=atol,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise ComputationError("orbit integration failed: %s" % sol.message)
-    return sol
+def _integrate(d: int, alpha: float, t_end: float, rtol=1e-12, atol=1e-14) -> _Steps:
+    return solve_ivp(_rhs(d), t_end, (alpha, 0.0), rtol, atol)
 
 
-def _turning_time(steps) -> float:
+def _turning_time(steps: _Steps) -> float:
     """The first rising zero of u' over the float steps of an orbit.
 
     The first step whose end states bracket it (u'_old <= 0 <= u'_new; the
@@ -666,30 +650,31 @@ def _turning_time(steps) -> float:
     interpolant, with scipy's event tolerance xtol = rtol = 4 eps: the root
     scipy's terminal event on u' would report.
     """
-    for step in steps:
-        if step.y_old[1] <= 0.0 <= step.y[1]:
-            tol = 4.0 * np.finfo(float).eps  # scipy's solve_event_equation
-            return _root(
-                lambda t: step.at(t)[1], step.t_old, step.t, xtol=tol, rtol=tol
-            )
-    raise ComputationError("no turning point detected within the window")
+    up = steps.y[1]
+    hits = np.flatnonzero((up[:-1] <= 0.0) & (up[1:] >= 0.0))
+    if not len(hits):
+        raise ComputationError("no turning point detected within the window")
+    i = int(hits[0])
+    at = _step_interpolant(steps, i)
+    tol = 4.0 * np.finfo(float).eps  # scipy's solve_event_equation
+    return _root(lambda t: at(t)[1], steps.t[i].item(), steps.t[i + 1].item(), xtol=tol, rtol=tol)
 
 
-def _mirrored_samples(sol, step: float, n: int, closed: bool) -> tuple:
+def _mirrored_samples(steps: _Steps, step: float, n: int, closed: bool) -> tuple:
     """u and u' at t_j = j step, j < n, of an orbit that starts at its maximum.
 
     The ODE is reversible and u'(0) = 0, so over one period P the orbit obeys
     u(P - t) = u(t) and u'(P - t) = -u'(t). P is (n - 1) step on a ``closed``
     grid, which holds both ends, and n step on a periodic one. Only the first
-    half of the grid is read, by ``_sample`` from the float steps of the
-    ``_FloatDOP853`` solution ``sol``, which need to cover [0, P/2]; every
-    later sample copies its mirror, so u is exactly even and u' exactly odd
-    on the grid (u' = 0 at a sample on P/2).
+    half of the grid is read, by ``_sample`` from the float DOP853 run
+    ``steps``, which needs to cover [0, P/2]; every later sample copies its
+    mirror, so u is exactly even and u' exactly odd on the grid (u' = 0 at a
+    sample on P/2).
     """
     m = n - 1 if closed else n
     half = m // 2
     u, up = np.empty(n), np.empty(n)
-    u[: half + 1], up[: half + 1] = _sample(sol, np.arange(half + 1) * step)
+    u[: half + 1], up[: half + 1] = _sample(steps, np.arange(half + 1) * step)
     if m % 2 == 0:
         up[half] = 0.0
     u[half + 1 :] = u[m - n + 1 : m - half][::-1]
@@ -715,9 +700,9 @@ def solve_orbit(
         raise DomainError("need n_samples >= 2, got %r" % (n_samples,))
     _check_alpha(d, alpha)
     tau_quad = period(d, alpha)
-    sol = _integrate(d, alpha, 0.51 * tau_quad, rtol, atol)
-    tau = 2.0 * _turning_time(sol.sol.interpolants)
-    u, up = _mirrored_samples(sol, tau / (n_samples - 1), n_samples, closed=True)
+    steps = _integrate(d, alpha, 0.51 * tau_quad, rtol, atol)
+    tau = 2.0 * _turning_time(steps)
+    u, up = _mirrored_samples(steps, tau / (n_samples - 1), n_samples, closed=True)
     return Orbit(
         d=d,
         alpha=alpha,
@@ -735,9 +720,8 @@ def energy_drift(d: int, alpha: float, n_periods: int = 10) -> float:
         raise DomainError("need n_periods >= 1, got %r" % (n_periods,))
     _check_alpha(d, alpha)
     tau = period(d, alpha)
-    sol = _integrate(d, alpha, n_periods * tau)
     tgrid = np.linspace(0.0, n_periods * tau, 2048)
-    u, up = _sample(sol, tgrid)
+    u, up = _sample(_integrate(d, alpha, n_periods * tau), tgrid)
     h = 0.5 * up * up + potential(u, d)
     return float(np.max(np.abs(h - potential(alpha, d))))
 
@@ -812,8 +796,8 @@ def optimizer_branch(d: int, T: float, n_grid: int = DEFAULT_N_GRID) -> Branch:
         alpha = u0(d)
         return Branch(params, alpha, np.full(n_grid, alpha), np.zeros(n_grid))
     alpha = inverse_period(d, T)
-    sol = _integrate(d, alpha, 0.5 * T)
-    u, up = _mirrored_samples(sol, T / n_grid, n_grid, closed=False)
+    steps = _integrate(d, alpha, 0.5 * T)
+    u, up = _mirrored_samples(steps, T / n_grid, n_grid, closed=False)
     return Branch(params, alpha, u, up)
 
 

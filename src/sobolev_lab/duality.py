@@ -61,6 +61,14 @@ def q_conjugate(q: float) -> float:
     return q / (q - 1.0)
 
 
+def _as_matrix(matrix) -> np.ndarray:
+    """The matrix as a contiguous float array; it must be 2D and nonempty."""
+    a = np.ascontiguousarray(matrix, dtype=float)
+    if a.ndim != 2 or a.size == 0:
+        raise DomainError("matrix must be a nonempty 2D array")
+    return a
+
+
 def lq_norm(x: np.ndarray, q: float) -> float:
     return float(np.sum(np.abs(x) ** q) ** (1.0 / q))
 
@@ -113,9 +121,7 @@ def op_norm_ascent(
     of the starts that met it; a start cut off by ``max_iter`` stops anywhere
     on its way up and is not ranked.
     """
-    a = np.ascontiguousarray(matrix, dtype=float)
-    if a.ndim != 2 or a.size == 0:
-        raise DomainError("matrix must be a nonempty 2D array")
+    a = _as_matrix(matrix)
     if not q > 1.0:
         raise DomainError("exponent q must exceed 1")
     ranked = []
@@ -143,7 +149,7 @@ def adjoint_norm_fixed_point(
     the starts that met the stop rule or reached A A^T g = 0; a start cut off
     by ``max_iter`` stops anywhere on its way up and is not ranked.
     """
-    a = np.ascontiguousarray(matrix, dtype=float)
+    a = _as_matrix(matrix)
     qp = q_conjugate(q)
     m, n = a.shape
     gram = a @ a.T
@@ -208,7 +214,7 @@ def brute_force_norm(matrix: np.ndarray, q: float) -> float:
     The first maximizing grid point in row-major order seeds the polish, so
     ties resolve lexicographically in the angle tuple.
     """
-    a = np.ascontiguousarray(matrix, dtype=float)
+    a = _as_matrix(matrix)
     if not q > 1.0:
         raise DomainError("exponent q must exceed 1")
     m, n = a.shape
@@ -235,9 +241,7 @@ def brute_force_norm(matrix: np.ndarray, q: float) -> float:
 
 def finite_operator(matrix: np.ndarray, q: float, seed: int = 0) -> FiniteOperator:
     """Build the operator and certify alpha = ||A|| = ||A^T|| two ways."""
-    a = np.ascontiguousarray(matrix, dtype=float)
-    if a.ndim != 2 or a.size == 0:
-        raise DomainError("matrix must be a nonempty 2D array")
+    a = _as_matrix(matrix)
     if not np.all(np.isfinite(a)):
         raise DomainError("matrix entries must be finite")
     primal = op_norm_ascent(a, q, seed=seed)

@@ -340,8 +340,12 @@ def cylinder_checks(
         )
     )
 
+    # the checks of the orbit branch run past T_* whatever T is: at and below
+    # T_* u_*' = 0, so there is no translation mode to pair, and c_T is the
+    # closed form, with no eigensolve
+    above = max(T, 1.3 * ts)
     dims = []
-    for tv, expect in ((0.7 * ts, 1), (ts, 3), (max(T, 1.3 * ts), 2)):
+    for tv, expect in ((0.7 * ts, 1), (ts, 3), (above, 2)):
         rep = cylinder.hessian_block_spectrum(d, tv, 0, n_modes=n_modes)
         dims.append((rep.kernel_dim, expect))
     out.append(
@@ -354,12 +358,10 @@ def cylinder_checks(
         )
     )
 
-    if T > ts:
-        # at and below T_* u_*' = 0: there is no translation mode to pair
-        br = cylinder.optimizer_branch(d, T)
-        pair = cylinder.zero_mode_pairing(br, n_modes=n_modes)
-        scale = cylinder.energy_profile(cylinder.profile_from_samples(br.params, br.up))
-        out.append(_le("cylinder.translation_zero_mode", abs(pair) / scale, 1e-8))
+    br = cylinder.optimizer_branch(d, above)
+    pair = cylinder.zero_mode_pairing(br, n_modes=n_modes)
+    scale = cylinder.energy_profile(cylinder.profile_from_samples(br.params, br.up))
+    out.append(_le("cylinder.translation_zero_mode", abs(pair) / scale, 1e-8))
 
     tl = 0.5 * ts
     out.append(
@@ -376,13 +378,12 @@ def cylinder_checks(
             1e-12,
         )
     )
-    out.append(_gt("cylinder.ct_positive_above", cylinder.c_T(d, T, n_modes=n_modes), 0.0))
+    out.append(_gt("cylinder.ct_positive_above", cylinder.c_T(d, above, n_modes=n_modes), 0.0))
 
-    if T > ts:
-        orbT = cylinder.solve_orbit(d, br.alpha)
-        out.append(
-            _le("cylinder.l1_factorization", cylinder.l1_factorization_residual(orbT), 1e-7)
-        )
+    orb_above = cylinder.solve_orbit(d, br.alpha)
+    out.append(
+        _le("cylinder.l1_factorization", cylinder.l1_factorization_residual(orb_above), 1e-7)
+    )
     return out
 
 

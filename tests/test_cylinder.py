@@ -14,12 +14,11 @@ import math
 import numpy as np
 import pytest
 import scipy.optimize
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 from scipy.linalg import eigh, null_space
 
 from sobolev_lab import cylinder, verify
 from sobolev_lab.cylinder import (
-    _FloatDOP853,
     _assemble_block,
     _dop853_eval,
     _integrate,
@@ -28,6 +27,7 @@ from sobolev_lab.cylinder import (
     _q_norm_term,
     _rhs,
     _sample,
+    _step_interpolant,
     _trig_coords,
     Branch,
     CylinderParams,
@@ -772,18 +772,21 @@ def test_float_dop853_takes_scipys_steps():
             assert np.max(np.abs(_sample(ours, t) - ref.sol(t))) <= 1e-12
 
 
-def test_float_dop853_rejects_steps_as_scipy_does():
+def test_float_dop853_rejects_steps_as_scipy_does(monkeypatch):
     # too large a first step forces rejected attempts; nfev counts 12 per
     # attempt, 3 per dense output and 1 for the initial slope
     d, T = 4, 1.5 * t_star(4)
     alpha = inverse_period(d, T)
     for first in (1.0, 3.0):
         ref = _scipy_dop853(d, alpha, 0.5 * T, first_step=first)
-        ours = solve_ivp(
-            _rhs(d), (0.0, 0.5 * T), (alpha, 0.0),
-            method=_FloatDOP853, rtol=1e-12, atol=1e-14, dense_output=True,
-            first_step=first,
-        )
+
+        class FirstStep(DOP853):
+            # the loop takes its initial step from scipy's DOP853 constructor
+            def __init__(self, *args, **options):
+                super().__init__(*args, first_step=first, **options)
+
+        monkeypatch.setattr(cylinder, "DOP853", FirstStep)
+        ours = _integrate(d, alpha, 0.5 * T)
         steps = len(ref.t) - 1
         rejected = (ref.nfev - 1 - 15 * steps) // 12
         assert rejected > 0
@@ -807,14 +810,14 @@ def test_float_event_interpolant_matches_the_batched_one():
     # the turning-point root-find asks one step at one time at once; _sample
     # asks many steps at many times: the two evaluate the same polynomial
     d, T = 4, 1.5 * t_star(4)
-    sol = _integrate(d, inverse_period(d, T), 0.5 * T)
-    steps = sol.sol.interpolants
-    for i in (0, len(steps) // 2, len(steps) - 1):
-        step = steps[i]
+    steps = _integrate(d, inverse_period(d, T), 0.5 * T)
+    n = len(steps.h)
+    for i in (0, n // 2, n - 1):
+        at = _step_interpolant(steps, i)
         for x in (0.0, 0.3, 0.77, 1.0):
-            t = step.t_old + x * (step.t - step.t_old)
-            batched = _dop853_eval((step,), np.zeros(1, dtype=int), np.array([t]))[:, 0]
-            assert np.array_equal(step(t), batched)
+            t = steps.t[i] + x * steps.h[i]
+            batched = _dop853_eval(steps, np.array([i]), np.array([t]))[:, 0]
+            assert np.array_equal(at(float(t)), batched)
 
 
 def test_unconverged_root_raises_typed_error(monkeypatch):
@@ -888,12 +891,18 @@ def test_verify_cylinder_solves_each_branch_once(monkeypatch):
     assert counts["_integrate"] <= 6
 
 
-def test_verify_cylinder_below_bifurcation_pairs_no_translation_mode():
-    # u_* is constant there, so its translation mode is zero and the
-    # pairing's scale would divide by zero
+def test_verify_cylinder_below_bifurcation_runs_every_check():
+    # below T_* u_* is constant, so the checks of the orbit branch (its
+    # translation mode, c_T above T_* and the l1 factorization) run at
+    # 1.3 T_* instead of being dropped or read off the closed form
     results = verify.cylinder_checks(T=0.8 * TS)
+    assert len(results) == 13
     assert all(r.passed for r in results)
-    assert "cylinder.translation_zero_mode" not in [r.name for r in results]
+    assert {"cylinder.translation_zero_mode", "cylinder.l1_factorization"} <= {
+        r.name for r in results
+    }
+    above = next(r for r in results if r.name == "cylinder.ct_positive_above")
+    assert above.measured == c_T_numeric(D, 1.3 * TS)
 
 
 def test_ct_closed_form_below_bifurcation():

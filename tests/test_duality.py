@@ -287,6 +287,15 @@ def test_unconverged_powell_polish_raises(monkeypatch):
         brute_force_norm(a, 3.0)
 
 
+@pytest.mark.parametrize(
+    "route", [op_norm_ascent, adjoint_norm_fixed_point, brute_force_norm, finite_operator]
+)
+@pytest.mark.parametrize("shape", [(3, 0), (0, 3), (3,)])
+def test_every_route_refuses_an_empty_or_flat_matrix(route, shape):
+    with pytest.raises(DomainError, match="nonempty 2D"):
+        route(np.zeros(shape), 3.0)
+
+
 def test_adjoint_fixed_point_without_a_converged_start_raises():
     a = np.random.default_rng(29).standard_normal((4, 3))
     with pytest.raises(ComputationError, match="no start"):

@@ -13,6 +13,13 @@ orbit. Closer to the homoclinic orbit the period is ill-conditioned: at the
 3 T_* branch amplitude of d = 6 the two tolerances give periods 1.2e-9
 relative apart.
 
+The period quadrature runs on ``DEFAULT_N_THETA`` Gauss nodes. On the branch
+amplitudes up to 2 T_*, doubling the nodes must move the period by no more
+than the 1e-10 relative that the round trip ``period(inverse_period(d, T))
+= T`` claims. Measured worst move: 4.7e-11 (d = 5, 2 T_*), so the bound
+leaves a factor 2. Longer periods are not converged at the default: 7.9e-9
+at d = 5, 3 T_*, and 2.3e-10 at d = 4; they are not checked here.
+
 Each default discretization has one home, a module constant that every
 signature taking it reads, so that a check at N and 2N varies the N the
 library runs at.
@@ -27,9 +34,11 @@ import pytest
 from sobolev_lab import cylinder, stability, zonal
 from sobolev_lab.cylinder import (
     DEFAULT_N_GRID,
+    DEFAULT_N_THETA,
     _integrate,
     _mirrored_samples,
     inverse_period,
+    period,
     solve_orbit,
     t_star,
     u0,
@@ -37,6 +46,8 @@ from sobolev_lab.cylinder import (
 
 TIGHT = dict(rtol=1e-13, atol=1e-15)
 BOUND = 1e-10
+# relative; the round trip's claim, twice the measured 4.7e-11 (docstring)
+PERIOD_BOUND = 1e-10
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
@@ -62,6 +73,14 @@ def test_branch_samples_converge_in_the_ode_tolerance(d, frac):
     )
     for a, b in zip(ref, tight):
         assert np.max(np.abs(a - b)) <= BOUND
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+@pytest.mark.parametrize("frac", [1.05, 1.5, 2.0])
+def test_period_converges_in_n_theta(d, frac):
+    alpha = inverse_period(d, frac * t_star(d))
+    ref, fine = period(d, alpha), period(d, alpha, 2 * DEFAULT_N_THETA)
+    assert abs(ref - fine) <= PERIOD_BOUND * fine
 
 
 # parameter: (module, constant, value); a speedup may not shrink these
