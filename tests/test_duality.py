@@ -8,6 +8,7 @@ Closed forms used as anchors:
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,3 +301,92 @@ def test_adjoint_fixed_point_without_a_converged_start_raises():
     a = np.random.default_rng(29).standard_normal((4, 3))
     with pytest.raises(ComputationError, match="no start"):
         adjoint_norm_fixed_point(a, 3.0, max_iter=1)
+
+
+@pytest.mark.parametrize(
+    "route", [op_norm_ascent, adjoint_norm_fixed_point, brute_force_norm, finite_operator]
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_every_route_refuses_a_nonfinite_entry(route, bad):
+    with pytest.raises(DomainError, match="entries must be finite"):
+        route(np.array([[bad, 1.0], [0.5, 2.0]]), 3.0)
+
+
+@pytest.mark.parametrize(
+    "route", [op_norm_ascent, adjoint_norm_fixed_point, brute_force_norm, finite_operator]
+)
+@pytest.mark.parametrize("q", [1.0, 0.5, np.inf, np.nan])
+def test_every_route_refuses_an_exponent_outside_one_to_infinity(route, q):
+    # at q = inf the grid and the ascent used to read 1.0 here; the 2 -> inf
+    # norm of [[1, 2], [3, -1]] is sqrt(10)
+    with pytest.raises(DomainError, match="1 < q < inf"):
+        route(np.array([[1.0, 2.0], [3.0, -1.0]]), q)
+    with pytest.raises(DomainError, match="1 < q < inf"):
+        q_conjugate(q)
+
+
+@pytest.mark.parametrize(
+    "route", [op_norm_ascent, adjoint_norm_fixed_point, brute_force_norm, finite_operator]
+)
+def test_every_route_refuses_an_overflowed_norm(route):
+    # |Af|^q overflows at q = 1e6; the certified norm used to read NaN
+    with np.errstate(all="ignore"), pytest.raises(ComputationError, match="not finite"):
+        route(np.array([[1.0, 2.0], [3.0, -1.0]]), 1e6)
+
+
+def _dense_grid_reference(a, q):
+    """The grid phase evaluated on the whole np.meshgrid at once."""
+    k = a.shape[1] - 1
+    grids = [np.linspace(0.0, math.pi, duality._BRUTE_N_ANGLES, endpoint=False)] * k
+    mesh = np.array(np.meshgrid(*grids, indexing="ij")).reshape(k, -1)
+    vals = np.sum(np.abs(a @ duality._angles_to_unit(mesh)) ** q, axis=0)
+    i0 = int(np.argmax(vals))
+    return mesh[:, i0], float(vals[i0] ** (1.0 / q))
+
+
+def _recording_minimize(monkeypatch):
+    calls = []
+
+    def record(fun, x0, **kwargs):
+        res = scipy.optimize.minimize(fun, x0, **kwargs)
+        calls.append((np.array(x0, dtype=float), res))
+        return res
+
+    monkeypatch.setattr(duality, "minimize", record)
+    return calls
+
+
+@pytest.mark.parametrize("q", [1.5, 2.0, 3.0, 6.0])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_blocked_grid_seeds_the_polish_as_the_dense_grid_does(monkeypatch, n, q):
+    # the walk in blocks must start Powell at the first maximizing grid point
+    # of the dense row-major grid and return its value bit for bit
+    calls = _recording_minimize(monkeypatch)
+    rng = np.random.default_rng(31 + 10 * n)
+    for m in (1, 3, 8):
+        a = rng.standard_normal((m, n))
+        got = brute_force_norm(a, q)
+        start, grid_norm = _dense_grid_reference(a, q)
+        x0, res = calls[-1]
+        assert np.array_equal(x0, start)
+        assert got == max(grid_norm, -float(res.fun))
+
+
+def test_blocked_grid_breaks_a_full_tie_at_the_first_grid_point(monkeypatch):
+    calls = _recording_minimize(monkeypatch)
+    assert brute_force_norm(np.zeros((3, 4)), 3.0) == 0.0
+    x0, _ = calls[-1]
+    assert np.array_equal(x0, np.zeros(3))
+    assert np.array_equal(x0, _dense_grid_reference(np.zeros((3, 4)), 3.0)[0])
+
+
+def test_brute_force_grid_runs_in_a_bounded_working_set():
+    # the dense 60^3 grid of an 8 x 4 matrix traced a 38 MB peak
+    a = np.random.default_rng(37).standard_normal((8, 4))
+    tracemalloc.start()
+    try:
+        brute_force_norm(a, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
