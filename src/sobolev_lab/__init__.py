@@ -3,130 +3,12 @@
 Sharp constants and conformal optimizers on the round sphere, stability
 quotients near the optimizer manifold, the bifurcation analysis on the
 cylinder, and a finite-dimensional norm-duality testbed.
+
+Importing the package loads every submodule. The API lives in the
+submodules, each listed by its ``__all__``: import from
+``sobolev_lab.zonal``, ``sobolev_lab.cylinder`` and so on.
 """
 
-from .conformal import (
-    ConformalParam,
-    HerschResult,
-    MoebiusFlowParam,
-    axis_moment,
-    dilation_of_zeta,
-    flow_jacobian_axis,
-    gamma_flow,
-    gamma_flow_axis,
-    hersch_normalize,
-    moebius_param,
-    pullback_zonal,
-    q_zeta,
-    radial_transfer,
-    stereo,
-    stereo_inv,
-    stereo_jacobian,
-    zeta_of_dilation,
-)
-from .cylinder import (
-    Branch,
-    CylinderParams,
-    DegenerateCurve,
-    Orbit,
-    PeriodicProfile,
-    QuarticConstants,
-    SplitReport,
-    c_T,
-    c_T_formula,
-    c_T_numeric,
-    cosh_trial_bound,
-    degenerate_quotient_curve,
-    distance_to_branch,
-    energy_drift,
-    energy_profile,
-    hessian_block_spectrum,
-    inverse_period,
-    l1_factorization_residual,
-    lq_norm_profile,
-    minimize_quotient,
-    optimizer_branch,
-    orbit_branch_value,
-    orbit_integrals,
-    period,
-    profile_from_fourier,
-    profile_from_samples,
-    quartic_constants,
-    quotient_profile,
-    sobolev_constant_cylinder,
-    solve_orbit,
-    split_stability_check,
-    split_stability_terms,
-    synthesize_profile,
-    t_star,
-    u0,
-    ustar_profile,
-    zero_mode_pairing,
-)
-from .duality import (
-    FiniteOperator,
-    adjoint_norm_fixed_point,
-    brute_force_norm,
-    dual_vector,
-    finite_operator,
-    op_norm_ascent,
-    primal_vector,
-)
-from .errors import (
-    ComputationError,
-    DegenerateInputError,
-    DomainError,
-    InconsistencyError,
-    PreconditionError,
-)
-from .specialfn import (
-    QuadratureRule,
-    SphereGeometry,
-    gamma_ratio,
-    gauss_rule,
-    gegenbauer,
-    gegenbauer_at_one,
-    harmonic_multiplicity,
-    log_gamma,
-    sphere_area,
-    sphere_geometry,
-)
-from .stability import (
-    DistanceResult,
-    QuotientCurve,
-    be_quotient,
-    deficit,
-    distance,
-    quotient_curve,
-    upper_bound_constant,
-    zeta_moment_integral,
-)
-from .verify import CheckResult, format_report, run_suite
-from .zonal import (
-    SphereParams,
-    SpectrumReport,
-    SubcriticalReport,
-    ZonalFn,
-    analyze,
-    energy,
-    energy_bilinear,
-    energy_via_gradient,
-    eval_zonal,
-    from_coeffs,
-    funk_hecke_eigenvalue,
-    gamma_multiplier,
-    hessian_form,
-    lq_norm,
-    make_spectrum_report,
-    norm2,
-    projection_kernel,
-    sample_zonal,
-    sharp_constant,
-    sobolev_quotient,
-    subcritical_check,
-    synthesize,
-    w_weight,
-    w_weight_threeterm,
-)
+from . import conformal, cylinder, duality, errors, specialfn, stability, verify, zonal
 
 __version__ = "0.1.0"

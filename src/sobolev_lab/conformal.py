@@ -1,14 +1,16 @@
 """Conformal machinery on the sphere.
 
-Stereographic projection between R^d and S^d, the Moebius dilation flows
-along an axis, the two-parameter optimizer family, pullbacks of zonal
-functions under the flows, and the center-of-mass normalization that picks
-the balanced representative from a conformal orbit.
+The Moebius dilation flows along an axis, the optimizer family Q_zeta over
+the unit ball, the transfer of radial profiles on R^d to zonal functions,
+pullbacks of zonal functions under the flows, and the center-of-mass
+normalization that picks the balanced representative from a conformal
+orbit. Only the axis coordinate of a flow is computed: every function here
+is zonal about the flow's own axis.
 
-Conventions. The north pole is the image of x = 0. A dilation strength
-delta > 0 along a unit axis xi moves mass toward xi as delta decreases
-(delta = 1 is the identity). In axis coordinates t = omega . xi the flow is
-the rational map
+Conventions. Stereographic projection sends x = 0 to the north pole. A
+dilation strength delta > 0 along a unit axis xi moves mass toward xi as
+delta decreases (delta = 1 is the identity). In axis coordinates
+t = omega . xi the flow is the rational map
 
     t' = ((1+t) - delta^2 (1-t)) / ((1+t) + delta^2 (1-t)),
 
@@ -39,18 +41,10 @@ from .zonal import (
 
 __all__ = [
     "ConformalParam",
-    "MoebiusFlowParam",
     "HerschResult",
-    "stereo",
-    "stereo_inv",
-    "stereo_jacobian",
     "q_zeta",
-    "moebius_param",
-    "gamma_flow",
     "gamma_flow_axis",
     "flow_jacobian_axis",
-    "zeta_of_dilation",
-    "dilation_of_zeta",
     "pullback_zonal",
     "radial_transfer",
     "axis_moment",
@@ -86,53 +80,6 @@ class ConformalParam:
         return np.asarray(self.zeta) / r
 
 
-@dataclass(frozen=True)
-class MoebiusFlowParam:
-    """Dilation strength delta > 0 along a unit axis xi in R^(d+1)."""
-
-    delta: float
-    xi: np.ndarray
-
-    def __post_init__(self):
-        if not self.delta > 0.0:
-            raise DomainError("delta must be positive")
-        xi = np.asarray(self.xi, dtype=float)
-        if abs(np.dot(xi, xi) - 1.0) > 1e-12:
-            raise DomainError("xi must be a unit vector")
-        xi.setflags(write=False)
-
-
-def stereo(x: np.ndarray) -> np.ndarray:
-    """Inverse stereographic projection R^d -> S^d, north pole at x = 0.
-
-    Components 2 x_j / (1+|x|^2) and (1-|x|^2)/(1+|x|^2). Accepts a single
-    point or a batch with points along the last axis.
-    """
-    x = np.asarray(x, dtype=float)
-    r2 = np.sum(x * x, axis=-1, keepdims=True)
-    denom = 1.0 + r2
-    body = 2.0 * x / denom
-    last = (1.0 - r2) / denom
-    return np.concatenate([body, last], axis=-1)
-
-
-def stereo_inv(omega: np.ndarray) -> np.ndarray:
-    """Stereographic chart S^d -> R^d; undefined at the south pole."""
-    omega = np.asarray(omega, dtype=float)
-    last = omega[..., -1:]
-    if np.any(1.0 + last == 0.0):
-        raise DomainError("the south pole has no finite preimage")
-    return omega[..., :-1] / (1.0 + last)
-
-
-def stereo_jacobian(x: np.ndarray, d: int) -> np.ndarray | float:
-    """Conformal volume factor (2/(1+|x|^2))^d of the projection."""
-    x = np.asarray(x, dtype=float)
-    r2 = np.sum(x * x, axis=-1)
-    out = (2.0 / (1.0 + r2)) ** d
-    return float(out) if out.ndim == 0 else out
-
-
 def _axis_profile(rho: float, params: SphereParams, t: np.ndarray) -> np.ndarray:
     expo = (params.d - 2.0 * params.s) / 2.0
     return (math.sqrt(1.0 - rho * rho) / (1.0 - rho * t)) ** expo
@@ -158,41 +105,6 @@ def q_zeta(
     return analyze(samples, params, bandlimit, axis=zeta.axis())
 
 
-def moebius_param(a: np.ndarray, lam: float) -> ConformalParam:
-    """Map translation a in R^d and dilation lam > 0 to the ball parameter.
-
-    zeta = (2 eta - lam^2 (1 + eta_last) e_last) / (2 + lam^2 (1 + eta_last))
-    with eta the projection of a onto the sphere.
-    """
-    if not lam > 0.0:
-        raise DomainError("lam must be positive")
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1:
-        raise DomainError("a must be a vector in R^d")
-    eta = stereo(a)
-    lam2 = lam * lam
-    e_last = np.zeros(len(eta))
-    e_last[-1] = 1.0
-    zeta = (2.0 * eta - lam2 * (1.0 + eta[-1]) * e_last) / (
-        2.0 + lam2 * (1.0 + eta[-1])
-    )
-    return ConformalParam(zeta=zeta)
-
-
-def gamma_flow(p: MoebiusFlowParam, omega: np.ndarray) -> np.ndarray:
-    """Apply the dilation flow to points of S^d (last axis = coordinates)."""
-    omega = np.asarray(omega, dtype=float)
-    xi = np.asarray(p.xi)
-    t = omega @ xi
-    d2 = p.delta * p.delta
-    denom = (1.0 + t) + d2 * (1.0 - t)
-    tangential = omega - t[..., None] * xi
-    tnew = (1.0 + t) - d2 * (1.0 - t)
-    return (2.0 * p.delta / denom)[..., None] * tangential + (tnew / denom)[
-        ..., None
-    ] * xi
-
-
 def gamma_flow_axis(delta: float, t):
     """Axis coordinate of the flow: t -> ((1+t)-d^2(1-t))/((1+t)+d^2(1-t))."""
     if not delta > 0.0:
@@ -211,22 +123,6 @@ def flow_jacobian_axis(delta: float, t, d: int):
     d2 = delta * delta
     out = (2.0 * delta / ((1.0 + t) + d2 * (1.0 - t))) ** d
     return float(out) if out.ndim == 0 else out
-
-
-def zeta_of_dilation(delta: float, xi: np.ndarray) -> ConformalParam:
-    """Ball parameter of the flowed constant: ((delta^2-1)/(delta^2+1)) xi."""
-    if not delta > 0.0:
-        raise DomainError("delta must be positive")
-    xi = np.asarray(xi, dtype=float)
-    rho = (delta * delta - 1.0) / (delta * delta + 1.0)
-    return ConformalParam(zeta=rho * xi)
-
-
-def dilation_of_zeta(rho: float) -> float:
-    """Inverse of the radial part of zeta_of_dilation, rho in (-1, 1)."""
-    if not -1.0 < rho < 1.0:
-        raise DomainError("rho must lie in (-1, 1)")
-    return math.sqrt((1.0 + rho) / (1.0 - rho))
 
 
 def pullback_zonal(fn: ZonalFn, delta: float) -> ZonalFn:

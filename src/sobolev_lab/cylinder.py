@@ -39,8 +39,7 @@ from .errors import (
     PreconditionError,
 )
 from .specialfn import gauss_rule, sphere_area
-from .zonal import SphereParams, SpectrumReport, make_spectrum_report
-from .zonal import sharp_constant as sphere_sharp_constant
+from .zonal import SpectrumReport, make_spectrum_report
 
 __all__ = [
     "CylinderParams",
@@ -64,8 +63,6 @@ __all__ = [
     "profile_from_samples",
     "profile_from_fourier",
     "synthesize_profile",
-    "profile_norm2_parseval",
-    "profile_norm2_grid",
     "energy_profile",
     "energy_bilinear_profile",
     "lq_norm_profile",
@@ -875,18 +872,6 @@ def profile_from_fourier(
     tgrid = np.arange(n_grid) * (params.T / n_grid)
     samples = _trig_sum(fourier, params.T, tgrid)
     return PeriodicProfile(params=params, fourier=fourier, samples=samples)
-
-
-def profile_norm2_parseval(profile: PeriodicProfile) -> float:
-    """L^2(dt) norm over one period from the coefficients."""
-    f = profile.fourier
-    val = profile.params.T * (f[0] ** 2 + 0.5 * float(np.dot(f[1:], f[1:])))
-    return math.sqrt(val)
-
-
-def profile_norm2_grid(profile: PeriodicProfile) -> float:
-    m = len(profile.samples)
-    return math.sqrt(profile.params.T / m * float(np.dot(profile.samples, profile.samples)))
 
 
 def _energy_form(params: CylinderParams, m: int) -> tuple:

@@ -88,7 +88,20 @@ def _finite(values, route: str) -> float:
 
 
 def lq_norm(x: np.ndarray, q: float) -> float:
-    return float(np.sum(np.abs(x) ** q) ** (1.0 / q))
+    """(sum |x|^q)^(1/q), rescaled by max |x| only where the sum leaves (0, inf).
+
+    At large q the powers of a nonzero vector can all underflow to 0 (or one
+    overflow to inf); only then is x divided by max |x| first, so every value
+    the plain sum can represent is computed exactly as before.
+    """
+    ax = np.abs(x)
+    total = np.sum(ax**q)
+    if 0.0 < total < math.inf:
+        return float(total ** (1.0 / q))
+    scale = np.max(ax) if ax.size else 0.0
+    if not 0.0 < scale < math.inf:
+        return float(total ** (1.0 / q))
+    return float(scale * np.sum((ax / scale) ** q) ** (1.0 / q))
 
 
 @dataclass(frozen=True)

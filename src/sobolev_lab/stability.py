@@ -37,7 +37,6 @@ from .zonal import (
     analyze,
     energy,
     gamma_multiplier,
-    hessian_form,
     lq_norm,
     norm2,
 )

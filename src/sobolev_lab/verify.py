@@ -293,7 +293,7 @@ def cylinder_checks(
 
     alpha_mid = float(grid[6])
     orb = cylinder.solve_orbit(d, alpha_mid)
-    tau_quad = cylinder.period(d, alpha_mid)
+    tau_quad = float(taus[6])
     out.append(
         _le(
             "cylinder.period_two_routes",

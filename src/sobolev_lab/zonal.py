@@ -39,14 +39,11 @@ __all__ = [
     "SubcriticalReport",
     "zonal_basis",
     "analyze",
-    "synthesize",
-    "sample_zonal",
     "from_coeffs",
     "eval_zonal",
     "lq_norm",
     "norm2",
     "energy",
-    "energy_bilinear",
     "energy_via_gradient",
     "sobolev_quotient",
     "sharp_constant",
@@ -56,7 +53,6 @@ __all__ = [
     "w_weight",
     "w_weight_threeterm",
     "projection_kernel",
-    "coordinate_multiplier_identity_check",
     "subcritical_check",
     "make_spectrum_report",
 ]
@@ -207,11 +203,6 @@ def analyze(
     )
 
 
-def synthesize(fn: ZonalFn) -> np.ndarray:
-    """Grid samples of the bandlimited part, i.e. basis values times coeffs."""
-    return fn.basis.values.T @ fn.coeffs
-
-
 def from_coeffs(
     coeffs: np.ndarray,
     params: SphereParams,
@@ -232,18 +223,6 @@ def from_coeffs(
         samples=samples,
         bandlimit=bandlimit,
     )
-
-
-def sample_zonal(
-    profile,
-    params: SphereParams,
-    bandlimit: int = DEFAULT_BANDLIMIT,
-    order: int = DEFAULT_ORDER,
-) -> ZonalFn:
-    """Evaluate a callable profile F(t) on the Gauss grid and analyze it."""
-    basis = zonal_basis(params.d, bandlimit, order)
-    samples = np.asarray(profile(basis.rule.nodes), dtype=float)
-    return analyze(samples, params, bandlimit)
 
 
 def eval_zonal(fn: ZonalFn, t) -> np.ndarray | float:
@@ -281,18 +260,6 @@ def energy(fn: ZonalFn) -> float:
     """Fractional Dirichlet energy: sum of multiplier times squared coeffs."""
     mult = gamma_multiplier(fn.params, np.arange(fn.bandlimit + 1))
     return float(np.dot(mult, fn.coeffs**2))
-
-
-def energy_bilinear(fn: ZonalFn, other: ZonalFn) -> float:
-    """Energy inner product of two zonal functions sharing grid and axis."""
-    if fn.params != other.params:
-        raise PreconditionError("mismatched sphere parameters")
-    if fn.bandlimit != other.bandlimit or fn.order != other.order:
-        raise PreconditionError("mismatched discretizations")
-    if not np.allclose(fn.axis, other.axis, atol=1e-12):
-        raise PreconditionError("mismatched axes")
-    mult = gamma_multiplier(fn.params, np.arange(fn.bandlimit + 1))
-    return float(np.dot(mult, fn.coeffs * other.coeffs))
 
 
 def energy_via_gradient(fn: ZonalFn) -> float:
@@ -409,23 +376,6 @@ def projection_kernel(d: int, ell: int, t) -> np.ndarray | float:
     vals = gegenbauer_table(lam, ell, tt)[ell]
     out = nu * vals / (area * gegenbauer_at_one(ell, lam))
     return float(out[0]) if scalar else out.reshape(np.shape(t))
-
-
-def coordinate_multiplier_identity_check(d: int, ell: int, t_samples) -> float:
-    """Residual of the three-term identity for t times a projection kernel.
-
-    Checks t P_ell(t) = (ell+1)/(2 ell+d+1) P_(ell+1)(t)
-                       + (ell+d-2)/(2 ell+d-3) P_(ell-1)(t)
-    pointwise on the given samples; returns the max absolute residual.
-    """
-    if ell < 1 or d < 2:
-        raise DomainError("need ell >= 1 and d >= 2")
-    t = np.atleast_1d(np.asarray(t_samples, dtype=float))
-    lhs = t * projection_kernel(d, ell, t)
-    rhs = (ell + 1.0) / (2.0 * ell + d + 1.0) * projection_kernel(d, ell + 1, t) + (
-        ell + d - 2.0
-    ) / (2.0 * ell + d - 3.0) * projection_kernel(d, ell - 1, t)
-    return float(np.max(np.abs(lhs - rhs)))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Stereographic projection, Moebius flows, pullbacks, Hersch balancing."""
+"""Axis dilation flows, optimizer profiles, pullbacks, Hersch balancing."""
 
 import functools
 import math
@@ -10,20 +10,12 @@ import scipy.optimize
 from sobolev_lab import conformal
 from sobolev_lab.conformal import (
     axis_moment,
-    dilation_of_zeta,
     flow_jacobian_axis,
-    gamma_flow,
     gamma_flow_axis,
     hersch_normalize,
-    moebius_param,
-    MoebiusFlowParam,
     pullback_zonal,
     q_zeta,
     radial_transfer,
-    stereo,
-    stereo_inv,
-    stereo_jacobian,
-    zeta_of_dilation,
 )
 from sobolev_lab.errors import ComputationError, DomainError
 from sobolev_lab.specialfn import gauss_rule, sphere_area
@@ -49,35 +41,6 @@ def _random_fn(params, content=12, bandlimit=64, order=256, seed=0):
     return from_coeffs(c, params, order=order)
 
 
-def test_stereo_round_trip_both_directions():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((20, 3)) * 2.0
-    back = stereo_inv(stereo(x))
-    assert np.allclose(back, x, rtol=0, atol=1e-12)
-
-    w = rng.standard_normal((20, 4))
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    fwd = stereo(stereo_inv(w))
-    assert np.allclose(fwd, w, rtol=0, atol=1e-12)
-
-
-def test_stereo_lands_on_sphere():
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal((50, 3)) * 3.0
-    w = stereo(x)
-    assert np.allclose(np.linalg.norm(w, axis=1), 1.0, rtol=0, atol=1e-13)
-
-
-def test_stereo_jacobian_closed_form():
-    # conformal factor (2 / (1 + |x|^2))^d
-    rng = np.random.default_rng(2)
-    x = rng.standard_normal((10, 3))
-    r2 = np.sum(x**2, axis=1)
-    assert np.allclose(
-        stereo_jacobian(x, 3), (2.0 / (1.0 + r2)) ** 3, rtol=1e-13, atol=0
-    )
-
-
 def test_gamma_flow_axis_fixed_points_and_composition():
     for delta in (0.3, 1.0, 4.2):
         ends = gamma_flow_axis(delta, np.array([-1.0, 1.0]))
@@ -85,18 +48,6 @@ def test_gamma_flow_axis_fixed_points_and_composition():
     t = np.linspace(-0.99, 0.99, 41)
     comp = gamma_flow_axis(1.7, gamma_flow_axis(0.6, t))
     assert np.allclose(comp, gamma_flow_axis(1.7 * 0.6, t), rtol=0, atol=1e-12)
-
-
-def test_gamma_flow_matches_axis_on_axis_points():
-    t = np.linspace(-0.9, 0.9, 5)
-    d = 3
-    omega = np.zeros((len(t), d + 1))
-    omega[:, -1] = t
-    omega[:, 0] = np.sqrt(1.0 - t**2)
-    p = MoebiusFlowParam(1.8, np.array([0.0, 0.0, 0.0, 1.0]))
-    moved = gamma_flow(p, omega)
-    assert np.allclose(moved[:, -1], gamma_flow_axis(1.8, t), rtol=0, atol=1e-12)
-    assert np.allclose(np.linalg.norm(moved, axis=1), 1.0, atol=1e-13)
 
 
 def test_flow_jacobian_three_routes():
@@ -162,24 +113,6 @@ def test_pullback_round_trip():
     fn = _random_fn(p, seed=6)
     back = pullback_zonal(pullback_zonal(fn, 1.7), 1.0 / 1.7)
     assert np.allclose(back.coeffs, fn.coeffs, rtol=0, atol=1e-10)
-
-
-def test_zeta_dilation_inverse_pair():
-    for delta in (0.3, 0.9, 1.0, 2.4):
-        xi = np.array([0.0, 0.0, 0.0, 1.0])
-        z = zeta_of_dilation(delta, xi)
-        rho = float(z.zeta[-1])
-        assert dilation_of_zeta(rho) == pytest.approx(delta, rel=1e-13)
-    # delta > 1 concentrates toward +xi, delta < 1 toward -xi
-    assert zeta_of_dilation(2.0, np.array([0.0, 0.0, 0.0, 1.0])).zeta[-1] > 0
-    assert zeta_of_dilation(0.5, np.array([0.0, 0.0, 0.0, 1.0])).zeta[-1] < 0
-
-
-def test_moebius_param_centered_is_dilation():
-    # a = 0 with scale lam reduces to the pure dilation delta = 1/lam
-    z_m = moebius_param(np.zeros(3), 0.5).zeta
-    z_d = zeta_of_dilation(2.0, np.array([0.0, 0.0, 0.0, 1.0])).zeta
-    assert np.allclose(z_m, z_d, atol=1e-13)
 
 
 def test_radial_transfer_of_bubble_is_constant():

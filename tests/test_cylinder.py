@@ -53,8 +53,6 @@ from sobolev_lab.cylinder import (
     potential,
     profile_from_fourier,
     profile_from_samples,
-    profile_norm2_grid,
-    profile_norm2_parseval,
     quartic_constants,
     quotient_profile,
     sobolev_constant_cylinder,
@@ -279,17 +277,6 @@ def test_degenerate_sizes_raise_domain_error_before_any_work(monkeypatch, call):
         call()
 
 
-def test_profile_norms_two_routes():
-    # trig coefficients [a0, a1..aK, b1..bK] vs uniform-grid samples
-    params = CylinderParams(D, 9.0)
-    rng = np.random.default_rng(3)
-    coeffs = rng.standard_normal(17) / (1.0 + np.arange(17.0))
-    prof = profile_from_fourier(params, coeffs)
-    assert profile_norm2_parseval(prof) == pytest.approx(
-        profile_norm2_grid(prof), rel=1e-11
-    )
-
-
 def test_profile_constructors_leave_the_callers_array_writable():
     params = CylinderParams(D, 9.0)
     samples = np.ones(64)
@@ -314,10 +301,6 @@ def test_profile_energy_against_trig_closed_form():
     area = sphere_area(D - 1)
     assert energy_profile(prof) == pytest.approx(
         area * T * (a**2 * w**2 / 2.0 + beta2 * (c**2 + a**2 / 2.0)), rel=1e-12
-    )
-    # the plain profile norms omit the cross-section area; the q-norm keeps it
-    assert profile_norm2_grid(prof) ** 2 == pytest.approx(
-        T * (c**2 + a**2 / 2.0), rel=1e-12
     )
     # mpmath, 40 dps: int_0^T (c + a cos)^6 dt = 45.1190617470703125
     assert lq_norm_profile(prof) ** 6.0 == pytest.approx(

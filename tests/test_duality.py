@@ -334,6 +334,34 @@ def test_every_route_refuses_an_overflowed_norm(route):
         route(np.array([[1.0, 2.0], [3.0, -1.0]]), 1e6)
 
 
+def test_lq_norm_rescales_only_where_the_plain_sum_fails():
+    # where sum |x|^q lies in (0, inf) the value is the plain formula, bit for bit
+    rng = np.random.default_rng(41)
+    for q in (1.5, 3.0, 50.0):
+        x = rng.standard_normal(7)
+        assert lq_norm(x, q) == float(np.sum(np.abs(x) ** q) ** (1.0 / q))
+    # all powers underflow to 0, or one overflows: rescale by max |x|
+    with np.errstate(over="ignore"):
+        for size in (1e-200, 1e200):
+            got = lq_norm(np.array([size, -size]), 2.0)
+            assert got == pytest.approx(math.sqrt(2.0) * size, rel=1e-15)
+    assert lq_norm(np.zeros(3), 3.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "route", [op_norm_ascent, adjoint_norm_fixed_point, brute_force_norm]
+)
+def test_every_route_reads_a_norm_whose_powers_underflow(route):
+    # 0.5^2000 underflows to 0; the ascent and the grid used to read 0.0
+    assert route(0.5 * np.eye(2), 2000.0) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_finite_operator_certifies_a_norm_whose_powers_underflow():
+    # the primal route used to read 0.0, so the two routes "disagreed"
+    op = finite_operator(0.5 * np.eye(2), 2000.0)
+    assert op.op_norm == pytest.approx(0.5, rel=1e-12)
+
+
 def _dense_grid_reference(a, q):
     """The grid phase evaluated on the whole np.meshgrid at once."""
     k = a.shape[1] - 1

@@ -96,9 +96,9 @@ HOMES = {
 # module.function of every signature that defaults a parameter to its home
 SPHERE_SUITES = "verify.sphere_checks verify.conformal_checks verify.stability_checks"
 AT_HOME = {
-    "bandlimit": "zonal.analyze zonal.sample_zonal conformal.q_zeta "
+    "bandlimit": "zonal.analyze conformal.q_zeta "
     "conformal.radial_transfer " + SPHERE_SUITES,
-    "order": "zonal.from_coeffs zonal.sample_zonal conformal.q_zeta "
+    "order": "zonal.from_coeffs conformal.q_zeta "
     "conformal.radial_transfer " + SPHERE_SUITES,
     "n_modes": "cylinder.hessian_block_spectrum cylinder.zero_mode_pairing "
     "cylinder.c_T_numeric cylinder.c_T cylinder.quartic_constants "

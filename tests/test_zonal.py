@@ -15,11 +15,10 @@ from scipy.special import eval_gegenbauer, eval_legendre, roots_jacobi
 from sobolev_lab.errors import DomainError
 from sobolev_lab.specialfn import sphere_area
 from sobolev_lab.zonal import (
+    DEFAULT_ORDER,
     SphereParams,
     analyze,
-    coordinate_multiplier_identity_check,
     energy,
-    energy_bilinear,
     energy_via_gradient,
     eval_zonal,
     from_coeffs,
@@ -30,11 +29,9 @@ from sobolev_lab.zonal import (
     make_spectrum_report,
     norm2,
     projection_kernel,
-    sample_zonal,
     sharp_constant,
     sobolev_quotient,
     subcritical_check,
-    synthesize,
     w_weight,
     w_weight_threeterm,
 )
@@ -142,7 +139,7 @@ def test_funk_hecke_inversion_is_flat():
 def test_analyze_synthesize_round_trip():
     p = SphereParams(3, 1.0)
     fn = _random_fn(p, seed=3)
-    back = analyze(synthesize(fn), p, bandlimit=fn.bandlimit)
+    back = analyze(fn.samples, p, bandlimit=fn.bandlimit)
     assert np.allclose(back.coeffs, fn.coeffs, rtol=0, atol=1e-12)
 
 
@@ -164,7 +161,7 @@ def test_norm2_parseval_vs_quadrature():
 def test_lq_norm_of_constant():
     p = SphereParams(3, 1.0)
     c = 1.7
-    fn = sample_zonal(lambda t: np.full_like(t, c), p)
+    fn = analyze(np.full(DEFAULT_ORDER, c), p)
     for q in (2.0, 4.0, 6.0):
         assert lq_norm(fn, q) == pytest.approx(
             c * sphere_area(3) ** (1.0 / q), rel=1e-12
@@ -178,17 +175,6 @@ def test_energy_two_routes_s1():
         e_spec = energy(fn)
         e_grad = energy_via_gradient(fn)
         assert e_grad == pytest.approx(e_spec, rel=1e-8)
-
-
-def test_energy_bilinear_polarization():
-    p = SphereParams(3, 1.0)
-    f = _random_fn(p, seed=1)
-    g = _random_fn(p, seed=2)
-    both = analyze(f.samples + g.samples, p, bandlimit=f.bandlimit)
-    lhs = energy(both)
-    rhs = energy(f) + 2.0 * energy_bilinear(f, g) + energy(g)
-    assert lhs == pytest.approx(rhs, rel=1e-11)
-    assert energy_bilinear(f, g) == pytest.approx(energy_bilinear(g, f), rel=1e-12)
 
 
 def test_quotient_scale_invariant_and_above_sharp():
@@ -264,13 +250,6 @@ def test_projection_kernel_reproduces_components():
         comp = from_coeffs(c, p, order=128)
         ref = float(eval_zonal(comp, np.array([1.0]))[0])
         assert proj_at_pole == pytest.approx(ref, rel=1e-9, abs=1e-12)
-
-
-def test_coordinate_multiplier_identity():
-    t = np.linspace(-0.95, 0.95, 33)
-    for d in (2, 3, 4):
-        for ell in (1, 2, 5):
-            assert coordinate_multiplier_identity_check(d, ell, t) < 1e-10
 
 
 def test_subcritical_argmax_and_equality_cases():
