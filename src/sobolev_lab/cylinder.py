@@ -61,13 +61,10 @@ __all__ = [
     "inverse_period",
     "optimizer_branch",
     "profile_from_samples",
-    "profile_from_fourier",
-    "synthesize_profile",
     "energy_profile",
     "energy_bilinear_profile",
     "lq_norm_profile",
     "quotient_profile",
-    "ustar_profile",
     "sobolev_constant_cylinder",
     "orbit_branch_value",
     "cosh_trial_bound",
@@ -806,72 +803,27 @@ def optimizer_branch(d: int, T: float, n_grid: int = DEFAULT_N_GRID) -> Branch:
 class PeriodicProfile:
     """omega-independent function on the cylinder.
 
-    fourier holds plain trigonometric coefficients [a0, a1..aK, b1..bK] for
-    u(t) = a0 + sum a_k cos(2 pi k t / T) + b_k sin(2 pi k t / T); samples
-    sit on the uniform grid t_j = j T / M.
+    samples sit on the uniform grid t_j = j T / M, j < M.
     """
 
     params: CylinderParams
-    fourier: np.ndarray
     samples: np.ndarray
 
     def __post_init__(self):
-        if len(self.fourier) % 2 != 1:
-            raise PreconditionError("fourier vector must have odd length 2K+1")
-        for arr in (self.fourier, self.samples):
-            arr.setflags(write=False)
-
-    @property
-    def n_modes(self) -> int:
-        return (len(self.fourier) - 1) // 2
+        self.samples.setflags(write=False)
 
 
 def profile_from_samples(
-    params: CylinderParams, samples: np.ndarray, n_modes: int | None = None
+    params: CylinderParams, samples: np.ndarray
 ) -> PeriodicProfile:
-    """Analyze uniform-grid samples into trigonometric coefficients."""
+    """A profile owning a float copy of nonempty 1-D uniform-grid samples."""
     samples = np.array(samples, dtype=float)
-    m = len(samples)
-    kmax = (m - 1) // 2
-    if n_modes is None:
-        n_modes = kmax
-    if n_modes > kmax:
+    if samples.ndim != 1 or samples.size == 0:
         raise PreconditionError(
-            "%d modes need at least %d samples" % (n_modes, 2 * n_modes + 1)
+            "profile samples must be a nonempty 1-D array, got shape %r"
+            % (samples.shape,)
         )
-    spec = np.fft.rfft(samples)
-    four = np.empty(2 * n_modes + 1)
-    four[0] = spec[0].real / m
-    four[1 : n_modes + 1] = 2.0 * spec[1 : n_modes + 1].real / m
-    four[n_modes + 1 :] = -2.0 * spec[1 : n_modes + 1].imag / m
-    return PeriodicProfile(params=params, fourier=four, samples=samples)
-
-
-def _trig_sum(fourier: np.ndarray, T: float, t) -> np.ndarray:
-    """The trigonometric sum with coefficients [a0, a1..aK, b1..bK] at times t."""
-    t = np.asarray(t, dtype=float)
-    n_modes = (len(fourier) - 1) // 2
-    k = np.arange(1, n_modes + 1)
-    ang = 2.0 * math.pi / T * np.outer(t, k)
-    return (
-        fourier[0]
-        + np.cos(ang) @ fourier[1 : n_modes + 1]
-        + np.sin(ang) @ fourier[n_modes + 1 :]
-    )
-
-
-def synthesize_profile(profile: PeriodicProfile, t) -> np.ndarray:
-    """Evaluate the trigonometric sum at arbitrary times."""
-    return _trig_sum(profile.fourier, profile.params.T, t)
-
-
-def profile_from_fourier(
-    params: CylinderParams, fourier: np.ndarray, n_grid: int = 1024
-) -> PeriodicProfile:
-    fourier = np.array(fourier, dtype=float)
-    tgrid = np.arange(n_grid) * (params.T / n_grid)
-    samples = _trig_sum(fourier, params.T, tgrid)
-    return PeriodicProfile(params=params, fourier=fourier, samples=samples)
+    return PeriodicProfile(params=params, samples=samples)
 
 
 def _energy_form(params: CylinderParams, m: int) -> tuple:
@@ -928,16 +880,6 @@ def quotient_profile(profile: PeriodicProfile) -> float:
     if nq == 0.0:
         raise DomainError("quotient undefined for the zero profile")
     return energy_profile(profile) / nq**2
-
-
-def ustar_profile(d: int, T: float, n_grid: int = DEFAULT_N_GRID) -> PeriodicProfile:
-    """The optimizer branch as a profile: constant below T_*, orbit above."""
-    br = optimizer_branch(d, T, n_grid)
-    if T <= br.params.t_star:
-        n_modes = 1
-    else:
-        n_modes = min(DEFAULT_N_MODES, (n_grid - 1) // 2)
-    return profile_from_samples(br.params, br.u, n_modes=n_modes)
 
 
 def _constant_branch_value(d: int, T: float) -> float:
@@ -1115,9 +1057,7 @@ def minimize_quotient(
             best_val, best_x = float(res.fun), res.x
     if best_x is None:
         raise ComputationError("quotient descent converged from no start")
-    n_modes = min(DEFAULT_N_MODES, (m - 1) // 2)
-    profile = profile_from_samples(params, best_x, n_modes=n_modes)
-    return best_val, profile
+    return best_val, profile_from_samples(params, best_x)
 
 
 # ---------------------------------------------------------------------------
@@ -1135,9 +1075,8 @@ def _trig_coords(x: np.ndarray, T: float, n_modes: int) -> np.ndarray:
     """Coordinates h phi x of grid samples in the orthonormal trig basis phi.
 
     phi is 1/sqrt(T), sqrt(2/T) cos(2 pi k t/T), sqrt(2/T) sin(2 pi k t/T) in
-    the block order constant, cos_1..cos_K, sin_1..sin_K of
-    ``PeriodicProfile.fourier``: the first K + 1 rows span the even functions
-    and the last K the odd ones.
+    the block order constant, cos_1..cos_K, sin_1..sin_K (K = n_modes): the
+    first K + 1 rows span the even functions and the last K the odd ones.
     """
     xh = _grid_spectrum(x, n_modes)
     out = np.empty(2 * n_modes + 1)
@@ -1507,15 +1446,10 @@ def quartic_constants(
             "limit identity %.12g vs closed form %.12g" % (limit_check, limit)
         )
 
-    res_samples = synthesize_profile(
-        profile_from_fourier(
-            params,
-            np.array([0.0, 0.0, coeff_num, 0.0, 0.0]),
-            n_grid=8,
-        ),
-        tgrid,
+    # s = coeff cos(4 pi t / T_*) on the branch grid
+    resolvent = profile_from_samples(
+        params, coeff_num * np.cos(2.0 * math.pi / ts * (2.0 * tgrid))
     )
-    resolvent = profile_from_samples(params, res_samples, n_modes=4)
     return QuarticConstants(
         d=d,
         c_star=c_closed,
@@ -1573,19 +1507,19 @@ def degenerate_quotient_curve(
     tgrid = np.arange(n_grid) * h
     r_samples = np.cos(2.0 * math.pi * tgrid / ts)
     if with_resolvent:
-        s_samples = synthesize_profile(qc.resolvent_profile, tgrid)
+        s_samples = qc.resolvent_profile.samples
     else:
         s_samples = np.zeros(n_grid)
 
-    r_prof = profile_from_samples(params, r_samples, n_modes=4)
-    s_prof = profile_from_samples(params, s_samples, n_modes=4)
+    r_prof = profile_from_samples(params, r_samples)
+    s_prof = profile_from_samples(params, s_samples)
     scale_s = max(float(np.max(np.abs(s_samples))), 1.0)
     if abs(float(np.sum(s_samples)) * h) > 1e-10 * ts * scale_s:
         raise PreconditionError("resolvent correction must have zero mean")
     if abs(energy_bilinear_profile(r_prof, s_prof)) > 1e-10 * scale_s:
         raise PreconditionError("correction must be energy-orthogonal to the mode")
     dr_samples = -np.sin(2.0 * math.pi * tgrid / ts)
-    dr_prof = profile_from_samples(params, dr_samples, n_modes=4)
+    dr_prof = profile_from_samples(params, dr_samples)
     if abs(energy_bilinear_profile(dr_prof, s_prof)) > 1e-10 * scale_s:
         raise PreconditionError(
             "correction must be energy-orthogonal to the translation mode"
@@ -1646,8 +1580,8 @@ def split_stability_terms(profile: PeriodicProfile) -> tuple:
     m = len(profile.samples)
     _, form = _energy_form(p, m)
     power = np.abs(np.fft.rfft(profile.samples - u0(p.d))) ** 2
-    # pi_1 v is rfft bin 1, and pi_perp v the bins 2..(m-1)//2 that
-    # profile_from_samples keeps
+    # pi_1 v is rfft bin 1, and pi_perp v the bins 2..(m-1)//2, each a full
+    # cos/sin pair; at even m the Nyquist bin m/2, which has no sine, is left out
     k = np.arange(len(power))
     e_pi1 = form(np.where(k == 1, power, 0.0))
     e_perp = form(np.where((k >= 2) & (k <= (m - 1) // 2), power, 0.0))

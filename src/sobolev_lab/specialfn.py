@@ -30,7 +30,6 @@ __all__ = [
     "SphereGeometry",
     "log_gamma",
     "gamma_ratio",
-    "gegenbauer",
     "gegenbauer_table",
     "gegenbauer_at_one",
     "harmonic_multiplicity",
@@ -110,25 +109,6 @@ def gegenbauer_at_one(ell: int, alpha: float) -> float:
     return float(
         np.exp(gammaln(ell + 2.0 * alpha) - gammaln(2.0 * alpha) - gammaln(ell + 1.0))
     )
-
-
-def gegenbauer(ell: int, alpha: float, t):
-    """Gegenbauer polynomial C_ell^alpha(t) by upward recursion.
-
-    Accepts scalar or array ``t``; the recursion
-    (ell+1) C_{ell+1} = 2 (ell+alpha) t C_ell - (ell + 2 alpha - 1) C_{ell-1}
-    is numerically stable on [-1, 1] for the parameter range used here
-    (alpha > 0, mild degrees).
-    """
-    if ell < 0:
-        raise DomainError("degree must be nonnegative")
-    if alpha <= 0.0:
-        raise DomainError("gegenbauer requires alpha > 0")
-    scalar = np.isscalar(t) or np.ndim(t) == 0
-    tt = np.asarray(t, dtype=float).ravel()
-    table = _kernels.gegenbauer_table(float(alpha), int(ell), tt)
-    row = table[ell]
-    return float(row[0]) if scalar else row.reshape(np.shape(t))
 
 
 def gegenbauer_table(alpha: float, lmax: int, t: np.ndarray) -> np.ndarray:

@@ -303,7 +303,9 @@ def quotient_curve(
 
     R must carry no degree-0 or degree-1 component (checked to 1e-10 of its
     norm); the extrapolated limit then matches the Hessian Rayleigh quotient
-    hessian_form(R)/energy(R) up to the reported error.
+    sum_(ell>=2) (m_ell - m_1) c_ell^2 / sum_ell m_ell c_ell^2 up to the
+    reported error, with c_ell the coefficients of R and m_ell its
+    ``gamma_multiplier``.
     """
     scale = max(norm2(fn), 1e-300)
     if abs(fn.coeffs[0]) > 1e-10 * scale or (

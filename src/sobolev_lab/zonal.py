@@ -49,7 +49,6 @@ __all__ = [
     "sharp_constant",
     "gamma_multiplier",
     "funk_hecke_eigenvalue",
-    "hessian_form",
     "w_weight",
     "w_weight_threeterm",
     "projection_kernel",
@@ -312,20 +311,6 @@ def funk_hecke_eigenvalue(d: int, alpha: float, ell: int) -> float:
         * gamma_ratio(d / 2.0 - alpha, alpha)
         * gamma_ratio(ell + alpha, ell + d - alpha)
     )
-
-
-def hessian_form(fn: ZonalFn) -> float:
-    """Second-variation quadratic form at the constant optimizer.
-
-    Diagonal in degrees: sum over ell >= 2 of
-    (multiplier(ell) - multiplier(1)) c_ell^2; degrees 0 and 1 span the
-    kernel and do not contribute.
-    """
-    if fn.bandlimit < 2:
-        return 0.0
-    ells = np.arange(2, fn.bandlimit + 1)
-    gap = gamma_multiplier(fn.params, ells) - gamma_multiplier(fn.params, 1)
-    return float(np.dot(gap, fn.coeffs[2:] ** 2))
 
 
 def w_weight(d: int, s: float, ell: int) -> float:

@@ -51,18 +51,15 @@ from sobolev_lab.cylinder import (
     orbit_integrals,
     period,
     potential,
-    profile_from_fourier,
     profile_from_samples,
     quartic_constants,
     quotient_profile,
     sobolev_constant_cylinder,
     solve_orbit,
     split_stability_check,
-    synthesize_profile,
     t_star,
     u0,
     u_min_turning,
-    ustar_profile,
     zero_mode_pairing,
 )
 from sobolev_lab.errors import ComputationError, DomainError, PreconditionError
@@ -71,6 +68,12 @@ from sobolev_lab.zonal import SphereParams, sharp_constant
 
 D = 3
 TS = t_star(D)
+
+
+def _branch_profile(d, T, n_grid=cylinder.DEFAULT_N_GRID):
+    """The optimizer branch as a profile: constant below T_*, orbit above."""
+    br = optimizer_branch(d, T, n_grid)
+    return profile_from_samples(br.params, br.u)
 
 
 def test_well_minimum_closed_forms():
@@ -283,10 +286,12 @@ def test_profile_constructors_leave_the_callers_array_writable():
     prof = profile_from_samples(params, samples)
     samples[0] = 2.0
     assert prof.samples[0] == 1.0
-    coeffs = np.zeros(5)
-    prof = profile_from_fourier(params, coeffs, n_grid=16)
-    coeffs[0] = 1.0
-    assert prof.fourier[0] == 0.0
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (0,)])
+def test_profile_from_samples_rejects_malformed_samples(shape):
+    with pytest.raises(PreconditionError, match="nonempty 1-D"):
+        profile_from_samples(CylinderParams(D, 9.0), np.ones(shape))
 
 
 def test_profile_energy_against_trig_closed_form():
@@ -337,7 +342,7 @@ def test_constant_branch_closed_form():
     assert sobolev_constant_cylinder(D, TS) == pytest.approx(
         4.601151114470490, rel=1e-12
     )
-    star = ustar_profile(D, T)
+    star = _branch_profile(D, T)
     assert np.allclose(star.samples, u0(D), atol=1e-14)
 
 
@@ -346,7 +351,7 @@ def test_branch_continuity_and_orbit_branch():
     at = sobolev_constant_cylinder(D, TS)
     assert above == pytest.approx(at, rel=1e-6)
     T = 1.5 * TS
-    star = ustar_profile(D, T)
+    star = _branch_profile(D, T)
     assert quotient_profile(star) == pytest.approx(
         sobolev_constant_cylinder(D, T), rel=1e-10
     )
@@ -449,7 +454,7 @@ def _dense_hessian_block(d, T, ell, u, n_modes):
 def _odd_profile(T, n_grid):
     # a rolled orbit plus a smooth random term: neither constant nor even,
     # so the cos-sin and constant-row blocks of the Gram matrix are nonzero
-    star = ustar_profile(D, T, n_grid=n_grid)
+    star = _branch_profile(D, T, n_grid=n_grid)
     t = np.arange(n_grid) * (T / n_grid)
     rng = np.random.default_rng(5)
     amp = rng.standard_normal((2, 6)) / (1.0 + np.arange(6.0)) ** 2
@@ -501,12 +506,18 @@ def test_fft_coordinates_match_dense_projection():
 
 
 def test_trig_coords_follow_the_profile_layout():
-    # Hill coordinates are the normalized [a0, a_k, b_k] of PeriodicProfile,
-    # so the first K + 1 are the even half and the last K the odd half
-    T, n_modes = 1.5 * TS, 128
-    x = _odd_profile(T, 4096)
-    four = profile_from_samples(CylinderParams(D, T), x, n_modes).fourier
-    ref = math.sqrt(T) * np.concatenate(([four[0]], four[1:] / math.sqrt(2.0)))
+    # Hill coordinates of a0 + sum a_k cos(2 pi k t/T) + b_k sin(2 pi k t/T)
+    # are sqrt(T) [a0, a_k / sqrt(2), b_k / sqrt(2)]: the first K + 1 are the
+    # even half and the last K the odd half
+    T, n_modes, n_grid = 1.5 * TS, 128, 4096
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal(n_modes + 1) / (1.0 + np.arange(n_modes + 1.0)) ** 2
+    b = rng.standard_normal(n_modes) / (1.0 + np.arange(1, n_modes + 1.0)) ** 2
+    t = np.arange(n_grid) * (T / n_grid)
+    ang = 2.0 * math.pi / T * np.outer(t, np.arange(1, n_modes + 1))
+    x = a[0] + np.cos(ang) @ a[1:] + np.sin(ang) @ b
+    scale = np.concatenate(([1.0], np.full(2 * n_modes, math.sqrt(0.5))))
+    ref = math.sqrt(T) * np.concatenate((a, b)) * scale
     coords = _trig_coords(x, T, n_modes)
     assert np.max(np.abs(coords - ref)) <= 1e-14 * np.max(np.abs(ref))
 
@@ -913,7 +924,7 @@ def test_quadratic_lower_bound_along_cosine_mode():
         freq_branch = (omega2 - (D - 2.0)) / (omega2 + ((D - 2.0) / 2.0) ** 2)
         m = 1024
         t = np.arange(m) * (T / m)
-        star = ustar_profile(D, T, n_grid=m)
+        star = _branch_profile(D, T, n_grid=m)
         u = star.samples + 1e-4 * np.cos(2.0 * math.pi * t / T)
         prof = profile_from_samples(CylinderParams(D, T), u)
         dfc = energy_profile(prof) - s_val * lq_norm_profile(prof) ** 2
@@ -927,7 +938,7 @@ def test_quadratic_lower_bound_random_directions():
     T = 1.5 * TS
     s_val = sobolev_constant_cylinder(D, T)
     bound = c_T(D, T)
-    star = ustar_profile(D, T, n_grid=1024)
+    star = _branch_profile(D, T, n_grid=1024)
     rng = np.random.default_rng(11)
     for _ in range(5):
         spec = np.zeros(513, dtype=complex)
@@ -1050,10 +1061,11 @@ def test_distance_to_branch_below_bifurcation_projects_onto_constants():
 
 def test_distance_to_branch_recovers_orbit_multiple():
     T = 1.5 * TS
-    star = ustar_profile(D, T, n_grid=2048)
+    star = _branch_profile(D, T, n_grid=2048)
     m = star.samples.size
-    t = np.arange(m) * (T / m)
-    moved = synthesize_profile(star, (t - 2.17) % T)
+    # the trigonometric interpolant of the branch, delayed by 2.17
+    omega = 2.0 * math.pi / T * np.arange(m // 2 + 1)
+    moved = np.fft.irfft(np.fft.rfft(star.samples) * np.exp(-2.17j * omega), m)
     prof = profile_from_samples(CylinderParams(D, T), 1.05 * moved)
     delta, c, shift = distance_to_branch(prof)
     assert delta <= 1e-6
@@ -1063,7 +1075,7 @@ def test_distance_to_branch_recovers_orbit_multiple():
 
 def test_distance_to_branch_vanishes_on_the_branch():
     T = 1.5 * TS
-    star = ustar_profile(D, T)
+    star = _branch_profile(D, T)
     delta, c, shift = distance_to_branch(star)
     assert delta <= 1e-8
     assert c == pytest.approx(1.0, rel=1e-9)

@@ -12,9 +12,6 @@ is reached when code reaches it from one of these roots:
 - ``ORACLES``, the test-only names kept because each cross-checks a kept
   function by an independent route.
 
-``UNREACHED`` lists the exported names that no root reaches yet, so the
-ledger shows them rather than passes them silently.
-
 Uses are read from the code (``ast`` names and attributes), never from
 docstrings or comments. A name reached from no root is dead surface: delete
 it with its tests rather than list it here.
@@ -40,23 +37,11 @@ ORACLES = {
     "cylinder.u_min_turning": "seeds the mpmath reference that checks period",
     "cylinder.quotient_profile": "the grid quotient of the DOP853 branch, "
     "the second route to orbit_branch_value",
-    "cylinder.ustar_profile": "the DOP853 branch as a profile, whose grid "
-    "quotient is the second route to orbit_branch_value",
     "cylinder.distance_to_branch": "the delta in deficit >= c_T delta^2, "
     "the oracle of c_T",
     "zonal.projection_kernel": "checks the ZonalBasis normalization behind "
     "from_coeffs and eval_zonal by an independent route",
 }
-
-# exported names no root reaches, each tested only against closed forms of
-# itself; they are dead surface that is still to be deleted with its tests
-UNREACHED = {
-    "specialfn.gegenbauer": "one row of gegenbauer_table, which the library "
-    "calls directly",
-    "zonal.hessian_form": "named only in the quotient_curve docstring; "
-    "nothing computes it",
-}
-
 
 class _Uses(ast.NodeVisitor):
     """The (module, name) pairs a file's code uses, per top-level definition.
@@ -182,15 +167,8 @@ def _keys(table) -> set:
 
 def test_every_exported_name_is_reached():
     reached = _reached(_external_uses() | _keys(ORACLES))
-    dead = sorted("%s.%s" % key for key in _exported() - reached - _keys(UNREACHED))
+    dead = sorted("%s.%s" % key for key in _exported() - reached)
     assert not dead, "exported but reached from no root: %s" % ", ".join(dead)
-
-
-def test_every_unreached_entry_is_exported_and_still_unreached():
-    reached = _reached(_external_uses() | _keys(ORACLES))
-    for key in _keys(UNREACHED):
-        assert key in _exported(), "stale entry: %s.%s is not exported" % key
-        assert key not in reached, "stale entry: %s.%s is reached" % key
 
 
 def test_every_oracle_is_exported_test_only_and_names_what_it_checks():
@@ -220,3 +198,31 @@ def test_import_loads_every_submodule():
     ).stdout.split()
     missing = [m for m in SUBMODULES if "sobolev_lab." + m not in out]
     assert not missing, "import sobolev_lab left out: %s" % ", ".join(missing)
+
+
+def _module_imports(tree: ast.Module) -> set:
+    """The names a module's top-level import statements bind."""
+    out = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            out |= {(a.asname or a.name).split(".")[0] for a in stmt.names}
+        elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+            out |= {a.asname or a.name for a in stmt.names}
+    return out
+
+
+def test_no_library_module_imports_a_name_it_never_uses():
+    # a deletion that leaves its import behind fails here: the tier-1 run
+    # has no other lint step
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        module = importlib.import_module("sobolev_lab." + path.stem)
+        kept = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        kept |= set(getattr(module, "__all__", ()))
+        unused += [
+            "%s.%s" % (path.stem, name) for name in sorted(_module_imports(tree) - kept)
+        ]
+    assert not unused, "imported but never used: %s" % ", ".join(unused)

@@ -103,9 +103,9 @@ AT_HOME = {
     "n_modes": "cylinder.hessian_block_spectrum cylinder.zero_mode_pairing "
     "cylinder.c_T_numeric cylinder.c_T cylinder.quartic_constants "
     "verify.cylinder_checks",
-    "n_grid": "cylinder.optimizer_branch cylinder.ustar_profile "
-    "cylinder.hessian_block_spectrum cylinder.c_T_numeric cylinder.c_T "
-    "cylinder.quartic_constants cylinder.degenerate_quotient_curve",
+    "n_grid": "cylinder.optimizer_branch cylinder.hessian_block_spectrum "
+    "cylinder.c_T_numeric cylinder.c_T cylinder.quartic_constants "
+    "cylinder.degenerate_quotient_curve",
     "n_theta": "cylinder.period cylinder.orbit_integrals "
     "cylinder.sobolev_constant_cylinder cylinder.orbit_branch_value",
     "n_azimuthal": "stability.zeta_moment_integral stability.distance "

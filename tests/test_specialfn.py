@@ -16,7 +16,6 @@ from scipy.special import eval_gegenbauer, roots_jacobi
 from sobolev_lab.errors import DomainError
 from sobolev_lab.specialfn import (
     gauss_rule,
-    gegenbauer,
     gegenbauer_at_one,
     gegenbauer_table,
     gamma_ratio,
@@ -73,49 +72,35 @@ def test_gamma_ratio_recurrence():
 def test_gegenbauer_low_degrees():
     t = np.linspace(-1.0, 1.0, 9)
     for alpha in (0.5, 1.0, 1.7):
-        assert np.allclose(gegenbauer(0, alpha, t), 1.0)
-        assert np.allclose(gegenbauer(1, alpha, t), 2.0 * alpha * t)
+        table = gegenbauer_table(alpha, 2, t)
+        assert table.shape == (3, len(t))
+        assert np.allclose(table[0], 1.0)
+        assert np.allclose(table[1], 2.0 * alpha * t)
         c2 = 2.0 * alpha * (alpha + 1.0) * t**2 - alpha
-        assert np.allclose(gegenbauer(2, alpha, t), c2, rtol=1e-14, atol=1e-14)
+        assert np.allclose(table[2], c2, rtol=1e-14, atol=1e-14)
 
 
 def test_gegenbauer_matches_scipy():
     t = np.linspace(-1.0, 1.0, 37)
     for alpha in (0.5, 1.0, 1.5, 2.3):
+        table = gegenbauer_table(alpha, 12, t)
         for ell in range(13):
             ref = eval_gegenbauer(ell, alpha, t)
-            got = gegenbauer(ell, alpha, t)
-            assert np.allclose(got, ref, rtol=1e-12, atol=1e-12)
+            assert np.allclose(table[ell], ref, rtol=1e-12, atol=1e-12)
 
 
 def test_gegenbauer_frozen_spot_values():
-    assert gegenbauer(5, 1.5, 0.3) == pytest.approx(2.02174875, rel=1e-13)
-    assert gegenbauer(8, 1.0, -0.7) == pytest.approx(1.07513856, rel=1e-12)
+    assert gegenbauer_table(1.5, 5, 0.3)[5, 0] == pytest.approx(2.02174875, rel=1e-13)
+    assert gegenbauer_table(1.0, 8, -0.7)[8, 0] == pytest.approx(1.07513856, rel=1e-12)
     # alpha = 1/2 reduces to Legendre, P_3(0.9) = (5x^3 - 3x)/2
-    assert gegenbauer(3, 0.5, 0.9) == pytest.approx(0.4725, rel=1e-13)
-
-
-def test_gegenbauer_table_consistent_with_single_degree():
-    t = np.linspace(-0.99, 0.99, 21)
-    table = gegenbauer_table(1.5, 10, t)
-    assert table.shape == (11, len(t))
-    for ell in range(11):
-        assert np.allclose(table[ell], gegenbauer(ell, 1.5, t), rtol=1e-13, atol=1e-13)
-
-
-def test_gegenbauer_keeps_the_shape_of_a_2d_argument():
-    t = np.linspace(-0.95, 0.95, 21)
-    got = gegenbauer(4, 1.5, t.reshape(3, 7))
-    assert got.shape == (3, 7)
-    assert np.array_equal(got, gegenbauer(4, 1.5, t).reshape(3, 7))
+    assert gegenbauer_table(0.5, 3, 0.9)[3, 0] == pytest.approx(0.4725, rel=1e-13)
 
 
 def test_gegenbauer_at_one_matches_evaluation():
     for alpha in (0.5, 1.0, 2.5):
+        row = gegenbauer_table(alpha, 8, np.array([1.0]))[:, 0]
         for ell in range(9):
-            assert gegenbauer_at_one(ell, alpha) == pytest.approx(
-                float(gegenbauer(ell, alpha, np.array([1.0]))[0]), rel=1e-12
-            )
+            assert gegenbauer_at_one(ell, alpha) == pytest.approx(row[ell], rel=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,13 +110,11 @@ def test_gegenbauer_at_one_matches_evaluation():
     t=st.floats(min_value=-1.0, max_value=1.0),
 )
 def test_gegenbauer_three_term_recursion(ell, alpha, t):
-    ta = np.array([t])
-    lhs = float(ell * gegenbauer(ell, alpha, ta)[0])
+    table = gegenbauer_table(alpha, ell, np.array([t]))[:, 0]
+    lhs = float(ell * table[ell])
     rhs = float(
-        (
-            2.0 * (ell + alpha - 1.0) * t * gegenbauer(ell - 1, alpha, ta)
-            - (ell + 2.0 * alpha - 2.0) * gegenbauer(ell - 2, alpha, ta)
-        )[0]
+        2.0 * (ell + alpha - 1.0) * t * table[ell - 1]
+        - (ell + 2.0 * alpha - 2.0) * table[ell - 2]
     )
     scale = max(1.0, abs(lhs))
     assert abs(lhs - rhs) <= 1e-10 * scale

@@ -5,7 +5,9 @@ import pytest
 
 from sobolev_lab.conformal import pullback_zonal, q_zeta
 from sobolev_lab.errors import DegenerateInputError, DomainError
+from sobolev_lab.specialfn import sphere_area
 from sobolev_lab.stability import (
+    _SEED_ZETAS,
     be_quotient,
     deficit,
     distance,
@@ -71,7 +73,12 @@ def test_distance_result_fields_consistent():
     assert res.tau == pytest.approx(
         res.delta / np.sqrt(energy(pert) - res.delta**2), rel=1e-12
     )
-    assert "g_best" in res.diagnostics or res.diagnostics
+    # one convergence flag per start: the axis start, then each seed
+    assert len(res.diagnostics["converged"]) == 1 + len(_SEED_ZETAS)
+    # c_star is the moment G of the winning start over |S^d|, and the winner
+    # is the candidate (G^2, a, rho, G) with the largest G^2
+    g = max(res.diagnostics["candidates"], key=lambda c: c[0])[3]
+    assert res.c_star * sphere_area(3) == pytest.approx(g, rel=1e-12)
 
 
 def test_zeta_moment_matches_axis_route():
@@ -81,7 +88,7 @@ def test_zeta_moment_matches_axis_route():
     shifted = analyze(1.0 + fn.samples, p, bandlimit=64)
     g2d = zeta_moment_integral(shifted, 0.35, 0.0)
     bubble = q_zeta(np.array([0.0, 0.0, 0.0, 0.35]), p)
-    from sobolev_lab.specialfn import gauss_rule, sphere_area
+    from sobolev_lab.specialfn import gauss_rule
 
     rule = gauss_rule(256, 0.5)
     direct = sphere_area(2) * float(

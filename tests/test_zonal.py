@@ -24,7 +24,6 @@ from sobolev_lab.zonal import (
     from_coeffs,
     funk_hecke_eigenvalue,
     gamma_multiplier,
-    hessian_form,
     lq_norm,
     make_spectrum_report,
     norm2,
@@ -185,20 +184,6 @@ def test_quotient_scale_invariant_and_above_sharp():
     scaled = analyze(2.5 * pos.samples, p, bandlimit=32)
     assert sobolev_quotient(scaled) == pytest.approx(q1, rel=1e-12)
     assert q1 > sharp_constant(p)
-
-
-def test_hessian_form_degree_structure():
-    p = SphereParams(3, 1.0)
-    coeffs = np.zeros(33)
-    coeffs[2] = 0.8
-    pure2 = from_coeffs(coeffs, p)
-    gap = gamma_multiplier(p, 2) - gamma_multiplier(p, 1)
-    assert hessian_form(pure2) == pytest.approx(gap * norm2(pure2) ** 2, rel=1e-10)
-    # degrees 0 and 1 sit in the kernel
-    for ell in (0, 1):
-        c = np.zeros(33)
-        c[ell] = 1.0
-        assert abs(hessian_form(from_coeffs(c, p))) < 1e-12
 
 
 def test_w_weight_two_routes_and_frozen_value():
