@@ -11,6 +11,8 @@ which wraps the bindings can still time the bare kernels.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -50,17 +52,41 @@ def zeta_moment_numpy(a, rho, sq, expo, tn, tw, fvals, cn, cw):
 # and the number of iterations used.
 # ---------------------------------------------------------------------------
 
+# below this norm of the step, the squares that numpy's norm sums leave the
+# normal range: the norm reads 0 or loses digits
+_SMALL_NORM = math.sqrt(np.finfo(np.float64).tiny)
+
+
+def _psi(y, q):
+    """|y|^(q-2) y, 0 where y is 0."""
+    ay = np.abs(y)
+    w = np.zeros_like(y)
+    pos = ay > 0.0
+    w[pos] = ay[pos] ** (q - 2.0) * y[pos]
+    return w
+
+
 def lq_ascent_numpy(A, q, f0, max_iter, tol):
+    """The ascent from f0; (f, iterations).
+
+    At large q the powers |(Af)_i|^(q-1), or the squares in the norm of
+    the step, can underflow: the step reads 0 and the ascent stops where it
+    began. Only then (a step norm below ``_SMALL_NORM`` with Af != 0) is the
+    step formed on Af / max |Af| instead, as ``duality.lq_norm`` rescales
+    its sum. The normalized step does not depend on the scale, and every
+    other step is computed exactly as before.
+    """
     f = f0 / np.linalg.norm(f0)
     it = 0
     for it in range(1, max_iter + 1):
         y = A @ f
-        ay = np.abs(y)
-        w = np.zeros_like(y)
-        pos = ay > 0.0
-        w[pos] = ay[pos] ** (q - 2.0) * y[pos]
-        g = A.T @ w
+        g = A.T @ _psi(y, q)
         gn = np.linalg.norm(g)
+        if gn < _SMALL_NORM:
+            top = np.max(np.abs(y))
+            if top > 0.0:
+                g = A.T @ _psi(y / top, q)
+                gn = np.linalg.norm(g)
         if gn == 0.0:
             break
         fn = g / gn

@@ -247,22 +247,15 @@ _BRUTE_N_ANGLES = 60
 _BRUTE_BLOCK = 4096
 
 
-def brute_force_norm(matrix: np.ndarray, q: float) -> float:
-    """Dense angular-grid oracle for n <= 4, polished from the best grid point.
+def _grid_walk(a: np.ndarray, q: float) -> tuple:
+    """(largest sum |a f|^q, its angles) over the angular grid, walked in blocks.
 
     The grid is walked in row-major order, ``_BRUTE_BLOCK`` points at a time,
     and a block's maximum replaces the running one only when strictly larger.
-    So the first maximizing grid point in row-major order seeds the polish,
-    and ties resolve lexicographically in the angle tuple.
+    So the first maximizing grid point in row-major order wins, and ties
+    resolve lexicographically in the angle tuple.
     """
-    a = _as_matrix(matrix)
-    _check_q(q)
-    m, n = a.shape
-    if n > 4:
-        raise DomainError("brute force oracle is limited to n <= 4")
-    if n == 1:
-        return _finite([lq_norm(a[:, 0], q)], "brute force")
-    k = n - 1
+    k = a.shape[1] - 1
     grid = np.linspace(0.0, math.pi, _BRUTE_N_ANGLES, endpoint=False)
     shape = (_BRUTE_N_ANGLES,) * k
     size = _BRUTE_N_ANGLES**k
@@ -274,8 +267,45 @@ def brute_force_norm(matrix: np.ndarray, q: float) -> float:
         i = int(np.argmax(vals))
         if vals[i] > best:
             best, start = vals[i], mesh[:, i]
+    return best, start
+
+
+def _grid_max(a: np.ndarray, q: float) -> tuple:
+    """(q-norm, angles) of the best grid point, the seed of the polish.
+
+    At large q every power on the grid can underflow to 0, and the grid
+    would seed the polish at its first point. Only then is the grid walked
+    again on a / s, with s the largest row norm of a: |(a f)_i| / s <= 1 for
+    unit f, with equality in the direction of the largest row, so the grid
+    points near it keep positive powers (q up to 800 tested). Where a power
+    is positive, the grid is the plain one, bit for bit. An overflow is left
+    standing, for the caller to refuse.
+    """
+    best, start = _grid_walk(a, q)
+    scale = 1.0
+    if best == 0.0 and np.any(a):
+        scale = float(np.max(np.linalg.norm(a, axis=1)))
+        best, start = _grid_walk(a / scale, q)
+    return scale * float(best ** (1.0 / q)), start
+
+
+def brute_force_norm(matrix: np.ndarray, q: float) -> float:
+    """Dense angular-grid oracle for n <= 4, polished from the best grid point.
+
+    The first maximizing grid point in row-major order (``_grid_max``) seeds
+    the polish.
+    """
+    a = _as_matrix(matrix)
+    _check_q(q)
+    m, n = a.shape
+    if n > 4:
+        raise DomainError("brute force oracle is limited to n <= 4")
+    if n == 1:
+        return _finite([lq_norm(a[:, 0], q)], "brute force")
+    k = n - 1
+    grid_norm, start = _grid_max(a, q)
     # an overflowed grid leaves the polish nothing to climb
-    grid_norm = _finite([float(best ** (1.0 / q))], "brute-force grid")
+    grid_norm = _finite([grid_norm], "brute-force grid")
 
     def neg(ang):
         f = _angles_to_unit(np.asarray(ang, dtype=float).reshape(k, 1))[:, 0]

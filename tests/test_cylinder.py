@@ -9,7 +9,9 @@ Closed-form anchors (frozen from 40-digit evaluations):
 """
 
 import functools
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -701,6 +703,110 @@ def test_c_T_numeric_refuses_a_branch_off_the_critical_point(monkeypatch):
         c_T_numeric(d, T)
 
 
+# d and T / T_* of the Sturm ordering that c_T_numeric's docstring measured
+_STURM_DIMS = (3, 4, 5, 6, 8, 10)
+_STURM_FRACS = (1.001, 1.02, 1.1, 1.45, 2.0, 3.0, 4.0)
+
+
+def _four_solves(d, T):
+    """((even, odd) second degree-0 eigenvalues, (even, odd) lowest degree-1
+    ones): the four solves c_T_numeric made before it dropped the odd ones."""
+    br = optimizer_branch(d, T)
+    (l_even, l_odd), b = _assemble_block(br, 128, 4096)
+    halves = tuple(zip((l_even, l_odd), np.split(b, [129])))
+    shift = d - 1.0
+    deg0 = tuple(_lowest_eigenvalues(half, bh, 2)[1] for half, bh in halves)
+    deg1 = tuple(
+        _lowest_eigenvalues(half + shift * np.eye(len(bh)), bh + shift)[0]
+        for half, bh in halves
+    )
+    return deg0, deg1
+
+
+def test_sturm_ordering_licenses_three_solves(monkeypatch):
+    # c_T_numeric drops the odd half's second degree-0 eigenvalue and the odd
+    # degree-1 half: by Sturm ordering neither can be the minimum. The
+    # reference is the minimum over all four solves.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return eigh(*args, **kwargs)
+
+    for d in _STURM_DIMS:
+        for frac in _STURM_FRACS:
+            T = frac * t_star(d)
+            (even1, odd1), (deg1_even, deg1_odd) = _four_solves(d, T)
+            assert odd1 - even1 >= 0.1
+            assert deg1_odd - deg1_even >= 0.1
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(cylinder, "eigh", counted)
+                val = c_T_numeric(d, T)
+            assert val == min(even1, odd1, min(deg1_even, deg1_odd))
+            assert len(calls) == 3
+
+
+def test_direct_turning_iterates_on_v_bit_for_bit():
+    # the turning point binds V's constants once; every brentq iterate must
+    # still be _v's, so the root is the one found on _v
+    for d in (3, 4, 5, 6, 8, 10):
+        base = u0(d)
+        for frac in (0.01, 0.3, 0.9, 0.999999):
+            level = cylinder._v(base + frac * (1.0 - base), d)
+            ref = cylinder._root(
+                lambda u: cylinder._v(u, d) - level, 1e-14, base, xtol=1e-15, rtol=8.9e-16
+            )
+            assert cylinder._direct_turning(d, level, base) == ref
+
+
+def test_assembled_halves_are_diag_b_minus_m_bit_for_bit():
+    # the halves are formed in the storage of M; their bits (signed zeros
+    # included) must be those of diag(b) - M
+    for d, frac in ((3, 0.7), (3, 1.5), (5, 2.0)):
+        br = optimizer_branch(d, frac * t_star(d))
+        halves, b = _assemble_block(br, 128, 4096)
+        weight = d * (d + 2.0) / 4.0 * br.u ** (br.params.q - 2.0)
+        ms, _ = _multiplication_halves(weight, 128)
+        for half, m, bh in zip(halves, ms, np.split(b, [129])):
+            assert half.tobytes() == (np.diag(bh) - m).tobytes()
+
+
+def test_dop853_tableau_is_scipys():
+    # every generated literal equals scipy's array, and the module is what
+    # the generator writes today
+    from sobolev_lab import _dop853_tableau as tab
+
+    for name in ("A", "B", "C", "E3", "E5", "D", "C_EXTRA", "A_EXTRA"):
+        ours = np.array(getattr(tab, name))
+        assert ours.shape == getattr(DOP853, name).shape, name
+        assert np.array_equal(ours, getattr(DOP853, name)), name
+    assert tab.N_STAGES == DOP853.n_stages
+    assert tab.ERROR_ESTIMATOR_ORDER == DOP853.error_estimator_order
+    path = Path(__file__).resolve().parents[1] / "tools" / "gen_dop853_tableau.py"
+    spec = importlib.util.spec_from_file_location("gen_dop853_tableau", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    assert gen.source() == Path(tab.__file__).read_text()
+
+
+def test_initial_step_is_scipys_constructor_step():
+    # an orbit starts at rest, so the float starting step is the h_abs of
+    # scipy's DOP853 constructor bit for bit, and so is the first slope
+    for d in (3, 4, 5, 6):
+        rhs, base = _rhs(d), u0(d)
+        for i in range(1, 100):
+            alpha = base + (1.0 - base) * i / 100.0
+            for t_end in (0.5 * period(d, alpha), 1e-3):
+                for rtol, atol in ((1e-12, 1e-14), (1e-13, 1e-15)):
+                    ref = DOP853(rhs, 0.0, (alpha, 0.0), t_end, rtol=rtol, atol=atol)
+                    f = rhs(0.0, (alpha, 0.0))
+                    assert list(f) == ref.f.tolist()
+                    step = cylinder._initial_step(rhs, t_end, (alpha, 0.0), f, rtol, atol)
+                    assert step == ref.h_abs
+                    assert ref.nfev == 2
+
+
 def _full_period_reference(d, alpha, t):
     """u, u' at times t from one DOP853 run over the whole window, no mirroring."""
     q = 2.0 * d / (d - 2.0)
@@ -773,19 +879,16 @@ def test_float_dop853_rejects_steps_as_scipy_does(monkeypatch):
     alpha = inverse_period(d, T)
     for first in (1.0, 3.0):
         ref = _scipy_dop853(d, alpha, 0.5 * T, first_step=first)
-
-        class FirstStep(DOP853):
-            # the loop takes its initial step from scipy's DOP853 constructor
-            def __init__(self, *args, **options):
-                super().__init__(*args, first_step=first, **options)
-
-        monkeypatch.setattr(cylinder, "DOP853", FirstStep)
+        # the loop's starting step, forced as scipy's first_step forces it;
+        # scipy then skips the starting step's evaluation, which the loop
+        # always counts
+        monkeypatch.setattr(cylinder, "_initial_step", lambda *args: first)
         ours = _integrate(d, alpha, 0.5 * T)
         steps = len(ref.t) - 1
         rejected = (ref.nfev - 1 - 15 * steps) // 12
         assert rejected > 0
         assert len(ours.t) == len(ref.t)
-        assert ours.nfev == ref.nfev
+        assert ours.nfev == ref.nfev + 1
 
 
 def test_solve_orbit_period_matches_scipy_dop853():

@@ -418,3 +418,74 @@ def test_brute_force_grid_runs_in_a_bounded_working_set():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+def _large_q_cases():
+    """120 random 0.2-scaled matrices: m = 2..6, n = 2..4, 40 each at q = 50, 200, 800.
+
+    At large q their powers |Af|^q fall below the float range: before the
+    rescaling, op_norm_ascent read low on 38 of them and the brute-force grid
+    was all zeros on 12.
+    """
+    rng = np.random.default_rng(2304)
+    cases = []
+    for q in (50.0, 200.0, 800.0):
+        for _ in range(40):
+            m, n = int(rng.integers(2, 7)), int(rng.integers(2, 5))
+            cases.append((0.2 * rng.standard_normal((m, n)), q))
+    return cases
+
+
+def test_large_q_ascent_and_grid_survive_underflow(monkeypatch):
+    grids = []
+
+    def recorded(a, q):
+        grids.append(grid_max(a, q))
+        return grids[-1]
+
+    grid_max = duality._grid_max
+    monkeypatch.setattr(duality, "_grid_max", recorded)
+    for a, q in _large_q_cases():
+        brute = brute_force_norm(a, q)
+        grid_norm, _ = grids[-1]
+        assert grid_norm > 0.0
+        assert op_norm_ascent(a, q) >= brute * (1.0 - 1e-9)
+
+
+def _plain_ascent(a, q, f0, max_iter, tol):
+    """The ascent with no rescaling, as it ran before the underflow fix."""
+    f = f0 / np.linalg.norm(f0)
+    it = 0
+    for it in range(1, max_iter + 1):
+        y = a @ f
+        ay = np.abs(y)
+        w = np.zeros_like(y)
+        pos = ay > 0.0
+        w[pos] = ay[pos] ** (q - 2.0) * y[pos]
+        g = a.T @ w
+        gn = np.linalg.norm(g)
+        if gn == 0.0:
+            break
+        fn = g / gn
+        if min(np.linalg.norm(fn - f), np.linalg.norm(fn + f)) < tol:
+            f = fn
+            break
+        f = fn
+    return f, it
+
+
+def test_ascent_and_grid_rescale_only_where_the_powers_underflow():
+    # where no power underflows, the ascent and the grid keep their bits
+    rng = np.random.default_rng(43)
+    for q in (1.5, 2.0, 3.0, 6.0, 50.0):
+        for m, n in ((3, 2), (5, 3), (8, 4)):
+            a = rng.standard_normal((m, n))
+            for f0 in duality._ascent_starts(n, 0):
+                f, it = _kernels.lq_ascent(a, q, f0, 4000, 1e-14)
+                ref, ref_it = _plain_ascent(a, q, f0, 4000, 1e-14)
+                assert type(it) is int and it == ref_it
+                assert f.tobytes() == ref.tobytes()
+            grid_norm, start = duality._grid_max(a, q)
+            ref_start, ref_norm = _dense_grid_reference(a, q)
+            assert grid_norm == ref_norm
+            assert np.array_equal(start, ref_start)

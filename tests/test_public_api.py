@@ -185,19 +185,29 @@ def test_every_oracle_is_exported_test_only_and_names_what_it_checks():
         assert checked, "oracle %s names no kept function it checks" % key
 
 
-def test_import_loads_every_submodule():
-    # the package imports its submodules, so `import sobolev_lab` still
-    # loads (and times) the whole library
+def _modules_after_import() -> list:
+    """sys.modules of a fresh interpreter after `import sobolev_lab`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC.parent), env.get("PYTHONPATH")])
     )
     code = "import sys, sobolev_lab; print(' '.join(sorted(sys.modules)))"
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
+
+
+def test_import_loads_every_submodule():
+    # the package imports its submodules, so `import sobolev_lab` still
+    # loads (and times) the whole library
+    out = _modules_after_import()
     missing = [m for m in SUBMODULES if "sobolev_lab." + m not in out]
     assert not missing, "import sobolev_lab left out: %s" % ", ".join(missing)
+
+
+def test_import_loads_no_scipy_integrate():
+    # the orbit's DOP853 owns its tableau and its starting step
+    assert "scipy.integrate" not in _modules_after_import()
 
 
 def _module_imports(tree: ast.Module) -> set:
