@@ -142,19 +142,14 @@ def pullback_zonal(fn: ZonalFn, delta: float) -> ZonalFn:
     return analyze(conf * vals, fn.params, fn.bandlimit, axis=np.asarray(fn.axis))
 
 
-def radial_transfer(
-    u_radial,
-    params: SphereParams,
-    bandlimit: int = DEFAULT_BANDLIMIT,
-    order: int = DEFAULT_ORDER,
-) -> ZonalFn:
+def radial_transfer(u_radial, params: SphereParams) -> ZonalFn:
     """Transfer a radial profile u(r) on R^d to its zonal twin on S^d.
 
     In axis coordinates F(t) = u(sqrt((1-t)/(1+t))) (1+t)^(-(d-2s)/2); the
     q-norms of u and of the result agree. The input is a callable of the
     radius.
     """
-    basis = zonal_basis(params.d, bandlimit, order)
+    basis = zonal_basis(params.d, DEFAULT_BANDLIMIT, DEFAULT_ORDER)
     t = basis.rule.nodes
     r = np.sqrt((1.0 - t) / (1.0 + t))
     uvals = np.asarray(u_radial(r), dtype=float)
@@ -164,19 +159,18 @@ def radial_transfer(
             "radial profile produced non-finite sphere values; "
             "the transfer needs an integrable input"
         )
-    out = analyze(samples, params, bandlimit)
+    out = analyze(samples, params, DEFAULT_BANDLIMIT)
     if not math.isfinite(lq_norm(out, params.q)):
         raise ComputationError("transferred function has non-finite q-norm")
     return out
 
 
-def axis_moment(fn: ZonalFn, power: int = 1) -> float:
-    """Integral of (omega . axis)^power times the function over the sphere."""
+def axis_moment(fn: ZonalFn) -> float:
+    """Integral of (omega . axis) times the function over the sphere."""
     basis = fn.basis
     t = basis.rule.nodes
     return float(
-        basis.geometry.subsphere_area
-        * basis.rule.integrate(t**power * fn.samples)
+        basis.geometry.subsphere_area * basis.rule.integrate(t * fn.samples)
     )
 
 

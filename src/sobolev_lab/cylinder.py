@@ -62,7 +62,6 @@ __all__ = [
     "optimizer_branch",
     "profile_from_samples",
     "energy_profile",
-    "energy_bilinear_profile",
     "lq_norm_profile",
     "quotient_profile",
     "sobolev_constant_cylinder",
@@ -106,8 +105,8 @@ class CylinderParams:
     def __post_init__(self):
         if int(self.d) != self.d or self.d < 3:
             raise DomainError("dimension d must be an integer >= 3")
-        if not self.T > 0.0:
-            raise DomainError("period T must be positive")
+        if not 0.0 < self.T < math.inf:
+            raise DomainError("period T must be positive and finite, got %r" % (self.T,))
 
     @property
     def q(self) -> float:
@@ -373,7 +372,7 @@ def period(d: int, alpha: float, n_theta: int = DEFAULT_N_THETA) -> float:
     return float(2.0 * math.sqrt(2.0) * np.dot(tab.wts, 1.0 / np.sqrt(w)))
 
 
-def orbit_integrals(d: int, alpha: float, n_theta: int = DEFAULT_N_THETA) -> dict:
+def orbit_integrals(d: int, alpha: float) -> dict:
     """Period integrals of the orbit: tau, int u^q, int u^2, int u'^2.
 
     All integrals run over one full period and use the same regularized
@@ -382,7 +381,7 @@ def orbit_integrals(d: int, alpha: float, n_theta: int = DEFAULT_N_THETA) -> dic
     """
     _check_alpha(d, alpha)
     q = _q_of(d)
-    tab = _theta_table(n_theta)
+    tab = _theta_table(DEFAULT_N_THETA)
     wts = tab.wts
     u, au, ub, w = _w_values(d, alpha, tab)
     root = 1.0 / np.sqrt(w)
@@ -585,7 +584,7 @@ def _dop853_eval(steps: _Steps, seg, t) -> np.ndarray:
     """The DOP853 interpolant of step seg[i] at t[i], shape (2, len(t)).
 
     Evaluates the polynomial in ``steps.coef`` as scipy's Dop853DenseOutput
-    does; ``_step_interpolant`` does the same in floats.
+    does.
     """
     x = (t - steps.t[seg]) / steps.h[seg]
     factors = (x, 1.0 - x)
@@ -595,27 +594,6 @@ def _dop853_eval(steps: _Steps, seg, t) -> np.ndarray:
         y += coef[6 - i]
         y *= factors[i % 2]
     return y + steps.y[:, seg]
-
-
-def _step_interpolant(steps: _Steps, i: int):
-    """Step i's interpolant as a float function t -> (u, u').
-
-    The turning-point root-find asks one time at a call; ``_sample`` reads
-    many steps at once.
-    """
-    t_old, h = steps.t[i].item(), steps.h[i].item()
-    (b0, b1), coef = steps.y[:, i].tolist(), steps.coef[::-1, :, i].tolist()
-
-    def at(t: float) -> tuple:
-        x = (t - t_old) / h
-        y0 = y1 = 0.0
-        for j, (c0, c1) in enumerate(coef):
-            f = x if j % 2 == 0 else 1.0 - x
-            y0 = (y0 + c0) * f
-            y1 = (y1 + c1) * f
-        return y0 + b0, y1 + b1
-
-    return at
 
 
 def _sample(steps: _Steps, t) -> np.ndarray:
@@ -643,9 +621,15 @@ def _turning_time(steps: _Steps) -> float:
     if not len(hits):
         raise ComputationError("no turning point detected within the window")
     i = int(hits[0])
-    at = _step_interpolant(steps, i)
+    seg = np.array([i])
     tol = 4.0 * np.finfo(float).eps  # scipy's solve_event_equation
-    return _root(lambda t: at(t)[1], steps.t[i].item(), steps.t[i + 1].item(), xtol=tol, rtol=tol)
+    return _root(
+        lambda t: _dop853_eval(steps, seg, np.array([t]))[1, 0],
+        steps.t[i].item(),
+        steps.t[i + 1].item(),
+        xtol=tol,
+        rtol=tol,
+    )
 
 
 def _mirrored_samples(steps: _Steps, step: float, n: int, closed: bool) -> tuple:
@@ -670,13 +654,11 @@ def _mirrored_samples(steps: _Steps, step: float, n: int, closed: bool) -> tuple
     return u, up
 
 
-def solve_orbit(
-    d: int,
-    alpha: float,
-    n_samples: int = 1024,
-    rtol: float = 1e-12,
-    atol: float = 1e-14,
-) -> Orbit:
+# the samples of one period that solve_orbit returns
+_ORBIT_SAMPLES = 1024
+
+
+def solve_orbit(d: int, alpha: float, rtol: float = 1e-12, atol: float = 1e-14) -> Orbit:
     """Integrate half a period adaptively; the period is twice the turning time.
 
     The profile starts at its maximum (u(0) = alpha, u'(0) = 0) and descends
@@ -684,18 +666,17 @@ def solve_orbit(
     ``_turning_time``); the returning half is its mirror image. The
     independent quadrature period brackets the integration window.
     """
-    if n_samples < 2:
-        raise DomainError("need n_samples >= 2, got %r" % (n_samples,))
     _check_alpha(d, alpha)
     tau_quad = period(d, alpha)
     steps = _integrate(d, alpha, 0.51 * tau_quad, rtol, atol)
     tau = 2.0 * _turning_time(steps)
-    u, up = _mirrored_samples(steps, tau / (n_samples - 1), n_samples, closed=True)
+    n = _ORBIT_SAMPLES
+    u, up = _mirrored_samples(steps, tau / (n - 1), n, closed=True)
     return Orbit(
         d=d,
         alpha=alpha,
         period=tau,
-        t=np.linspace(0.0, tau, n_samples),
+        t=np.linspace(0.0, tau, n),
         u=u,
         up=up,
         energy_constant=float(potential(alpha, d)),
@@ -723,8 +704,8 @@ def inverse_period(d: int, T: float) -> float:
     handed their known periods, so no amplitude is evaluated twice.
     """
     ts = t_star(d)
-    if not T > ts:
-        raise DomainError("inverse period needs T > T_* = %.12g" % ts)
+    if not ts < T < math.inf:
+        raise DomainError("inverse period needs a finite T > T_* = %.12g, got %r" % (ts, T))
     lo, f_lo = u0(d) * (1.0 + 1e-9), None
     for j in range(2, 15):
         cand = 1.0 - 10.0 ** (-j)
@@ -849,13 +830,6 @@ def energy_profile(profile: PeriodicProfile) -> float:
     return form(np.abs(np.fft.rfft(profile.samples)) ** 2)
 
 
-def energy_bilinear_profile(p1: PeriodicProfile, p2: PeriodicProfile) -> float:
-    if p1.params != p2.params or len(p1.samples) != len(p2.samples):
-        raise PreconditionError("profiles must share cylinder and grid")
-    _, form = _energy_form(p1.params, len(p1.samples))
-    return form((np.fft.rfft(p1.samples) * np.conj(np.fft.rfft(p2.samples))).real)
-
-
 def lq_norm_profile(profile: PeriodicProfile) -> float:
     """L^q norm over the cylinder at the critical exponent q, on the grid."""
     p = profile.params
@@ -881,9 +855,7 @@ def _constant_branch_value(d: int, T: float) -> float:
     return (d - 2.0) ** 2 / 4.0 * (T * sphere_area(d - 1)) ** (1.0 - 2.0 / _q_of(d))
 
 
-def sobolev_constant_cylinder(
-    d: int, T: float, n_theta: int = DEFAULT_N_THETA
-) -> float:
+def sobolev_constant_cylinder(d: int, T: float) -> float:
     """Sharp constant S_d(T) on the cylinder.
 
     Constant branch ((d-2)^2/4) |Sigma_T|^(1-2/q) for T <= T_*; the
@@ -893,12 +865,10 @@ def sobolev_constant_cylinder(
     params = CylinderParams(d=d, T=T)
     if T <= params.t_star:
         return float(_constant_branch_value(d, T))
-    return orbit_branch_value(d, T, n_theta=n_theta)
+    return orbit_branch_value(d, T)
 
 
-def orbit_branch_value(
-    d: int, T: float, k: int = 1, n_theta: int = DEFAULT_N_THETA
-) -> float:
+def orbit_branch_value(d: int, T: float, k: int = 1) -> float:
     """Quotient of the k-bump orbit branch on the period-T cylinder.
 
     Diagnostics only for k >= 2: tiling the period-T/k orbit k times gives a
@@ -912,7 +882,7 @@ def orbit_branch_value(
     if T / k <= params.t_star:
         raise DomainError("no k-bump branch: T/k must exceed T_*")
     alpha = inverse_period(d, T / k)
-    ints = orbit_integrals(d, alpha, n_theta=n_theta)
+    ints = orbit_integrals(d, alpha)
     area = sphere_area(d - 1)
     return float(
         area ** (1.0 - 2.0 / q)
@@ -973,14 +943,14 @@ def cosh_trial_bound(d: int, T: float) -> float:
     return 2.0 * area * e_half / (2.0 * area * q_half) ** (2.0 / q)
 
 
-# the descent's starts: two cosine bumps, then random ones from this seed
+# the descent's starts: two cosine bumps, then random ones from this seed;
+# and the grid it descends on, an eighth of the branch's
 _DESCENT_STARTS = 3
 _DESCENT_SEED = 0
+_DESCENT_GRID = 512
 
 
-def minimize_quotient(
-    d: int, T: float, n_grid: int = 512, maxiter: int = 4000
-) -> tuple:
+def minimize_quotient(d: int, T: float, maxiter: int = 4000) -> tuple:
     """Direct minimization of the quotient over gridded profiles.
 
     Works on the sample values with FFT-differentiation energies; returns
@@ -991,7 +961,7 @@ def minimize_quotient(
     params = CylinderParams(d=d, T=T)
     q = params.q
     area = sphere_area(d - 1)
-    m = n_grid
+    m = _DESCENT_GRID
     h = T / m
     omega = 2.0 * math.pi / T * np.arange(m // 2 + 1)
     beta2 = (d - 2.0) ** 2 / 4.0
@@ -1206,11 +1176,7 @@ def _lowest_eigenvalues(lmat: np.ndarray, bdiag: np.ndarray, count: int = 1) -> 
 
 
 def hessian_block_spectrum(
-    d: int,
-    T: float,
-    ell: int,
-    n_modes: int = DEFAULT_N_MODES,
-    n_grid: int = DEFAULT_N_GRID,
+    d: int, T: float, ell: int, n_modes: int = DEFAULT_N_MODES
 ) -> SpectrumReport:
     """Spectrum of the degree-ell Hessian block at the optimizer branch.
 
@@ -1221,14 +1187,16 @@ def hessian_block_spectrum(
     """
     if ell < 0:
         raise DomainError("degree must be nonnegative")
-    br = optimizer_branch(d, T, n_grid)
-    halves, _ = _assemble_block(br, n_modes, n_grid)
+    br = optimizer_branch(d, T)
+    halves, _ = _assemble_block(br, n_modes, DEFAULT_N_GRID)
     if ell == 0:
         halves = (halves[0] + _q_norm_term(br, n_modes), halves[1])
     # degree ell is the degree-0 block shifted by ell(ell+d-2) on the diagonal
     shift = ell * (ell + d - 2.0)
     vals = [eigh(h + shift * np.eye(len(h)), eigvals_only=True) for h in halves]
-    return make_spectrum_report(np.sort(np.concatenate(vals)), (2 * n_modes + 1, n_grid))
+    return make_spectrum_report(
+        np.sort(np.concatenate(vals)), (2 * n_modes + 1, DEFAULT_N_GRID)
+    )
 
 
 def zero_mode_pairing(br: Branch, n_modes: int = DEFAULT_N_MODES) -> float:
@@ -1260,9 +1228,7 @@ def c_T_formula(d: int, T: float) -> float:
 _GROUND_TOL = 1e-9
 
 
-def c_T_numeric(
-    d: int, T: float, n_modes: int = DEFAULT_N_MODES, n_grid: int = DEFAULT_N_GRID
-) -> float:
+def c_T_numeric(d: int, T: float, n_modes: int = DEFAULT_N_MODES) -> float:
     """Constrained Rayleigh minimum of <v, L v> / E_T[v] over degrees.
 
     In the degree-0 block the minimization runs orthogonally (in the E_T
@@ -1305,8 +1271,8 @@ def c_T_numeric(
     the lowest eigenvalue is nondecreasing in ell, and degree 1 bounds every
     higher degree from below.
     """
-    br = optimizer_branch(d, T, n_grid)
-    (l_even, l_odd), bbase = _assemble_block(br, n_modes, n_grid)
+    br = optimizer_branch(d, T)
+    (l_even, l_odd), bbase = _assemble_block(br, n_modes, DEFAULT_N_GRID)
     cut = n_modes + 1
     b_even, b_odd = bbase[:cut], bbase[cut:]
     # degree 1 is the uncorrected degree-0 block shifted by d - 1 on the
@@ -1335,14 +1301,12 @@ def c_T_numeric(
     return min(even1, deg1)
 
 
-def c_T(
-    d: int, T: float, n_modes: int = DEFAULT_N_MODES, n_grid: int = DEFAULT_N_GRID
-) -> float:
+def c_T(d: int, T: float, n_modes: int = DEFAULT_N_MODES) -> float:
     """Quadratic stability constant: closed form below T_*, numeric above."""
     ts = t_star(d)
     if T <= ts * (1.0 + 1e-12):
         return c_T_formula(d, min(T, ts))
-    return c_T_numeric(d, T, n_modes=n_modes, n_grid=n_grid)
+    return c_T_numeric(d, T, n_modes=n_modes)
 
 
 # ---------------------------------------------------------------------------
@@ -1368,9 +1332,7 @@ class QuarticConstants:
 _QUARTIC_REL_TOL = 1e-6
 
 
-def quartic_constants(
-    d: int, n_modes: int = DEFAULT_N_MODES, n_grid: int = DEFAULT_N_GRID
-) -> QuarticConstants:
+def quartic_constants(d: int, n_modes: int = DEFAULT_N_MODES) -> QuarticConstants:
     """Quartic coefficient, resolvent correction, and their gap at T_*.
 
     The numeric route solves the degree-0 Hessian block for the resolvent of
@@ -1385,11 +1347,10 @@ def quartic_constants(
     area = sphere_area(d - 1)
     sigma = ts * area
 
-    br = optimizer_branch(d, ts, n_grid)
-    (l_even, l_odd), _ = _assemble_block(br, n_modes, n_grid)
+    br = optimizer_branch(d, ts)
+    (l_even, l_odd), _ = _assemble_block(br, n_modes, DEFAULT_N_GRID)
     halves = (l_even + _q_norm_term(br, n_modes), l_odd)
-    h = ts / n_grid
-    tgrid = np.arange(n_grid) * h
+    tgrid = np.arange(DEFAULT_N_GRID) * (ts / DEFAULT_N_GRID)
     r_star = np.cos(2.0 * math.pi * tgrid / ts)
     r2 = r_star**2
     f_star = (d - 2.0) ** 2 / 8.0 * (q - 1.0) * (q - 2.0) / base * r2
@@ -1492,10 +1453,7 @@ class DegenerateCurve:
 
 
 def degenerate_quotient_curve(
-    d: int,
-    eps_grid=(0.02, 0.01, 0.005),
-    with_resolvent: bool = True,
-    n_grid: int = DEFAULT_N_GRID,
+    d: int, eps_grid=(0.02, 0.01, 0.005), with_resolvent: bool = True
 ) -> DegenerateCurve:
     """Quotient E (E - S ||u||_q^2) / delta^4 along u = u_* + eps r + eps^2 s.
 
@@ -1508,38 +1466,39 @@ def degenerate_quotient_curve(
     from .stability import _eps_grid, _extrapolate
 
     eps = _eps_grid(eps_grid)
-    qc = quartic_constants(d, n_grid=n_grid)
+    qc = quartic_constants(d)
     ts = t_star(d)
     params = CylinderParams(d=d, T=ts)
     q = params.q
     base = u0(d)
     area = sphere_area(d - 1)
     sigma = ts * area
-    h = ts / n_grid
-    tgrid = np.arange(n_grid) * h
+    m = DEFAULT_N_GRID
+    h = ts / m
+    tgrid = np.arange(m) * h
     r_samples = np.cos(2.0 * math.pi * tgrid / ts)
     if with_resolvent:
         s_samples = qc.resolvent_profile.samples
     else:
-        s_samples = np.zeros(n_grid)
+        s_samples = np.zeros(m)
+    dr_samples = -np.sin(2.0 * math.pi * tgrid / ts)
 
-    r_prof = profile_from_samples(params, r_samples)
-    s_prof = profile_from_samples(params, s_samples)
+    # E_T and its bilinear form, on one rfft of each of r, s and r'
+    _, form = _energy_form(params, m)
+    spec_r, spec_s, spec_dr = (np.fft.rfft(x) for x in (r_samples, s_samples, dr_samples))
     scale_s = max(float(np.max(np.abs(s_samples))), 1.0)
     if abs(float(np.sum(s_samples)) * h) > 1e-10 * ts * scale_s:
         raise PreconditionError("resolvent correction must have zero mean")
-    if abs(energy_bilinear_profile(r_prof, s_prof)) > 1e-10 * scale_s:
+    if abs(form((spec_r * np.conj(spec_s)).real)) > 1e-10 * scale_s:
         raise PreconditionError("correction must be energy-orthogonal to the mode")
-    dr_samples = -np.sin(2.0 * math.pi * tgrid / ts)
-    dr_prof = profile_from_samples(params, dr_samples)
-    if abs(energy_bilinear_profile(dr_prof, s_prof)) > 1e-10 * scale_s:
+    if abs(form((spec_dr * np.conj(spec_s)).real)) > 1e-10 * scale_s:
         raise PreconditionError(
             "correction must be energy-orthogonal to the translation mode"
         )
 
     e_u = (d - 2.0) ** 2 / 4.0 * base**2 * sigma
-    e_r = energy_profile(r_prof)
-    e_s = energy_profile(s_prof)
+    e_r = form(np.abs(spec_r) ** 2)
+    e_s = form(np.abs(spec_s) ** 2)
     s_const = sobolev_constant_cylinder(d, ts)
 
     quot = np.empty(len(eps))
@@ -1604,16 +1563,12 @@ def split_stability_terms(profile: PeriodicProfile) -> tuple:
 
 
 # the constants c that split_stability_check reports the sign of
-# deficit - c * remainder for
+# deficit - c * remainder for, and the grid of its profiles
 _SPLIT_SCAN_C = (0.1, 0.5, 1.0)
+_SPLIT_GRID = 2048
 
 
-def split_stability_check(
-    d: int,
-    family: str = "pi",
-    eps_grid=None,
-    n_grid: int = 2048,
-) -> SplitReport:
+def split_stability_check(d: int, family: str = "pi", eps_grid=None) -> SplitReport:
     """Scaling of deficit vs split remainder along a perturbation family.
 
     family "pi" perturbs by the incipient cosine (quartic deficit), family
@@ -1629,7 +1584,7 @@ def split_stability_check(
     if eps_grid is None:
         eps_grid = np.geomspace(0.005, 0.05, 7)
     eps = np.asarray(eps_grid, dtype=float)
-    tgrid = np.arange(n_grid) * (ts / n_grid)
+    tgrid = np.arange(_SPLIT_GRID) * (ts / _SPLIT_GRID)
     mode = 1 if family == "pi" else 2
     r = np.cos(2.0 * math.pi * mode * tgrid / ts)
     lhs = np.empty(len(eps))

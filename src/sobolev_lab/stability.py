@@ -121,7 +121,7 @@ _SEED_ZETAS = ((0.0, 0.0), (0.6, 0.0), (-0.6, 0.0), (0.3, 0.3), (-0.3, 0.3))
 _LBFGS_GTOL = 1e-12
 
 
-def distance(fn: ZonalFn, n_azimuthal: int = DEFAULT_N_AZIMUTHAL) -> DistanceResult:
+def distance(fn: ZonalFn) -> DistanceResult:
     """Distance to the optimizer manifold by multi-start maximization of G.
 
     Runs a 1D maximization along the axis first, then quasi-Newton descents
@@ -137,7 +137,7 @@ def distance(fn: ZonalFn, n_azimuthal: int = DEFAULT_N_AZIMUTHAL) -> DistanceRes
     mult0 = gamma_multiplier(fn.params, 0)
 
     def gval(a: float, rho: float) -> float:
-        return zeta_moment_integral(fn, a, rho, n_azimuthal)
+        return zeta_moment_integral(fn, a, rho)
 
     def unpack(z: np.ndarray) -> tuple:
         nz = 1.0 / math.sqrt(1.0 + float(z[0]) ** 2 + float(z[1]) ** 2)
@@ -223,13 +223,13 @@ def distance(fn: ZonalFn, n_azimuthal: int = DEFAULT_N_AZIMUTHAL) -> DistanceRes
     return result
 
 
-def be_quotient(fn: ZonalFn, n_azimuthal: int = DEFAULT_N_AZIMUTHAL) -> float:
+def be_quotient(fn: ZonalFn) -> float:
     """Stability quotient deficit / delta^2.
 
     Raises DegenerateInputError on (numerical) optimizers, where the
     quotient is a 0/0 expression.
     """
-    dist = distance(fn, n_azimuthal=n_azimuthal)
+    dist = distance(fn)
     e_total = energy(fn)
     if dist.delta / math.sqrt(e_total) < MANIFOLD_TOL:
         raise DegenerateInputError(
@@ -294,11 +294,7 @@ def _extrapolate(eps: np.ndarray, vals: np.ndarray) -> tuple:
     return limit, float(abs(limit - float(p_lo(0.0))))
 
 
-def quotient_curve(
-    fn: ZonalFn,
-    eps_grid=(0.02, 0.01, 0.005),
-    n_azimuthal: int = DEFAULT_N_AZIMUTHAL,
-) -> QuotientCurve:
+def quotient_curve(fn: ZonalFn, eps_grid=(0.02, 0.01, 0.005)) -> QuotientCurve:
     """Quotient along U = 1 + eps R for an orthogonal perturbation R.
 
     R must carry no degree-0 or degree-1 component (checked to 1e-10 of its
@@ -322,7 +318,7 @@ def quotient_curve(
         u = analyze(
             1.0 + e * fn.samples, fn.params, fn.bandlimit, axis=np.asarray(fn.axis)
         )
-        vals[i] = be_quotient(u, n_azimuthal=n_azimuthal)
+        vals[i] = be_quotient(u)
     limit, err = _extrapolate(eps, vals)
     return QuotientCurve(
         eps=eps, quotient=vals, extrapolated_limit=limit, error_estimate=err

@@ -203,21 +203,16 @@ def analyze(
 
 
 def from_coeffs(
-    coeffs: np.ndarray,
-    params: SphereParams,
-    order: int = DEFAULT_ORDER,
-    axis: np.ndarray | None = None,
+    coeffs: np.ndarray, params: SphereParams, order: int = DEFAULT_ORDER
 ) -> ZonalFn:
-    """Build a ZonalFn from basis coefficients, synthesizing its samples."""
+    """Build a ZonalFn about the default axis from basis coefficients."""
     coeffs = np.ascontiguousarray(coeffs, dtype=float)
     bandlimit = len(coeffs) - 1
     basis = zonal_basis(params.d, bandlimit, order)
     samples = basis.values.T @ coeffs
-    if axis is None:
-        axis = _default_axis(params.d)
     return ZonalFn(
         params=params,
-        axis=np.asarray(axis, dtype=float),
+        axis=_default_axis(params.d),
         coeffs=coeffs,
         samples=samples,
         bandlimit=bandlimit,
@@ -373,17 +368,14 @@ class SubcriticalReport:
     tail_monotone: bool
 
 
-# the degrees the subcritical quotient is scanned over
+# the degrees the subcritical quotient is scanned over, and the bandlimit and
+# Gauss order of its random test functions
 _SUBCRITICAL_L_MAX = 500
+_SUBCRITICAL_BANDLIMIT, _SUBCRITICAL_ORDER = 16, 64
 
 
 def subcritical_check(
-    d: int,
-    q_sub: float,
-    bandlimit: int = 16,
-    order: int = 64,
-    n_random: int = 32,
-    seed: int = 7,
+    d: int, q_sub: float, n_random: int = 32, seed: int = 7
 ) -> SubcriticalReport:
     """Scan the spectral quotient behind the subcritical inequality.
 
@@ -421,7 +413,8 @@ def subcritical_check(
     constant = float(ratio[arg])
 
     geo = sphere_geometry(d)
-    basis = zonal_basis(d, bandlimit, order)
+    bandlimit = _SUBCRITICAL_BANDLIMIT
+    basis = zonal_basis(d, bandlimit, _SUBCRITICAL_ORDER)
     rng = np.random.default_rng(seed)
     lam = d / (q_sub - 2.0)
     margins = np.empty(n_random)

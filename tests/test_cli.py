@@ -218,6 +218,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["verify", "conformal", "--bandlimit", "11"],
         ["verify", "stability", "--bandlimit", "1"],
         ["be-scan", "--family", "degree2", "--d", "3", "--s", "1", "--bandlimit", "1"],
+        # a seed numpy's SeedSequence refuses, and a period that is not finite
+        ["verify", "duality", "--seed", "-1"],
+        ["verify", "cylinder", "--T", "inf"],
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):

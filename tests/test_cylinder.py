@@ -22,14 +22,12 @@ from scipy.linalg import eigh, null_space
 from sobolev_lab import cylinder, verify
 from sobolev_lab.cylinder import (
     _assemble_block,
-    _dop853_eval,
     _integrate,
     _lowest_eigenvalues,
     _multiplication_halves,
     _q_norm_term,
     _rhs,
     _sample,
-    _step_interpolant,
     _trig_coords,
     Branch,
     CylinderParams,
@@ -39,7 +37,6 @@ from sobolev_lab.cylinder import (
     cosh_trial_bound,
     degenerate_quotient_curve,
     distance_to_branch,
-    energy_bilinear_profile,
     energy_drift,
     energy_profile,
     hessian_block_spectrum,
@@ -263,14 +260,23 @@ def test_domain_errors_on_bad_amplitudes():
         inverse_period(D, TS * 0.99)
 
 
+@pytest.mark.parametrize("T", [math.inf, -math.inf, math.nan, 0.0])
+def test_a_period_that_is_not_finite_and_positive_is_a_domain_error(T):
+    # an infinite period used to pass CylinderParams and reach the amplitude
+    # bracket, which then failed as a computation
+    with pytest.raises(DomainError, match="period"):
+        CylinderParams(D, T)
+    with pytest.raises(DomainError, match="T"):
+        inverse_period(D, T)
+
+
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: solve_orbit(D, 0.9, n_samples=1),
         lambda: energy_drift(D, 0.9, n_periods=0),
         lambda: optimizer_branch(D, 1.5 * TS, n_grid=0),
     ],
-    ids=["orbit_one_sample", "drift_zero_periods", "branch_empty_grid"],
+    ids=["drift_zero_periods", "branch_empty_grid"],
 )
 def test_degenerate_sizes_raise_domain_error_before_any_work(monkeypatch, call):
     def refuse(*args, **kwargs):
@@ -313,18 +319,6 @@ def test_profile_energy_against_trig_closed_form():
     assert lq_norm_profile(prof) ** 6.0 == pytest.approx(
         area * 45.1190617470703125, rel=1e-11
     )
-
-
-def test_energy_bilinear_profile_polarization():
-    params = CylinderParams(D, 9.0)
-    m = 512
-    t = np.arange(m) * (9.0 / m)
-    p1 = profile_from_samples(params, 1.0 + 0.2 * np.cos(2 * math.pi * t / 9.0))
-    p2 = profile_from_samples(params, 0.5 * np.sin(4 * math.pi * t / 9.0))
-    both = profile_from_samples(params, p1.samples + p2.samples)
-    lhs = energy_profile(both)
-    rhs = energy_profile(p1) + 2.0 * energy_bilinear_profile(p1, p2) + energy_profile(p2)
-    assert lhs == pytest.approx(rhs, rel=1e-11)
 
 
 def test_quotient_profile_scale_invariant():
@@ -903,20 +897,6 @@ def test_solve_orbit_period_matches_scipy_dop853():
         assert solve_orbit(d, alpha).period == pytest.approx(tau, rel=1e-12, abs=0.0)
 
 
-def test_float_event_interpolant_matches_the_batched_one():
-    # the turning-point root-find asks one step at one time at once; _sample
-    # asks many steps at many times: the two evaluate the same polynomial
-    d, T = 4, 1.5 * t_star(4)
-    steps = _integrate(d, inverse_period(d, T), 0.5 * T)
-    n = len(steps.h)
-    for i in (0, n // 2, n - 1):
-        at = _step_interpolant(steps, i)
-        for x in (0.0, 0.3, 0.77, 1.0):
-            t = steps.t[i] + x * steps.h[i]
-            batched = _dop853_eval(steps, np.array([i]), np.array([t]))[:, 0]
-            assert np.array_equal(at(float(t)), batched)
-
-
 def test_unconverged_root_raises_typed_error(monkeypatch):
     monkeypatch.setattr(cylinder, "brentq", functools.partial(scipy.optimize.brentq, maxiter=1))
     with pytest.raises(ComputationError, match="did not converge"):
@@ -1159,7 +1139,10 @@ def test_distance_to_branch_below_bifurcation_projects_onto_constants():
         const = profile_from_samples(CylinderParams(D, T), np.full(m, c))
         diff = profile_from_samples(CylinderParams(D, T), samples - c)
         assert delta**2 == pytest.approx(energy_profile(diff), rel=1e-10, abs=0.0)
-        assert energy_bilinear_profile(const, diff) == pytest.approx(0.0, abs=1e-10)
+        # the remainder is E_T-orthogonal to the constant, by polarization:
+        # E[c + v] = E[c] + 2 B(c, v) + E[v]
+        cross = energy_profile(prof) - energy_profile(const) - energy_profile(diff)
+        assert 0.5 * cross == pytest.approx(0.0, abs=1e-10)
 
 
 def test_distance_to_branch_recovers_orbit_multiple():

@@ -14,11 +14,13 @@ is reached when code reaches it from one of these roots:
 
 Uses are read from the code (``ast`` names and attributes), never from
 docstrings or comments. A name reached from no root is dead surface: delete
-it with its tests rather than list it here.
+it with its tests rather than list it here. The parameter ledger at the end
+holds the defaulted parameters of exported functions to the same rule.
 """
 
 import ast
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -43,6 +45,31 @@ ORACLES = {
     "from_coeffs and eval_zonal by an independent route",
 }
 
+def _imports(tree: ast.Module) -> tuple:
+    """(names, modules) a file imports from the package, wherever it imports.
+
+    names maps a local alias to (module, name), modules a local alias to a
+    module.
+    """
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            module = node.module
+        elif node.module and node.module.split(".")[0] == "sobolev_lab":
+            module = node.module.partition(".")[2] or None
+        else:
+            continue
+        for alias in node.names:
+            local = alias.asname or alias.name
+            if module is None:
+                modules[local] = alias.name
+            else:
+                names[local] = (module, alias.name)
+    return names, modules
+
+
 class _Uses(ast.NodeVisitor):
     """The (module, name) pairs a file's code uses, per top-level definition.
 
@@ -54,11 +81,7 @@ class _Uses(ast.NodeVisitor):
 
     def __init__(self, tree: ast.Module, own):
         self.own = own
-        self.names = {}  # local alias -> (module, name)
-        self.modules = {}  # local alias -> module
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                self._bind(node)
+        self.names, self.modules = _imports(tree)
         self.by_def = {None: set()}
         self.current, self.local = None, frozenset()
         for stmt in tree.body:
@@ -70,20 +93,6 @@ class _Uses(ast.NodeVisitor):
                 self.current, self.local = None, frozenset()
             else:
                 self.visit(stmt)
-
-    def _bind(self, node: ast.ImportFrom) -> None:
-        if node.level == 1:
-            module = node.module
-        elif node.module and node.module.split(".")[0] == "sobolev_lab":
-            module = node.module.partition(".")[2] or None
-        else:
-            return
-        for alias in node.names:
-            local = alias.asname or alias.name
-            if module is None:
-                self.modules[local] = alias.name
-            else:
-                self.names[local] = (module, alias.name)
 
     @staticmethod
     def _bound(stmt) -> frozenset:
@@ -236,3 +245,153 @@ def test_no_library_module_imports_a_name_it_never_uses():
             "%s.%s" % (path.stem, name) for name in sorted(_module_imports(tree) - kept)
         ]
     assert not unused, "imported but never used: %s" % ", ".join(unused)
+
+
+# ---------------------------------------------------------------------------
+# The parameter ledger: a defaulted parameter of an exported function is a
+# knob, and a knob is kept only while a value of its own reaches it. A call
+# that passes the parameter an expression, by position or by keyword, sets
+# it. A call that forwards a parameter of an enclosing function under the
+# same name sets it only when that parameter is set in turn; the default of
+# a wrapper nobody sets decides nothing. The CLI reaches the library through
+# ``_given(args, <flags>)``, which sets the library names of its flags, and
+# ``run_suite``, which hands each suite the names it is given. Calls are read
+# in the library, the benchmark harness and the tests.
+
+LEDGER_MODULES = AUDITED + ("verify", "cli")
+LEDGER_FILES = (
+    sorted(SRC.glob("*.py"))
+    + sorted((ROOT / "perfbench").rglob("*.py"))
+    + sorted((ROOT / "tests").glob("*.py"))
+)
+
+
+def _file_key(path: Path) -> str:
+    """A library file's module name; any other file's path."""
+    return path.stem if path.parent == SRC else str(path.relative_to(ROOT))
+
+
+def _given_names(call: ast.Call) -> set:
+    """The library names that ``_given(args, <flags>)`` sets."""
+    cli = importlib.import_module("sobolev_lab.cli")
+    flags = []
+    for arg in call.args[1:]:
+        if isinstance(arg, ast.Constant):
+            flags.append(arg.value)
+        else:  # *_COMMAND_FLAGS["verify"]
+            table = getattr(cli, arg.value.value.id)
+            flags.extend(table[arg.value.slice.value])
+    keys = (flag.replace("-", "_") for flag in flags)
+    return {cli._LIBRARY_NAMES.get(key, key) for key in keys}
+
+
+class _Calls(ast.NodeVisitor):
+    """What the calls in one file pass to the functions they resolve.
+
+    A call resolves to a name imported from the package, to a module
+    attribute of the package, or to a top-level function of the file itself.
+    ``passed`` collects (function, parameter) pairs given a value, and
+    ``forwards`` the pairs (enclosing function, parameter) -> (function,
+    parameter) of a forwarded name.
+    """
+
+    def __init__(self, path: Path, positional: dict, suites: list):
+        tree = ast.parse(path.read_text())
+        self.key, self.positional, self.suites = _file_key(path), positional, suites
+        self.names, self.modules = _imports(tree)
+        self.tops = {s.name: s for s in tree.body if isinstance(s, ast.FunctionDef)}
+        # module-level dict literals, for a call's **NAME
+        self.dicts = {}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name):
+                value = stmt.value
+                if isinstance(value, ast.Call) and getattr(value.func, "id", "") == "dict":
+                    self.dicts[stmt.targets[0].id] = {k.arg for k in value.keywords}
+        self.scopes = []  # (owner, parameter names) of the enclosing functions
+        self.passed, self.forwards = set(), []
+        self.visit(tree)
+
+    def _scope(self, node):
+        top = self.tops.get(getattr(node, "name", None)) is node
+        owner = (self.key, node.name) if top else None
+        args = node.args
+        names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+        self.scopes.append((owner, names))
+        self.generic_visit(node)
+        self.scopes.pop()
+
+    visit_FunctionDef = visit_Lambda = _scope
+
+    def _target(self, func):
+        if isinstance(func, ast.Name):
+            if func.id in self.names:
+                return self.names[func.id]
+            return (self.key, func.id) if func.id in self.tops else None
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            module = self.modules.get(func.value.id)
+            return (module, func.attr) if module else None
+        return None
+
+    def _give(self, dests, param, value) -> None:
+        """Record param = value for each function in dests."""
+        if isinstance(value, ast.Name) and value.id == param:
+            for owner, names in reversed(self.scopes):
+                if param in names:
+                    self.forwards += [((owner, param), (f, param)) for f in dests]
+                    return
+        self.passed |= {(f, param) for f in dests}
+
+    def visit_Call(self, node):
+        self.generic_visit(node)
+        target = self._target(node.func)
+        if target == ("verify", "run_suite"):
+            dests, params = self.suites, []  # run_suite(suite, **params)
+        elif target in self.positional:
+            dests, params = [target], self.positional[target]
+        else:
+            return
+        for param, arg in zip(params, node.args):
+            if isinstance(arg, ast.Starred):
+                break
+            self._give(dests, param, arg)
+        for kw in node.keywords:
+            value = kw.value
+            if kw.arg is not None:
+                self._give(dests, kw.arg, value)
+            elif isinstance(value, ast.Call) and self._target(value.func) == ("cli", "_given"):
+                self.passed |= {(f, p) for f in dests for p in _given_names(value)}
+            elif isinstance(value, ast.Name) and value.id in self.dicts:
+                self.passed |= {(f, p) for f in dests for p in self.dicts[value.id]}
+
+
+def test_every_defaulted_parameter_is_passed_a_value():
+    positional = {}  # (file key, function) -> positional parameter names
+    for path in LEDGER_FILES:
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, ast.FunctionDef):
+                args = stmt.args.posonlyargs + stmt.args.args
+                positional[_file_key(path), stmt.name] = [a.arg for a in args]
+    verify = importlib.import_module("sobolev_lab.verify")
+    suites = [("verify", fn.__name__) for fn in verify.SUITES.values()]
+    passed, forwards = set(), []
+    for path in LEDGER_FILES:
+        calls = _Calls(path, positional, suites)
+        passed |= calls.passed
+        forwards += calls.forwards
+    grew = True
+    while grew:
+        new = {dest for src, dest in forwards if src in passed} - passed
+        passed |= new
+        grew = bool(new)
+    unset = []
+    for module in LEDGER_MODULES:
+        mod = importlib.import_module("sobolev_lab." + module)
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if not callable(obj) or isinstance(obj, type):
+                continue
+            for param in inspect.signature(obj).parameters.values():
+                knob = ((module, name), param.name)
+                if param.default is not param.empty and knob not in passed:
+                    unset.append("%s.%s(%s)" % (module, name, param.name))
+    assert not unset, "defaulted but never passed a value: %s" % ", ".join(unset)

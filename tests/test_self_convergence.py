@@ -20,6 +20,12 @@ than the 1e-10 relative that the round trip ``period(inverse_period(d, T))
 leaves a factor 2. Longer periods are not converged at the default: 7.9e-9
 at d = 5, 3 T_*, and 2.3e-10 at d = 4; they are not checked here.
 
+The moment G(zeta) runs on ``DEFAULT_N_AZIMUTHAL`` azimuthal Gauss nodes.
+Doubled, G must move by no more than 1e-12 relative, for |zeta| up to 0.95
+on four (d, s). Measured worst move: 2.1e-13 (d = 6, s = 2.5, |zeta| =
+0.95, where the kernel's exponent (d + 2s)/2 is largest); below |zeta| =
+0.95 every move is at most 4.2e-15. The bound leaves a factor 4.7.
+
 Each default discretization has one home, a module constant that every
 signature taking it reads, so that a check at N and 2N varies the N the
 library runs at.
@@ -32,6 +38,7 @@ import numpy as np
 import pytest
 
 from sobolev_lab import cylinder, stability, zonal
+from sobolev_lab.stability import DEFAULT_N_AZIMUTHAL, zeta_moment_integral
 from sobolev_lab.cylinder import (
     DEFAULT_N_GRID,
     DEFAULT_N_THETA,
@@ -48,6 +55,8 @@ TIGHT = dict(rtol=1e-13, atol=1e-15)
 BOUND = 1e-10
 # relative; the round trip's claim, twice the measured 4.7e-11 (docstring)
 PERIOD_BOUND = 1e-10
+# relative; 4.7 times the measured worst 2.1e-13 (docstring)
+MOMENT_BOUND = 1e-12
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
@@ -83,6 +92,23 @@ def test_period_converges_in_n_theta(d, frac):
     assert abs(ref - fine) <= PERIOD_BOUND * fine
 
 
+@pytest.mark.parametrize("d, s", [(3, 1.0), (4, 1.0), (5, 0.7), (6, 2.5)])
+def test_moment_converges_in_n_azimuthal(d, s):
+    params = zonal.SphereParams(d, s)
+    coeffs = np.zeros(zonal.DEFAULT_BANDLIMIT + 1)
+    # a positive bump of degrees 0..12, as the verify suites draw them
+    raw = np.random.default_rng(d).standard_normal(13)
+    coeffs[:13] = raw / (1.0 + np.arange(13)) ** 2
+    coeffs[0] += 2.0
+    fn = zonal.from_coeffs(coeffs, params)
+    for r in (0.3, 0.6, 0.85, 0.95):
+        for angle in np.linspace(0.0, np.pi, 7):
+            a, rho = r * np.cos(angle), r * np.sin(angle)
+            ref = zeta_moment_integral(fn, a, rho)
+            fine = zeta_moment_integral(fn, a, rho, 2 * DEFAULT_N_AZIMUTHAL)
+            assert abs(ref - fine) <= MOMENT_BOUND * abs(fine)
+
+
 # parameter: (module, constant, value); a speedup may not shrink these
 HOMES = {
     "bandlimit": (zonal, "DEFAULT_BANDLIMIT", 64),
@@ -93,23 +119,19 @@ HOMES = {
     "n_azimuthal": (stability, "DEFAULT_N_AZIMUTHAL", 64),
 }
 
-# module.function of every signature that defaults a parameter to its home
+# module.function of every signature that defaults a parameter to its home;
+# the grid, the nodes and the azimuthal order have one knob each, on the
+# function that consumes them
 SPHERE_SUITES = "verify.sphere_checks verify.conformal_checks verify.stability_checks"
 AT_HOME = {
-    "bandlimit": "zonal.analyze conformal.q_zeta "
-    "conformal.radial_transfer " + SPHERE_SUITES,
-    "order": "zonal.from_coeffs conformal.q_zeta "
-    "conformal.radial_transfer " + SPHERE_SUITES,
+    "bandlimit": "zonal.analyze conformal.q_zeta " + SPHERE_SUITES,
+    "order": "zonal.from_coeffs conformal.q_zeta " + SPHERE_SUITES,
     "n_modes": "cylinder.hessian_block_spectrum cylinder.zero_mode_pairing "
     "cylinder.c_T_numeric cylinder.c_T cylinder.quartic_constants "
     "verify.cylinder_checks",
-    "n_grid": "cylinder.optimizer_branch cylinder.hessian_block_spectrum "
-    "cylinder.c_T_numeric cylinder.c_T cylinder.quartic_constants "
-    "cylinder.degenerate_quotient_curve",
-    "n_theta": "cylinder.period cylinder.orbit_integrals "
-    "cylinder.sobolev_constant_cylinder cylinder.orbit_branch_value",
-    "n_azimuthal": "stability.zeta_moment_integral stability.distance "
-    "stability.be_quotient stability.quotient_curve",
+    "n_grid": "cylinder.optimizer_branch",
+    "n_theta": "cylinder.period",
+    "n_azimuthal": "stability.zeta_moment_integral",
 }
 
 
@@ -138,8 +160,7 @@ def test_each_default_discretization_has_one_home():
             assert getattr(default, "id", getattr(default, "attr", None)) == home, (
                 module, function, param
             )
-    # a literal default may differ on purpose (minimize_quotient's 512-point
-    # grid), but never copies the home's value
+    # no default spells a home's value as a literal
     for (module, function, param), default in spelled.items():
         if param in HOMES and isinstance(default, ast.Constant):
             assert default.value != HOMES[param][2], (module, function, param)
