@@ -28,7 +28,7 @@ from .zonal import SphereParams
 
 __all__ = ["build_parser", "main"]
 
-_SUITE_NAMES = ("sphere", "conformal", "stability", "cylinder", "duality", "all")
+_SUITE_NAMES = (*verify.SUITES, "all")
 
 
 def _fmt_float(x: float) -> str:

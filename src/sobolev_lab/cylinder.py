@@ -39,7 +39,6 @@ from .errors import (
     PreconditionError,
 )
 from .specialfn import gauss_rule, sphere_area
-from .zonal import SpectrumReport, make_spectrum_report
 
 __all__ = [
     "CylinderParams",
@@ -49,6 +48,7 @@ __all__ = [
     "QuarticConstants",
     "DegenerateCurve",
     "SplitReport",
+    "SpectrumReport",
     "u0",
     "t_star",
     "potential",
@@ -372,12 +372,13 @@ def period(d: int, alpha: float, n_theta: int = DEFAULT_N_THETA) -> float:
     return float(2.0 * math.sqrt(2.0) * np.dot(tab.wts, 1.0 / np.sqrt(w)))
 
 
-def orbit_integrals(d: int, alpha: float) -> dict:
-    """Period integrals of the orbit: tau, int u^q, int u^2, int u'^2.
+def orbit_integrals(d: int, alpha: float) -> tuple:
+    """Period integrals (i_energy, i_q) of the orbit.
 
-    All integrals run over one full period and use the same regularized
-    quadrature as the period itself (the kinetic integral carries the
-    vanishing factor explicitly, so it needs no regularization).
+    i_energy = int u'^2 + ((d-2)^2/4) int u^2 and i_q = int u^q, over one
+    full period, by the same regularized quadrature as the period itself
+    (the kinetic integral carries the vanishing factor explicitly, so it
+    needs no regularization).
     """
     _check_alpha(d, alpha)
     q = _q_of(d)
@@ -386,35 +387,19 @@ def orbit_integrals(d: int, alpha: float) -> dict:
     u, au, ub, w = _w_values(d, alpha, tab)
     root = 1.0 / np.sqrt(w)
     fac = 2.0 * math.sqrt(2.0)
-    tau = fac * np.dot(wts, root)
     i_q = fac * np.dot(wts, u**q * root)
     i_2 = fac * np.dot(wts, u * u * root)
     i_kin = fac * np.dot(wts, 2.0 * au * ub * np.sqrt(w))
-    i_energy = i_kin + (d - 2.0) ** 2 / 4.0 * i_2
-    return {
-        "tau": float(tau),
-        "i_q": float(i_q),
-        "i_2": float(i_2),
-        "i_kin": float(i_kin),
-        "i_energy": float(i_energy),
-    }
+    return float(i_kin + (d - 2.0) ** 2 / 4.0 * i_2), float(i_q)
 
 
 @dataclass(frozen=True)
 class Orbit:
-    """One period of the orbit with amplitude alpha."""
+    """The orbit with amplitude alpha, by its ODE period."""
 
     d: int
     alpha: float
     period: float
-    t: np.ndarray
-    u: np.ndarray
-    up: np.ndarray
-    energy_constant: float
-
-    def __post_init__(self):
-        for arr in (self.t, self.u, self.up):
-            arr.setflags(write=False)
 
 
 def _rhs(d: int):
@@ -632,55 +617,39 @@ def _turning_time(steps: _Steps) -> float:
     )
 
 
-def _mirrored_samples(steps: _Steps, step: float, n: int, closed: bool) -> tuple:
+def _mirrored_samples(steps: _Steps, step: float, n: int) -> tuple:
     """u and u' at t_j = j step, j < n, of an orbit that starts at its maximum.
 
-    The ODE is reversible and u'(0) = 0, so over one period P the orbit obeys
-    u(P - t) = u(t) and u'(P - t) = -u'(t). P is (n - 1) step on a ``closed``
-    grid, which holds both ends, and n step on a periodic one. Only the first
-    half of the grid is read, by ``_sample`` from the float DOP853 run
-    ``steps``, which needs to cover [0, P/2]; every later sample copies its
-    mirror, so u is exactly even and u' exactly odd on the grid (u' = 0 at a
-    sample on P/2).
+    The ODE is reversible and u'(0) = 0, so over one period P = n step the
+    orbit obeys u(P - t) = u(t) and u'(P - t) = -u'(t). Only the first half
+    of the grid is read, by ``_sample`` from the float DOP853 run ``steps``,
+    which needs to cover [0, P/2]; every later sample copies its mirror, so u
+    is exactly even and u' exactly odd on the grid (u' = 0 at a sample on
+    P/2).
     """
-    m = n - 1 if closed else n
-    half = m // 2
+    half = n // 2
     u, up = np.empty(n), np.empty(n)
     u[: half + 1], up[: half + 1] = _sample(steps, np.arange(half + 1) * step)
-    if m % 2 == 0:
+    if n % 2 == 0:
         up[half] = 0.0
-    u[half + 1 :] = u[m - n + 1 : m - half][::-1]
-    up[half + 1 :] = -up[m - n + 1 : m - half][::-1]
+    u[half + 1 :] = u[1 : n - half][::-1]
+    up[half + 1 :] = -up[1 : n - half][::-1]
     return u, up
 
 
-# the samples of one period that solve_orbit returns
-_ORBIT_SAMPLES = 1024
-
-
 def solve_orbit(d: int, alpha: float, rtol: float = 1e-12, atol: float = 1e-14) -> Orbit:
-    """Integrate half a period adaptively; the period is twice the turning time.
+    """The ODE period: twice the time from the maximum to the turning point.
 
     The profile starts at its maximum (u(0) = alpha, u'(0) = 0) and descends
     to the turning point at half period, the rising zero of u' (found by
-    ``_turning_time``); the returning half is its mirror image. The
-    independent quadrature period brackets the integration window.
+    ``_turning_time``) on an adaptive half-period run. The independent
+    quadrature period brackets the integration window. ``optimizer_branch``
+    holds the orbit's samples.
     """
     _check_alpha(d, alpha)
     tau_quad = period(d, alpha)
     steps = _integrate(d, alpha, 0.51 * tau_quad, rtol, atol)
-    tau = 2.0 * _turning_time(steps)
-    n = _ORBIT_SAMPLES
-    u, up = _mirrored_samples(steps, tau / (n - 1), n, closed=True)
-    return Orbit(
-        d=d,
-        alpha=alpha,
-        period=tau,
-        t=np.linspace(0.0, tau, n),
-        u=u,
-        up=up,
-        energy_constant=float(potential(alpha, d)),
-    )
+    return Orbit(d, alpha, 2.0 * _turning_time(steps))
 
 
 def energy_drift(d: int, alpha: float, n_periods: int = 10) -> float:
@@ -766,7 +735,7 @@ def optimizer_branch(d: int, T: float, n_grid: int = DEFAULT_N_GRID) -> Branch:
         return Branch(params, alpha, np.full(n_grid, alpha), np.zeros(n_grid))
     alpha = inverse_period(d, T)
     steps = _integrate(d, alpha, 0.5 * T)
-    u, up = _mirrored_samples(steps, T / n_grid, n_grid, closed=False)
+    u, up = _mirrored_samples(steps, T / n_grid, n_grid)
     return Branch(params, alpha, u, up)
 
 
@@ -882,26 +851,29 @@ def orbit_branch_value(d: int, T: float, k: int = 1) -> float:
     if T / k <= params.t_star:
         raise DomainError("no k-bump branch: T/k must exceed T_*")
     alpha = inverse_period(d, T / k)
-    ints = orbit_integrals(d, alpha)
+    i_energy, i_q = orbit_integrals(d, alpha)
     area = sphere_area(d - 1)
-    return float(
-        area ** (1.0 - 2.0 / q)
-        * (k * ints["i_energy"])
-        / (k * ints["i_q"]) ** (2.0 / q)
-    )
+    return float(area ** (1.0 - 2.0 / q) * (k * i_energy) / (k * i_q) ** (2.0 / q))
 
 
-def l1_factorization_residual(orbit: Orbit) -> float:
-    """Residual of the degree-1 annihilation identity along the orbit.
+def l1_factorization_residual(br: Branch) -> float:
+    """Residual of the degree-1 annihilation identity along the branch.
 
     v = e^(sigma t)(u' + sigma (d-2)/2 u), sigma = +-1, solves the degree-1
     Hessian ODE -v'' + ((d-1) + ((d-2)/2)^2) v = (d(d+2)/4) u^(q-2) v exactly;
-    returns the max grid residual relative to the max of |v|, worst sigma.
+    returns the max residual on the branch grid t_j = j T / N relative to the
+    max of |v|, worst sigma.
+
+    u'' and u''' are formed from the ODE, and with them the identity holds
+    pointwise for any samples u and u': the residual is roundoff (uniform
+    random u in [0.1, 1] and normal u' read at most 7.6e-16 over 20 draws at
+    d = 3, T = 9), so it cannot see a wrong orbit.
     """
-    d = orbit.d
+    d = br.params.d
     q = _q_of(d)
     beta = (d - 2.0) / 2.0
-    u, up, t = orbit.u, orbit.up, orbit.t
+    u, up = br.u, br.up
+    t = np.arange(len(u)) * (br.params.T / len(u))
     upp = beta**2 * u - d * (d - 2.0) / 4.0 * u ** (q - 1.0)
     uppp = beta**2 * up - d * (d - 2.0) / 4.0 * (q - 1.0) * u ** (q - 2.0) * up
     worst = 0.0
@@ -1175,6 +1147,21 @@ def _lowest_eigenvalues(lmat: np.ndarray, bdiag: np.ndarray, count: int = 1) -> 
     return eigh(mat, eigvals_only=True, subset_by_index=(0, count - 1)).tolist()
 
 
+@dataclass(frozen=True)
+class SpectrumReport:
+    """Ascending eigenvalues of a Hessian block and its kernel dimension."""
+
+    eigenvalues: np.ndarray
+    kernel_dim: int
+
+    def __post_init__(self):
+        self.eigenvalues.setflags(write=False)
+
+
+# an eigenvalue counts as kernel below this fraction of max(max |ev|, 1)
+_KERNEL_REL_TOL = 1e-6
+
+
 def hessian_block_spectrum(
     d: int, T: float, ell: int, n_modes: int = DEFAULT_N_MODES
 ) -> SpectrumReport:
@@ -1194,9 +1181,9 @@ def hessian_block_spectrum(
     # degree ell is the degree-0 block shifted by ell(ell+d-2) on the diagonal
     shift = ell * (ell + d - 2.0)
     vals = [eigh(h + shift * np.eye(len(h)), eigvals_only=True) for h in halves]
-    return make_spectrum_report(
-        np.sort(np.concatenate(vals)), (2 * n_modes + 1, DEFAULT_N_GRID)
-    )
+    ev = np.sort(np.concatenate(vals))
+    tol = _KERNEL_REL_TOL * max(float(np.max(np.abs(ev))), 1.0)
+    return SpectrumReport(ev, int(np.sum(np.abs(ev) < tol)))
 
 
 def zero_mode_pairing(br: Branch, n_modes: int = DEFAULT_N_MODES) -> float:

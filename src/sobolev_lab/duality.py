@@ -126,10 +126,18 @@ class FiniteOperator:
         return self.matrix.shape
 
 
+def _rng(seed: int) -> np.random.Generator:
+    """The generator of a route's random starts; a negative seed is refused."""
+    # numpy's default_rng would raise a bare ValueError on a negative seed
+    if seed < 0:
+        raise DomainError("seed must be nonnegative, got %r" % (seed,))
+    return np.random.default_rng(seed)
+
+
 def _ascent_starts(n: int, seed: int):
     starts = [np.eye(n)[j] for j in range(n)]
     starts.append(np.ones(n) / math.sqrt(n))
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     for _ in range(_N_RANDOM_STARTS):
         v = rng.standard_normal(n)
         starts.append(v / np.linalg.norm(v))
@@ -192,7 +200,7 @@ def adjoint_norm_fixed_point(
         return g / nrm
 
     ranked = []
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     g_starts = [np.eye(m)[j] for j in range(m)]
     g_starts.append(np.ones(m) / lq_norm(np.ones(m), qp))
     for _ in range(_N_RANDOM_STARTS):

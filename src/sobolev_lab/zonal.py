@@ -35,7 +35,6 @@ __all__ = [
     "SphereParams",
     "ZonalFn",
     "ZonalBasis",
-    "SpectrumReport",
     "SubcriticalReport",
     "zonal_basis",
     "analyze",
@@ -53,7 +52,6 @@ __all__ = [
     "w_weight_threeterm",
     "projection_kernel",
     "subcritical_check",
-    "make_spectrum_report",
 ]
 
 DEFAULT_BANDLIMIT = 64
@@ -365,7 +363,6 @@ class SubcriticalReport:
     constant: float
     argmax_ell: int
     violations: np.ndarray
-    tail_monotone: bool
 
 
 # the degrees the subcritical quotient is scanned over, and the bandlimit and
@@ -390,16 +387,17 @@ def subcritical_check(
     qc = 2.0 * d / (d - 2.0) if d > 2 else math.inf
     if not 2.0 <= q_sub < qc:
         raise DomainError("q_sub must lie in [2, 2d/(d-2))")
+    # numpy's default_rng would raise a bare ValueError on a negative seed
+    if seed < 0:
+        raise DomainError("seed must be nonnegative, got %r" % (seed,))
     if q_sub == 2.0:
-        return SubcriticalReport(0.0, 0, np.empty(0), True)
+        return SubcriticalReport(0.0, 0, np.empty(0))
     s_sub = d * (0.5 - 1.0 / q_sub)
     ells = np.arange(_SUBCRITICAL_L_MAX + 1, dtype=float)
     mult = gamma_multiplier(SphereParams(d, s_sub), ells)
     den = ells * (ells + d - 1.0) + d / (q_sub - 2.0)
     ratio = mult / den
-    tail = ratio[-100:]
-    tail_ok = bool(np.all(np.diff(tail) < 0.0))
-    if not tail_ok:
+    if not np.all(np.diff(ratio[-100:]) < 0.0):
         raise ComputationError(
             "quotient tail is not yet decreasing at l_max=%d; raise _SUBCRITICAL_L_MAX"
             % _SUBCRITICAL_L_MAX
@@ -428,39 +426,4 @@ def subcritical_check(
         )
         rhs = lam * geo.area ** (1.0 - 2.0 / q_sub) * nq ** (2.0 / q_sub)
         margins[i] = (lhs - rhs) / lhs
-    return SubcriticalReport(constant, arg, margins, tail_ok)
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    """Sorted eigenvalues of a discretized quadratic form plus kernel count."""
-
-    eigenvalues: np.ndarray
-    kernel_dim: int
-    discretization: tuple
-    kernel_tol: float
-
-    def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=float)
-        if np.any(np.diff(ev) < 0.0):
-            raise PreconditionError("eigenvalues must be sorted ascending")
-        ev.setflags(write=False)
-
-
-# an eigenvalue counts as kernel below this fraction of max(max |ev|, 1)
-_KERNEL_REL_TOL = 1e-6
-
-
-def make_spectrum_report(
-    eigenvalues: np.ndarray, discretization: tuple
-) -> SpectrumReport:
-    ev = np.sort(np.asarray(eigenvalues, dtype=float))
-    scale = float(np.max(np.abs(ev))) if len(ev) else 1.0
-    tol = _KERNEL_REL_TOL * max(scale, 1.0)
-    kdim = int(np.sum(np.abs(ev) < tol))
-    return SpectrumReport(
-        eigenvalues=ev,
-        kernel_dim=kdim,
-        discretization=tuple(discretization),
-        kernel_tol=tol,
-    )
+    return SubcriticalReport(constant, arg, margins)

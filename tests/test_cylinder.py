@@ -229,26 +229,23 @@ def test_inverse_period_near_bifurcation():
 
 
 def test_orbit_ode_and_first_integral():
-    orb = solve_orbit(D, 0.9)
-    assert orb.u[0] == pytest.approx(0.9, abs=1e-13)
-    assert abs(orb.up[0]) < 1e-12
-    h = 0.5 * orb.up**2 + potential(orb.u, D)
-    assert np.max(np.abs(h - orb.energy_constant)) < 1e-9
+    br = optimizer_branch(D, 1.5 * TS)
+    assert br.u[0] == br.alpha
+    assert br.up[0] == 0.0
+    h = 0.5 * br.up**2 + potential(br.u, D)
+    assert np.max(np.abs(h - potential(br.alpha, D))) < 1e-9
     assert energy_drift(D, 0.9) < 1e-8
 
 
 def test_orbit_euler_lagrange_normalization():
     for alpha in (0.85, 0.95):
-        ints = orbit_integrals(D, alpha)
-        assert ints["i_energy"] / ints["i_q"] == pytest.approx(
-            D * (D - 2.0) / 4.0, rel=1e-9
-        )
+        i_energy, i_q = orbit_integrals(D, alpha)
+        assert i_energy / i_q == pytest.approx(D * (D - 2.0) / 4.0, rel=1e-9)
 
 
 def test_l1_factorization_of_translation_mode():
     # v = e^{sigma t}(u' + sigma beta u) solves the ell = 1 Hill equation
-    orb = solve_orbit(D, 0.92)
-    assert l1_factorization_residual(orb) < 1e-12
+    assert l1_factorization_residual(optimizer_branch(D, 1.5 * TS)) < 1e-12
 
 
 def test_domain_errors_on_bad_amplitudes():
@@ -413,6 +410,19 @@ def test_hessian_spectra_stable_under_mode_doubling():
         a = np.sort(lo.eigenvalues)[:6]
         b = np.sort(hi.eigenvalues)[:6]
         assert np.allclose(a, b, rtol=1e-8, atol=1e-9)
+
+
+def test_hessian_block_spectrum_is_ascending_and_counts_its_kernel():
+    # an eigenvalue is kernel below 1e-6 of max(max |ev|, 1), of either sign
+    for T in (0.7 * TS, TS, 1.4 * TS):
+        for ell in (0, 1):
+            rep = hessian_block_spectrum(D, T, ell=ell)
+            ev = rep.eigenvalues
+            assert np.all(np.diff(ev) >= 0.0)
+            tol = 1e-6 * max(np.max(np.abs(ev)), 1.0)
+            assert rep.kernel_dim == np.sum(np.abs(ev) < tol)
+            with pytest.raises(ValueError):
+                ev[0] = 0.0
 
 
 def test_next_eigenvalue_at_bifurcation_is_three_d_minus_two():
@@ -690,7 +700,7 @@ def test_c_T_numeric_refuses_a_branch_off_the_critical_point(monkeypatch):
     br = optimizer_branch(d, T)
     alpha = br.alpha * (1.0 + 1e-8)
     sol = _integrate(d, alpha, 0.5 * T)
-    samples = cylinder._mirrored_samples(sol, T / 4096, 4096, closed=False)
+    samples = cylinder._mirrored_samples(sol, T / 4096, 4096)
     bad = Branch(br.params, alpha, *samples)
     monkeypatch.setattr(cylinder, "optimizer_branch", lambda *args: bad)
     with pytest.raises(ComputationError, match="ground states"):
@@ -832,16 +842,6 @@ def test_optimizer_branch_is_exactly_even_and_matches_full_period():
         assert np.max(np.abs(up - ref_up)) <= 1e-10
 
 
-def test_solve_orbit_is_exactly_even_and_matches_full_period():
-    for d, alpha in ((3, 0.9), (5, 0.99)):
-        orb = solve_orbit(d, alpha)
-        assert np.array_equal(orb.u, orb.u[::-1])
-        assert np.array_equal(orb.up, -orb.up[::-1])
-        ref_u, ref_up = _full_period_reference(d, alpha, orb.t)
-        assert np.max(np.abs(orb.u - ref_u)) <= 1e-10
-        assert np.max(np.abs(orb.up - ref_up)) <= 1e-10
-
-
 def _scipy_dop853(d, alpha, t_end, **options):
     """The same orbit run through scipy's own DOP853."""
     return solve_ivp(
@@ -964,8 +964,8 @@ def test_verify_cylinder_solves_each_branch_once(monkeypatch):
     for name in counts:
         monkeypatch.setattr(cylinder, name, counted(name))
     assert all(r.passed for r in verify.cylinder_checks())
-    assert counts["inverse_period"] <= 5
-    assert counts["_integrate"] <= 6
+    assert counts["inverse_period"] == 5
+    assert counts["_integrate"] == 5
 
 
 def test_verify_cylinder_below_bifurcation_runs_every_check():

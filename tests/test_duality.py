@@ -15,7 +15,7 @@ import pytest
 import scipy.linalg
 import scipy.optimize
 
-from sobolev_lab import _kernels, duality
+from sobolev_lab import _kernels, duality, zonal
 from sobolev_lab.duality import (
     adjoint_norm_fixed_point,
     brute_force_norm,
@@ -332,6 +332,22 @@ def test_every_route_refuses_an_overflowed_norm(route):
     # |Af|^q overflows at q = 1e6; the certified norm used to read NaN
     with np.errstate(all="ignore"), pytest.raises(ComputationError, match="not finite"):
         route(np.array([[1.0, 2.0], [3.0, -1.0]]), 1e6)
+
+
+@pytest.mark.parametrize(
+    "route, args",
+    [
+        (op_norm_ascent, (np.array([[1.0, 2.0], [3.0, -1.0]]), 3.0)),
+        (adjoint_norm_fixed_point, (np.array([[1.0, 2.0], [3.0, -1.0]]), 3.0)),
+        (finite_operator, (np.array([[1.0, 2.0], [3.0, -1.0]]), 3.0)),
+        # the sphere's subcritical scan is the other seeded library route
+        (zonal.subcritical_check, (3, 4.0)),
+    ],
+    ids=["op_norm_ascent", "adjoint_norm_fixed_point", "finite_operator", "subcritical_check"],
+)
+def test_every_seeded_route_refuses_a_negative_seed(route, args):
+    with pytest.raises(DomainError, match="seed must be nonnegative"):
+        route(*args, seed=-1)
 
 
 def test_lq_norm_rescales_only_where_the_plain_sum_fails():

@@ -25,7 +25,6 @@ from sobolev_lab.zonal import (
     funk_hecke_eigenvalue,
     gamma_multiplier,
     lq_norm,
-    make_spectrum_report,
     norm2,
     projection_kernel,
     sharp_constant,
@@ -241,7 +240,6 @@ def test_subcritical_argmax_and_equality_cases():
     rep = subcritical_check(3, 4.0)
     assert rep.argmax_ell == 0
     assert rep.constant > 0.0
-    assert rep.tail_monotone
     if rep.violations.size:
         assert float(np.min(rep.violations)) >= -1e-9
 
@@ -257,11 +255,3 @@ def test_subcritical_rejects_supercritical():
         subcritical_check(3, 6.0)
     with pytest.raises(DomainError):
         subcritical_check(4, 1.9)
-
-
-def test_make_spectrum_report_counts_kernel():
-    eigs = np.array([-1e-12, 2e-13, 0.5, 1.0, 3.0])
-    rep = make_spectrum_report(eigs, discretization=(8, 64))
-    assert rep.kernel_dim == 2
-    assert rep.discretization == (8, 64)
-    assert np.all(np.diff(rep.eigenvalues) >= 0)
