@@ -40,7 +40,6 @@ from .zonal import (
 )
 
 __all__ = [
-    "ConformalParam",
     "HerschResult",
     "q_zeta",
     "gamma_flow_axis",
@@ -50,34 +49,6 @@ __all__ = [
     "axis_moment",
     "hersch_normalize",
 ]
-
-
-@dataclass(frozen=True)
-class ConformalParam:
-    """Point zeta in the open unit ball of R^(d+1) labeling an optimizer."""
-
-    zeta: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.zeta, dtype=float)
-        if z.ndim != 1:
-            raise DomainError("zeta must be a vector")
-        if np.linalg.norm(z) >= 1.0 - 1e-12:
-            raise DomainError("|zeta| must stay strictly below 1")
-        z.setflags(write=False)
-
-    @property
-    def rho(self) -> float:
-        return float(np.linalg.norm(self.zeta))
-
-    def axis(self) -> np.ndarray:
-        """Unit direction of zeta; the last coordinate axis when zeta = 0."""
-        r = self.rho
-        if r == 0.0:
-            e = np.zeros(len(self.zeta))
-            e[-1] = 1.0
-            return e
-        return np.asarray(self.zeta) / r
 
 
 def _axis_profile(rho: float, params: SphereParams, t: np.ndarray) -> np.ndarray:
@@ -91,18 +62,22 @@ def q_zeta(
     bandlimit: int = DEFAULT_BANDLIMIT,
     order: int = DEFAULT_ORDER,
 ) -> ZonalFn:
-    """The optimizer Q_zeta as a zonal function with axis zeta/|zeta|.
+    """The optimizer Q_zeta as a zonal function about the axis zeta/|zeta|.
 
     Profile F(t) = (sqrt(1-|zeta|^2) / (1-|zeta| t))^((d-2s)/2); the constant
-    function 1 when zeta = 0.
+    function 1 when zeta = 0. ``zeta`` is a point of the open unit ball of
+    R^(d+1).
     """
-    if not isinstance(zeta, ConformalParam):
-        zeta = ConformalParam(zeta=np.asarray(zeta, dtype=float))
-    if len(zeta.zeta) != params.d + 1:
+    zeta = np.asarray(zeta, dtype=float)
+    if zeta.ndim != 1:
+        raise DomainError("zeta must be a vector")
+    rho = float(np.linalg.norm(zeta))
+    if rho >= 1.0 - 1e-12:
+        raise DomainError("|zeta| must stay strictly below 1")
+    if len(zeta) != params.d + 1:
         raise PreconditionError("zeta must live in R^(d+1)")
     basis = zonal_basis(params.d, bandlimit, order)
-    samples = _axis_profile(zeta.rho, params, basis.rule.nodes)
-    return analyze(samples, params, bandlimit, axis=zeta.axis())
+    return analyze(_axis_profile(rho, params, basis.rule.nodes), params, bandlimit)
 
 
 def gamma_flow_axis(delta: float, t):
@@ -139,7 +114,7 @@ def pullback_zonal(fn: ZonalFn, delta: float) -> ZonalFn:
     power = (fn.params.d - 2.0 * fn.params.s) / 2.0
     d2 = delta * delta
     conf = (2.0 * delta / ((1.0 + t) + d2 * (1.0 - t))) ** power
-    return analyze(conf * vals, fn.params, fn.bandlimit, axis=np.asarray(fn.axis))
+    return analyze(conf * vals, fn.params, fn.bandlimit)
 
 
 def radial_transfer(u_radial, params: SphereParams) -> ZonalFn:
@@ -251,7 +226,7 @@ def hersch_normalize(fn: ZonalFn, density_exponent: float) -> HerschResult:
     tnew = gamma_flow_axis(inv, t)
     gnew = np.abs(eval_zonal(fn, tnew)) ** density_exponent
     dens_samples = gnew * flow_jacobian_axis(inv, t, fn.params.d)
-    density = analyze(dens_samples, fn.params, fn.bandlimit, axis=np.asarray(fn.axis))
+    density = analyze(dens_samples, fn.params, fn.bandlimit)
     return HerschResult(
         delta_star=float(delta_star),
         density=density,

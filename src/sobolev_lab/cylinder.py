@@ -1513,14 +1513,14 @@ def degenerate_quotient_curve(
 
 @dataclass(frozen=True)
 class SplitReport:
-    """Two-sided comparison of the deficit against the split remainder."""
+    """Two-sided comparison of the deficit against the split remainder.
 
-    family: str
-    eps: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
+    ``slope_lhs`` is the log-log slope of the deficit over the eps grid, and
+    ``signs`` maps each scan constant c to whether deficit - c * remainder
+    stayed nonnegative on it.
+    """
+
     slope_lhs: float
-    slope_rhs: float
     signs: dict
 
 
@@ -1550,27 +1550,27 @@ def split_stability_terms(profile: PeriodicProfile) -> tuple:
 
 
 # the constants c that split_stability_check reports the sign of
-# deficit - c * remainder for, and the grid of its profiles
+# deficit - c * remainder for, its perturbation sizes, and the grid of its
+# profiles
 _SPLIT_SCAN_C = (0.1, 0.5, 1.0)
+_SPLIT_EPS = (0.02, 0.01, 0.005)
 _SPLIT_GRID = 2048
 
 
-def split_stability_check(d: int, family: str = "pi", eps_grid=None) -> SplitReport:
+def split_stability_check(d: int, family: str = "pi") -> SplitReport:
     """Scaling of deficit vs split remainder along a perturbation family.
 
     family "pi" perturbs by the incipient cosine (quartic deficit), family
-    "pi_perp" by the second harmonic (quadratic deficit). Log-log slopes are
-    fitted over the eps grid and the sign of (deficit - c * remainder) is
-    reported for each scan constant.
+    "pi_perp" by the second harmonic (quadratic deficit). The log-log slope
+    of the deficit is fitted over ``_SPLIT_EPS`` and the sign of
+    (deficit - c * remainder) is reported for each scan constant.
     """
     if family not in ("pi", "pi_perp"):
         raise DomainError("family must be 'pi' or 'pi_perp'")
     ts = t_star(d)
     params = CylinderParams(d=d, T=ts)
     base = u0(d)
-    if eps_grid is None:
-        eps_grid = np.geomspace(0.005, 0.05, 7)
-    eps = np.asarray(eps_grid, dtype=float)
+    eps = np.asarray(_SPLIT_EPS)
     tgrid = np.arange(_SPLIT_GRID) * (ts / _SPLIT_GRID)
     mode = 1 if family == "pi" else 2
     r = np.cos(2.0 * math.pi * mode * tgrid / ts)
@@ -1580,20 +1580,11 @@ def split_stability_check(d: int, family: str = "pi", eps_grid=None) -> SplitRep
         prof = profile_from_samples(params, base + e * r)
         lhs[i], rhs[i] = split_stability_terms(prof)
     slope_lhs = float(np.polyfit(np.log(eps), np.log(np.maximum(lhs, 1e-300)), 1)[0])
-    slope_rhs = float(np.polyfit(np.log(eps), np.log(np.maximum(rhs, 1e-300)), 1)[0])
     signs = {
         float(c): bool(np.all(lhs - c * rhs >= -1e-12 * np.abs(lhs).max()))
         for c in _SPLIT_SCAN_C
     }
-    return SplitReport(
-        family=family,
-        eps=eps,
-        lhs=lhs,
-        rhs=rhs,
-        slope_lhs=slope_lhs,
-        slope_rhs=slope_rhs,
-        signs=signs,
-    )
+    return SplitReport(slope_lhs=slope_lhs, signs=signs)
 
 
 def distance_to_branch(profile: PeriodicProfile) -> tuple:

@@ -336,8 +336,13 @@ def finite_operator(matrix: np.ndarray, q: float, seed: int = 0) -> FiniteOperat
         raise ComputationError(
             "primal and adjoint norms disagree: %.12g vs %.12g" % (primal, dual)
         )
+    # the record freezes its matrix, so it owns a copy, never the caller's array
     return FiniteOperator(
-        matrix=a, q=float(q), op_norm=alpha, primal_norm=primal, adjoint_norm=dual
+        matrix=a.copy(),
+        q=float(q),
+        op_norm=alpha,
+        primal_norm=primal,
+        adjoint_norm=dual,
     )
 
 

@@ -49,17 +49,12 @@ class QuadratureRule:
         Strictly increasing points in (-1, 1).
     weights : ndarray
         Positive weights, same length as ``nodes``.
-    weight_exponent : float
-        The exponent beta of the weight (1 - t^2)^beta.
-    order : int
-        Number of nodes; polynomials of degree <= 2*order - 1 are integrated
-        exactly.
+
+    A rule of n nodes integrates polynomials of degree <= 2n - 1 exactly.
     """
 
     nodes: np.ndarray
     weights: np.ndarray
-    weight_exponent: float
-    order: int
 
     def __post_init__(self):
         for arr in (self.nodes, self.weights):
@@ -72,9 +67,8 @@ class QuadratureRule:
 
 @dataclass(frozen=True)
 class SphereGeometry:
-    """Surface measures of the round unit sphere S^dim in R^(dim+1)."""
+    """Surface measures of the round unit sphere S^d and of its equator S^(d-1)."""
 
-    dim: int
     area: float
     subsphere_area: float
 
@@ -181,9 +175,7 @@ def gauss_rule(order: int, weight_exponent: float = 0.0) -> QuadratureRule:
         weights = mu0 * vecs[0, :] ** 2
     if np.any(weights <= 0.0) or np.any(np.diff(nodes) <= 0.0):
         raise ComputationError("Golub-Welsch produced an invalid rule")
-    return QuadratureRule(
-        nodes=nodes, weights=weights, weight_exponent=beta, order=order
-    )
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def sphere_area(d: int) -> float:
@@ -200,4 +192,4 @@ def sphere_geometry(d: int) -> SphereGeometry:
     """Areas of S^d and of its equatorial subsphere S^(d-1)."""
     if d < 1:
         raise DomainError("dimension must be >= 1")
-    return SphereGeometry(dim=d, area=sphere_area(d), subsphere_area=sphere_area(d - 1))
+    return SphereGeometry(area=sphere_area(d), subsphere_area=sphere_area(d - 1))

@@ -24,7 +24,6 @@ import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from . import _kernels
-from .conformal import ConformalParam
 from .errors import (
     ComputationError,
     DegenerateInputError,
@@ -70,11 +69,17 @@ def deficit(fn: ZonalFn) -> float:
 
 @dataclass(frozen=True)
 class DistanceResult:
-    """Distance from U to the optimizer manifold and the attaining multiple."""
+    """Distance from U to the optimizer manifold and the attaining multiple.
+
+    ``zeta_star`` is the maximizer of G as its disc point (a, rho): a along
+    U's axis and rho >= 0 across it. For rho > 0 every rotation of that
+    point about the axis maximizes G as well, so the pair is the whole
+    answer.
+    """
 
     delta: float
     c_star: float
-    zeta_star: ConformalParam
+    zeta_star: tuple
     tau: float
     diagnostics: dict
 
@@ -101,19 +106,6 @@ def zeta_moment_integral(
         crule.weights,
     )
     return float(sphere_area(d - 2) * val) if d >= 2 else float(val)
-
-
-def _perp_axis(axis: np.ndarray) -> np.ndarray:
-    """Deterministic unit vector orthogonal to the given axis."""
-    n = len(axis)
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        v = e - np.dot(e, axis) * axis
-        nv = np.linalg.norm(v)
-        if nv > 0.5:
-            return v / nv
-    raise ComputationError("could not build an orthogonal direction")
 
 
 _SEED_ZETAS = ((0.0, 0.0), (0.6, 0.0), (-0.6, 0.0), (0.3, 0.3), (-0.3, 0.3))
@@ -199,28 +191,19 @@ def distance(fn: ZonalFn) -> DistanceResult:
     )
     g2_best, a_best, rho_best, g_best = ranked[0]
 
-    raw = e_total - mult0 * g2_best / area
-    delta_sq = max(raw, 0.0)
+    delta_sq = max(e_total - mult0 * g2_best / area, 0.0)
     rest = e_total - delta_sq
     if rest <= 0.0:
         raise ComputationError(
             "maximized moment vanished; tau undefined (best G^2 = %g)" % g2_best
         )
-    axis = np.asarray(fn.axis)
-    zeta_vec = a_best * axis + rho_best * _perp_axis(axis)
-    result = DistanceResult(
+    return DistanceResult(
         delta=math.sqrt(delta_sq),
         c_star=g_best / area,
-        zeta_star=ConformalParam(zeta=zeta_vec),
+        zeta_star=(a_best, rho_best),
         tau=math.sqrt(delta_sq / rest),
-        diagnostics={
-            "candidates": candidates,
-            "converged": converged,
-            "raw_delta_sq": raw,
-            "axis_seed": a_axis,
-        },
+        diagnostics={"candidates": candidates, "converged": converged},
     )
-    return result
 
 
 def be_quotient(fn: ZonalFn) -> float:
@@ -315,10 +298,7 @@ def quotient_curve(fn: ZonalFn, eps_grid=(0.02, 0.01, 0.005)) -> QuotientCurve:
     eps = _eps_grid(eps_grid)
     vals = np.empty(len(eps))
     for i, e in enumerate(eps):
-        u = analyze(
-            1.0 + e * fn.samples, fn.params, fn.bandlimit, axis=np.asarray(fn.axis)
-        )
-        vals[i] = be_quotient(u)
+        vals[i] = be_quotient(analyze(1.0 + e * fn.samples, fn.params, fn.bandlimit))
     limit, err = _extrapolate(eps, vals)
     return QuotientCurve(
         eps=eps, quotient=vals, extrapolated_limit=limit, error_estimate=err

@@ -51,11 +51,16 @@ def _gt(name, measured, bound):
     return CheckResult(name, bool(measured > bound), float(measured), float(bound))
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    """A suite's generator for one stream; a negative seed is a usage error."""
+def _check_seed(seed: int) -> None:
+    """A negative seed is a usage error."""
     # numpy's SeedSequence would raise a bare ValueError on negative entropy
     if seed < 0:
         raise DomainError("seed must be nonnegative, got %r" % (seed,))
+
+
+def _rng(seed: int, stream: int) -> np.random.Generator:
+    """A suite's generator for one stream."""
+    _check_seed(seed)
     return np.random.default_rng(np.random.SeedSequence([seed, stream]))
 
 
@@ -456,10 +461,13 @@ def run_suite(suite: str, **params) -> list:
     """Run one named suite (or "all") and return its CheckResults.
 
     Each suite gets the entries of ``params`` that its signature names, and
-    its own defaults for the rest; an entry no suite takes is ignored.
+    its own defaults for the rest; an entry no suite takes is ignored, but a
+    negative ``seed`` is refused even by a suite that takes none.
     """
     if suite != "all" and suite not in SUITES:
         raise DomainError("unknown suite %r" % (suite,))
+    if "seed" in params:
+        _check_seed(params["seed"])
     out = []
     for name in SUITES if suite == "all" else (suite,):
         # signature() follows the __wrapped__ of a traced suite

@@ -94,7 +94,6 @@ class ZonalBasis:
             )
         self.d = d
         self.bandlimit = bandlimit
-        self.order = order
         self.rule = gauss_rule(order, (d - 2) / 2.0)
         self.geometry = sphere_geometry(d)
         lam = (d - 1) / 2.0
@@ -135,32 +134,27 @@ def zonal_basis(d: int, bandlimit: int, order: int) -> ZonalBasis:
     return ZonalBasis(d, bandlimit, order)
 
 
-def _default_axis(d: int) -> np.ndarray:
-    axis = np.zeros(d + 1)
-    axis[-1] = 1.0
-    return axis
-
-
 @dataclass(frozen=True)
 class ZonalFn:
-    """Bandlimited zonal function: coefficients plus Gauss-grid samples."""
+    """Bandlimited zonal function: coefficients plus Gauss-grid samples.
+
+    The profile F in t = omega . axis; the axis itself is not stored, since
+    every computation runs in t.
+    """
 
     params: SphereParams
-    axis: np.ndarray
     coeffs: np.ndarray
     samples: np.ndarray
-    bandlimit: int
 
     def __post_init__(self):
-        axis = np.asarray(self.axis, dtype=float)
-        if axis.shape != (self.params.d + 1,):
-            raise PreconditionError("axis must live in R^(d+1)")
-        if abs(np.dot(axis, axis) - 1.0) > 1e-12:
-            raise PreconditionError("axis must be a unit vector")
-        if self.coeffs.shape != (self.bandlimit + 1,):
-            raise PreconditionError("coefficient vector has wrong length")
-        for arr in (axis, self.coeffs, self.samples):
+        if self.coeffs.ndim != 1:
+            raise PreconditionError("coefficients must be one dimensional")
+        for arr in (self.coeffs, self.samples):
             arr.setflags(write=False)
+
+    @property
+    def bandlimit(self) -> int:
+        return len(self.coeffs) - 1
 
     @property
     def order(self) -> int:
@@ -172,49 +166,29 @@ class ZonalFn:
 
 
 def analyze(
-    samples: np.ndarray,
-    params: SphereParams,
-    bandlimit: int = DEFAULT_BANDLIMIT,
-    axis: np.ndarray | None = None,
+    samples: np.ndarray, params: SphereParams, bandlimit: int = DEFAULT_BANDLIMIT
 ) -> ZonalFn:
     """Project grid samples onto the orthonormal zonal basis.
 
     ``samples`` must be the values of F at the nodes of the Gauss rule with
     weight exponent (d-2)/2 and order len(samples). Exact (to roundoff) for
     functions bandlimited at or below ``bandlimit``; otherwise an orthogonal
-    projection.
+    projection. The result owns a copy of the samples.
     """
-    samples = np.ascontiguousarray(samples, dtype=float)
+    samples = np.array(samples, dtype=float)
     if samples.ndim != 1:
         raise PreconditionError("samples must be one dimensional")
     basis = zonal_basis(params.d, bandlimit, len(samples))
-    coeffs = basis.analysis @ samples
-    if axis is None:
-        axis = _default_axis(params.d)
-    return ZonalFn(
-        params=params,
-        axis=np.asarray(axis, dtype=float),
-        coeffs=coeffs,
-        samples=samples,
-        bandlimit=bandlimit,
-    )
+    return ZonalFn(params=params, coeffs=basis.analysis @ samples, samples=samples)
 
 
 def from_coeffs(
     coeffs: np.ndarray, params: SphereParams, order: int = DEFAULT_ORDER
 ) -> ZonalFn:
-    """Build a ZonalFn about the default axis from basis coefficients."""
-    coeffs = np.ascontiguousarray(coeffs, dtype=float)
-    bandlimit = len(coeffs) - 1
-    basis = zonal_basis(params.d, bandlimit, order)
-    samples = basis.values.T @ coeffs
-    return ZonalFn(
-        params=params,
-        axis=_default_axis(params.d),
-        coeffs=coeffs,
-        samples=samples,
-        bandlimit=bandlimit,
-    )
+    """Build a ZonalFn from basis coefficients; it owns a copy of them."""
+    coeffs = np.array(coeffs, dtype=float)
+    basis = zonal_basis(params.d, len(coeffs) - 1, order)
+    return ZonalFn(params=params, coeffs=coeffs, samples=basis.values.T @ coeffs)
 
 
 def eval_zonal(fn: ZonalFn, t) -> np.ndarray | float:

@@ -256,7 +256,7 @@ def test_criterion_11_quartic_coefficient_and_gap():
 def test_criterion_12_split_remainder_scaling():
     slopes = {}
     for family in ("pi", "pi_perp"):
-        rep = split_stability_check(3, family=family, eps_grid=(0.02, 0.01, 0.005))
+        rep = split_stability_check(3, family=family)
         slopes[family] = rep.slope_lhs
     ok = abs(slopes["pi"] - 4.0) <= 0.1 and abs(slopes["pi_perp"] - 2.0) <= 0.1
     check(

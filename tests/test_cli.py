@@ -218,8 +218,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["verify", "conformal", "--bandlimit", "11"],
         ["verify", "stability", "--bandlimit", "1"],
         ["be-scan", "--family", "degree2", "--d", "3", "--s", "1", "--bandlimit", "1"],
-        # a seed numpy's SeedSequence refuses, and a period that is not finite
+        # a negative seed, refused also by the suite that draws no random
+        # numbers, and a period that is not finite
         ["verify", "duality", "--seed", "-1"],
+        ["verify", "cylinder", "--seed", "-1"],
         ["verify", "cylinder", "--T", "inf"],
     ],
 )

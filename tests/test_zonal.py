@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from scipy.special import eval_gegenbauer, eval_legendre, roots_jacobi
 
-from sobolev_lab.errors import DomainError
+from sobolev_lab import conformal, duality
+from sobolev_lab.errors import DomainError, PreconditionError
 from sobolev_lab.specialfn import sphere_area
 from sobolev_lab.zonal import (
     DEFAULT_ORDER,
@@ -139,6 +140,30 @@ def test_analyze_synthesize_round_trip():
     fn = _random_fn(p, seed=3)
     back = analyze(fn.samples, p, bandlimit=fn.bandlimit)
     assert np.allclose(back.coeffs, fn.coeffs, rtol=0, atol=1e-12)
+
+
+def test_from_coeffs_rejects_a_coefficient_matrix():
+    with pytest.raises(PreconditionError):
+        from_coeffs(np.ones((5, 2)), SphereParams(3, 1.0))
+
+
+_P3 = SphereParams(3, 1.0)
+
+
+@pytest.mark.parametrize(
+    "array, call",
+    [
+        (np.eye(9)[2], lambda c: from_coeffs(c, _P3)),
+        (np.ones(DEFAULT_ORDER), lambda s: analyze(s, _P3)),
+        (np.array([[1.0, 2.0], [0.5, -1.0]]), lambda a: duality.finite_operator(a, 3.0)),
+        (np.array([0.0, 0.0, 0.0, 0.3]), lambda z: conformal.q_zeta(z, _P3)),
+    ],
+    ids=["from_coeffs", "analyze", "finite_operator", "q_zeta"],
+)
+def test_library_calls_leave_the_callers_array_writeable(array, call):
+    # a record freezes the arrays it holds, so it must hold its own copies
+    call(array)
+    assert array.flags.writeable
 
 
 def test_eval_zonal_reproduces_grid_samples():
