@@ -12,6 +12,7 @@ verification failure or internal inconsistency, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -246,41 +247,39 @@ def cmd_quartic(args: argparse.Namespace) -> str:
     return render_csv(("eps", "quotient", "extrapolated_limit"), rows)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        _merge_config(args)
-        for flag in _REQUIRED_FLAGS[args.command]:
-            if getattr(args, flag.replace("-", "_")) in (None, ()):
-                parser.error("%s needs --%s, by flag or config" % (args.command, flag))
-        code = 0
-        if args.command == "constants":
-            text = cmd_constants(args)
-        elif args.command == "verify":
-            text, code = cmd_verify(args)
-        elif args.command == "period-map":
-            text = cmd_period_map(args)
-        elif args.command == "be-scan":
-            text = cmd_be_scan(args)
-        else:
-            text = cmd_quartic(args)
-    except (DomainError, PreconditionError, FileNotFoundError) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        sys.stderr.write("run with --help for usage\n")
-        return 2
-    except (ComputationError, InconsistencyError, DegenerateInputError) as exc:
-        sys.stderr.write("verification failure: %s\n" % exc)
-        return 1
-    _emit(text, args.out)
+    with contextlib.ExitStack() as files:
+        try:
+            _merge_config(args)
+            for flag in _REQUIRED_FLAGS[args.command]:
+                if getattr(args, flag.replace("-", "_")) in (None, ()):
+                    parser.error("%s needs --%s, by flag or config" % (args.command, flag))
+            # --out is opened before the work, as a shell redirect is: a path
+            # that cannot be opened is a usage error, found at once
+            sink = sys.stdout
+            if args.out:
+                sink = files.enter_context(open(args.out, "w", encoding="utf-8"))
+            code = 0
+            if args.command == "constants":
+                text = cmd_constants(args)
+            elif args.command == "verify":
+                text, code = cmd_verify(args)
+            elif args.command == "period-map":
+                text = cmd_period_map(args)
+            elif args.command == "be-scan":
+                text = cmd_be_scan(args)
+            else:
+                text = cmd_quartic(args)
+        except (DomainError, PreconditionError, OSError) as exc:
+            sys.stderr.write("error: %s\n" % exc)
+            sys.stderr.write("run with --help for usage\n")
+            return 2
+        except (ComputationError, InconsistencyError, DegenerateInputError) as exc:
+            sys.stderr.write("verification failure: %s\n" % exc)
+            return 1
+        sink.write(text)
     return code
 
 

@@ -80,10 +80,15 @@ def q_zeta(
     return analyze(_axis_profile(rho, params, basis.rule.nodes), params, bandlimit)
 
 
+def _check_delta(delta: float) -> None:
+    """A dilation strength is positive and finite (NaN fails too)."""
+    if not 0.0 < delta < math.inf:
+        raise DomainError("delta must be positive and finite, got %r" % (delta,))
+
+
 def gamma_flow_axis(delta: float, t):
     """Axis coordinate of the flow: t -> ((1+t)-d^2(1-t))/((1+t)+d^2(1-t))."""
-    if not delta > 0.0:
-        raise DomainError("delta must be positive")
+    _check_delta(delta)
     t = np.asarray(t, dtype=float)
     d2 = delta * delta
     out = ((1.0 + t) - d2 * (1.0 - t)) / ((1.0 + t) + d2 * (1.0 - t))
@@ -92,8 +97,7 @@ def gamma_flow_axis(delta: float, t):
 
 def flow_jacobian_axis(delta: float, t, d: int):
     """Conformal volume factor of the flow, (2 delta / denom)^d, on the axis."""
-    if not delta > 0.0:
-        raise DomainError("delta must be positive")
+    _check_delta(delta)
     t = np.asarray(t, dtype=float)
     d2 = delta * delta
     out = (2.0 * delta / ((1.0 + t) + d2 * (1.0 - t))) ** d
@@ -105,8 +109,6 @@ def pullback_zonal(fn: ZonalFn, delta: float) -> ZonalFn:
 
     The flow shares the zonal axis, so the pullback stays zonal.
     """
-    if not delta > 0.0:
-        raise DomainError("delta must be positive")
     basis = fn.basis
     t = basis.rule.nodes
     tnew = gamma_flow_axis(delta, t)

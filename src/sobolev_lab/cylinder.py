@@ -82,10 +82,14 @@ __all__ = [
 ]
 
 # The default discretization: Gauss nodes of the period quadrature, grid
-# points of the branch, and Fourier modes of each Hill half.
+# points of the branch, and Fourier modes of each Hill half; and DOP853's
+# tolerance pair, for every orbit. The nodes and the tolerance pair are read
+# at call time, so a self-convergence test varies them by setting the
+# constant.
 DEFAULT_N_THETA = 240
 DEFAULT_N_GRID = 4096
 DEFAULT_N_MODES = 128
+DEFAULT_ODE_RTOL, DEFAULT_ODE_ATOL = 1e-12, 1e-14
 
 
 def t_star(d: int) -> float:
@@ -364,10 +368,10 @@ def _w_values(d: int, alpha: float, tab: _ThetaTable) -> tuple:
     return u, au, ub, w
 
 
-def period(d: int, alpha: float, n_theta: int = DEFAULT_N_THETA) -> float:
+def period(d: int, alpha: float) -> float:
     """Minimal period tau(alpha) by regularized turning-point quadrature."""
     _check_alpha(d, alpha)
-    tab = _theta_table(n_theta)
+    tab = _theta_table(DEFAULT_N_THETA)
     w = _w_values(d, alpha, tab)[3]
     return float(2.0 * math.sqrt(2.0) * np.dot(tab.wts, 1.0 / np.sqrt(w)))
 
@@ -589,8 +593,8 @@ def _sample(steps: _Steps, t) -> np.ndarray:
     return _dop853_eval(steps, seg, t)
 
 
-def _integrate(d: int, alpha: float, t_end: float, rtol=1e-12, atol=1e-14) -> _Steps:
-    return solve_ivp(_rhs(d), t_end, (alpha, 0.0), rtol, atol)
+def _integrate(d: int, alpha: float, t_end: float) -> _Steps:
+    return solve_ivp(_rhs(d), t_end, (alpha, 0.0), DEFAULT_ODE_RTOL, DEFAULT_ODE_ATOL)
 
 
 def _turning_time(steps: _Steps) -> float:
@@ -637,7 +641,7 @@ def _mirrored_samples(steps: _Steps, step: float, n: int) -> tuple:
     return u, up
 
 
-def solve_orbit(d: int, alpha: float, rtol: float = 1e-12, atol: float = 1e-14) -> Orbit:
+def solve_orbit(d: int, alpha: float) -> Orbit:
     """The ODE period: twice the time from the maximum to the turning point.
 
     The profile starts at its maximum (u(0) = alpha, u'(0) = 0) and descends
@@ -648,18 +652,20 @@ def solve_orbit(d: int, alpha: float, rtol: float = 1e-12, atol: float = 1e-14) 
     """
     _check_alpha(d, alpha)
     tau_quad = period(d, alpha)
-    steps = _integrate(d, alpha, 0.51 * tau_quad, rtol, atol)
+    steps = _integrate(d, alpha, 0.51 * tau_quad)
     return Orbit(d, alpha, 2.0 * _turning_time(steps))
 
 
-def energy_drift(d: int, alpha: float, n_periods: int = 10) -> float:
-    """Max drift of the first integral over several periods."""
-    if n_periods < 1:
-        raise DomainError("need n_periods >= 1, got %r" % (n_periods,))
+# the periods over which energy_drift follows the orbit
+_DRIFT_PERIODS = 5
+
+
+def energy_drift(d: int, alpha: float) -> float:
+    """Max drift of the first integral over ``_DRIFT_PERIODS`` periods."""
     _check_alpha(d, alpha)
     tau = period(d, alpha)
-    tgrid = np.linspace(0.0, n_periods * tau, 2048)
-    u, up = _sample(_integrate(d, alpha, n_periods * tau), tgrid)
+    tgrid = np.linspace(0.0, _DRIFT_PERIODS * tau, 2048)
+    u, up = _sample(_integrate(d, alpha, _DRIFT_PERIODS * tau), tgrid)
     h = 0.5 * up * up + potential(u, d)
     return float(np.max(np.abs(h - potential(alpha, d))))
 
@@ -837,23 +843,16 @@ def sobolev_constant_cylinder(d: int, T: float) -> float:
     return orbit_branch_value(d, T)
 
 
-def orbit_branch_value(d: int, T: float, k: int = 1) -> float:
-    """Quotient of the k-bump orbit branch on the period-T cylinder.
+def orbit_branch_value(d: int, T: float) -> float:
+    """Quotient of the single-bump orbit branch on the period-T cylinder.
 
-    Diagnostics only for k >= 2: tiling the period-T/k orbit k times gives a
-    critical point whose quotient exceeds the single-bump value, so these
-    branches never realize S_d(T).
+    The branch exists for T > T_*; ``inverse_period`` refuses any other T.
     """
-    if k < 1:
-        raise DomainError("bump count must be a positive integer")
-    params = CylinderParams(d=d, T=T)
-    q = params.q
-    if T / k <= params.t_star:
-        raise DomainError("no k-bump branch: T/k must exceed T_*")
-    alpha = inverse_period(d, T / k)
+    q = CylinderParams(d=d, T=T).q
+    alpha = inverse_period(d, T)
     i_energy, i_q = orbit_integrals(d, alpha)
     area = sphere_area(d - 1)
-    return float(area ** (1.0 - 2.0 / q) * (k * i_energy) / (k * i_q) ** (2.0 / q))
+    return float(area ** (1.0 - 2.0 / q) * i_energy / i_q ** (2.0 / q))
 
 
 def l1_factorization_residual(br: Branch) -> float:
@@ -916,13 +915,14 @@ def cosh_trial_bound(d: int, T: float) -> float:
 
 
 # the descent's starts: two cosine bumps, then random ones from this seed;
-# and the grid it descends on, an eighth of the branch's
+# the grid it descends on, an eighth of the branch's; and its iteration cap
 _DESCENT_STARTS = 3
 _DESCENT_SEED = 0
 _DESCENT_GRID = 512
+_DESCENT_MAXITER = 4000
 
 
-def minimize_quotient(d: int, T: float, maxiter: int = 4000) -> tuple:
+def minimize_quotient(d: int, T: float) -> tuple:
     """Direct minimization of the quotient over gridded profiles.
 
     Works on the sample values with FFT-differentiation energies; returns
@@ -985,9 +985,9 @@ def minimize_quotient(d: int, T: float, maxiter: int = 4000) -> tuple:
             x0,
             jac=True,
             method="L-BFGS-B",
-            options={"maxiter": maxiter, "ftol": 1e-15, "gtol": 1e-11},
+            options={"maxiter": _DESCENT_MAXITER, "ftol": 1e-15, "gtol": 1e-11},
         )
-        # only converged starts compete: a run cut off by maxiter stops
+        # only converged starts compete: a run cut off by the cap stops
         # anywhere on its way down
         if res.success and res.fun < best_val:
             best_val, best_x = float(res.fun), res.x

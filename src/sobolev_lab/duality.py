@@ -36,6 +36,7 @@ from .errors import (
     DegenerateInputError,
     DomainError,
     PreconditionError,
+    check_seed,
 )
 
 __all__ = [
@@ -128,9 +129,7 @@ class FiniteOperator:
 
 def _rng(seed: int) -> np.random.Generator:
     """The generator of a route's random starts; a negative seed is refused."""
-    # numpy's default_rng would raise a bare ValueError on a negative seed
-    if seed < 0:
-        raise DomainError("seed must be nonnegative, got %r" % (seed,))
+    check_seed(seed)
     return np.random.default_rng(seed)
 
 
@@ -146,26 +145,25 @@ def _ascent_starts(n: int, seed: int):
 
 # the primal stop rule: a step moves f by less than this (up to sign)
 _ASCENT_TOL = 1e-14
+_ASCENT_MAX_ITER = 4000  # the steps a start may take to meet it
 
 
-def op_norm_ascent(
-    matrix: np.ndarray, q: float, seed: int = 0, max_iter: int = 4000
-) -> float:
+def op_norm_ascent(matrix: np.ndarray, q: float, seed: int = 0) -> float:
     """max ||Af||_q over the unit sphere, by multi-start fixed-point ascent.
 
     Each start iterates f <- normalize(A^T psi(Af)) with psi(y) = |y|^(q-2) y
     until a step moves f by less than ``_ASCENT_TOL`` (up to sign). That stop
     rule is the stationarity condition of the constrained maximization, so a
     start that met it is a critical point and needs no polish. Keep the best
-    of the starts that met it; a start cut off by ``max_iter`` stops anywhere
-    on its way up and is not ranked.
+    of the starts that met it; a start cut off by ``_ASCENT_MAX_ITER`` stops
+    anywhere on its way up and is not ranked.
     """
     a = _as_matrix(matrix)
     _check_q(q)
     ranked = []
     for f0 in _ascent_starts(a.shape[1], seed):
-        f, it = _kernels.lq_ascent(a, q, f0, max_iter, _ASCENT_TOL)
-        if it < max_iter:
+        f, it = _kernels.lq_ascent(a, q, f0, _ASCENT_MAX_ITER, _ASCENT_TOL)
+        if it < _ASCENT_MAX_ITER:
             ranked.append(lq_norm(a @ f, q))
     if not ranked:
         raise ComputationError("primal ascent converged from no start")
@@ -174,18 +172,17 @@ def op_norm_ascent(
 
 # the adjoint stop rule: |A^T g| moves by less than this times max(|A^T g|, 1)
 _ADJOINT_TOL = 1e-15
+_ADJOINT_MAX_ITER = 5000  # the steps a start may take to meet it
 
 
-def adjoint_norm_fixed_point(
-    matrix: np.ndarray, q: float, seed: int = 0, max_iter: int = 5000
-) -> float:
+def adjoint_norm_fixed_point(matrix: np.ndarray, q: float, seed: int = 0) -> float:
     """max |A^T g| over the unit q'-norm sphere, by duality-map iteration.
 
     Iterates g <- normalize_{q'}( psi^{-1}(A A^T g) ) where psi is the q'-norm
     duality map psi(g) = |g|^(q'-2) g; fixed points satisfy the stationarity
     condition of the constrained maximization. Multi-start, keep the best of
     the starts that met the stop rule or reached A A^T g = 0; a start cut off
-    by ``max_iter`` stops anywhere on its way up and is not ranked.
+    by ``_ADJOINT_MAX_ITER`` stops anywhere on its way up and is not ranked.
     """
     a = _as_matrix(matrix)
     qp = q_conjugate(q)
@@ -210,7 +207,7 @@ def adjoint_norm_fixed_point(
         if g is None:
             continue
         prev = -1.0
-        for _ in range(max_iter):
+        for _ in range(_ADJOINT_MAX_ITER):
             y = gram @ g
             ay = np.abs(y)
             mapped = np.zeros_like(y)
@@ -225,7 +222,7 @@ def adjoint_norm_fixed_point(
                 break
             prev = val
         else:
-            continue  # max_iter ran out before the stop rule
+            continue  # the cap ran out before the stop rule
         ranked.append(float(np.linalg.norm(a.T @ g)))
     if not ranked:
         raise ComputationError("adjoint fixed point converged from no start")
@@ -353,8 +350,10 @@ def dual_vector(f: np.ndarray, op: FiniteOperator) -> np.ndarray:
     g is one for the adjoint.
     """
     f = np.asarray(f, dtype=float)
-    if abs(np.linalg.norm(f) - 1.0) > 1e-12:
-        raise PreconditionError("input must be a Euclidean unit vector")
+    n = op.shape[1]
+    # the shape first, then a norm test that a NaN fails
+    if f.shape != (n,) or not abs(np.linalg.norm(f) - 1.0) <= 1e-12:
+        raise PreconditionError("input must be a Euclidean unit vector of length %d" % n)
     y = op.matrix @ f
     ny = lq_norm(y, op.q)
     if ny == 0.0:
@@ -371,8 +370,9 @@ def primal_vector(g: np.ndarray, op: FiniteOperator) -> np.ndarray:
     """Unit vector in the direction of A^T g."""
     g = np.asarray(g, dtype=float)
     qp = q_conjugate(op.q)
-    if abs(lq_norm(g, qp) - 1.0) > 1e-12:
-        raise PreconditionError("input must have unit q'-norm")
+    m = op.shape[0]
+    if g.shape != (m,) or not abs(lq_norm(g, qp) - 1.0) <= 1e-12:
+        raise PreconditionError("input must have length %d and unit q'-norm" % m)
     v = op.matrix.T @ g
     nv = float(np.linalg.norm(v))
     if nv == 0.0:

@@ -19,3 +19,9 @@ class DegenerateInputError(ValueError):
 
 class InconsistencyError(RuntimeError):
     """Two independent routes to the same quantity disagree beyond tolerance."""
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a negative seed, on which numpy would raise a bare ValueError."""
+    if seed < 0:
+        raise DomainError("seed must be nonnegative, got %r" % (seed,))

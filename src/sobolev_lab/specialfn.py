@@ -165,14 +165,11 @@ def gauss_rule(order: int, weight_exponent: float = 0.0) -> QuadratureRule:
     if beta <= -1.0:
         raise DomainError("weight exponent must exceed -1")
     mu0 = math.sqrt(math.pi) * math.exp(gammaln(beta + 1.0) - gammaln(beta + 1.5))
-    if order == 1:
-        nodes = np.zeros(1)
-        weights = np.array([mu0])
-    else:
-        off = np.sqrt(_jacobi_offdiag_sq(order, beta))
-        vals, vecs = eigh_tridiagonal(np.zeros(order), off)
-        nodes = vals
-        weights = mu0 * vecs[0, :] ** 2
+    # order 1 needs no case of its own: the 1 x 1 problem has node 0 and
+    # eigenvector [1], so the weight is mu0
+    off = np.sqrt(_jacobi_offdiag_sq(order, beta))
+    nodes, vecs = eigh_tridiagonal(np.zeros(order), off)
+    weights = mu0 * vecs[0, :] ** 2
     if np.any(weights <= 0.0) or np.any(np.diff(nodes) <= 0.0):
         raise ComputationError("Golub-Welsch produced an invalid rule")
     return QuadratureRule(nodes=nodes, weights=weights)

@@ -53,7 +53,7 @@ __all__ = [
 
 MANIFOLD_TOL = 1e-6
 
-# the default azimuthal Gauss order of the moment G(zeta)
+# the azimuthal Gauss order of the moment G(zeta), read at call time
 DEFAULT_N_AZIMUTHAL = 64
 
 
@@ -84,16 +84,14 @@ class DistanceResult:
     diagnostics: dict
 
 
-def zeta_moment_integral(
-    fn: ZonalFn, a: float, rho: float, n_azimuthal: int = DEFAULT_N_AZIMUTHAL
-) -> float:
+def zeta_moment_integral(fn: ZonalFn, a: float, rho: float) -> float:
     """G(zeta) for zeta = a axis + rho axis_perp, by 2D Gauss quadrature."""
     d, s = fn.params.d, fn.params.s
     r2 = a * a + rho * rho
     if r2 >= 1.0:
         raise DomainError("zeta must stay in the open unit ball")
     basis = fn.basis
-    crule = gauss_rule(n_azimuthal, (d - 3) / 2.0)
+    crule = gauss_rule(DEFAULT_N_AZIMUTHAL, (d - 3) / 2.0)
     val = _kernels.zeta_moment(
         float(a),
         float(rho),

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels, conformal, cylinder, duality, stability, zonal
-from .errors import DomainError
+from .errors import DomainError, check_seed
 from .zonal import SphereParams
 
 __all__ = [
@@ -51,16 +51,9 @@ def _gt(name, measured, bound):
     return CheckResult(name, bool(measured > bound), float(measured), float(bound))
 
 
-def _check_seed(seed: int) -> None:
-    """A negative seed is a usage error."""
-    # numpy's SeedSequence would raise a bare ValueError on negative entropy
-    if seed < 0:
-        raise DomainError("seed must be nonnegative, got %r" % (seed,))
-
-
 def _rng(seed: int, stream: int) -> np.random.Generator:
     """A suite's generator for one stream."""
-    _check_seed(seed)
+    check_seed(seed)
     return np.random.default_rng(np.random.SeedSequence([seed, stream]))
 
 
@@ -311,7 +304,7 @@ def cylinder_checks(
         )
     )
 
-    out.append(_le("cylinder.first_integral_drift", cylinder.energy_drift(d, alpha_mid, 5), 1e-8))
+    out.append(_le("cylinder.first_integral_drift", cylinder.energy_drift(d, alpha_mid), 1e-8))
 
     i_energy, i_q = cylinder.orbit_integrals(d, alpha_mid)
     el_ratio = i_energy / i_q
@@ -421,7 +414,8 @@ def duality_checks(seed: int = 0) -> list:
                 worst_brute,
                 abs(duality.brute_force_norm(a, q) - op.op_norm) / max(op.op_norm, 1.0),
             )
-        f, _ = _kernels.lq_ascent(a, q, np.ones(n) / math.sqrt(n), 4000, 1e-14)
+        f0 = np.ones(n) / math.sqrt(n)
+        f, _ = _kernels.lq_ascent(a, q, f0, duality._ASCENT_MAX_ITER, duality._ASCENT_TOL)
         val_f = duality.lq_norm(a @ f, q)
         if val_f < 0.5 * op.op_norm:
             continue
@@ -467,7 +461,7 @@ def run_suite(suite: str, **params) -> list:
     if suite != "all" and suite not in SUITES:
         raise DomainError("unknown suite %r" % (suite,))
     if "seed" in params:
-        _check_seed(params["seed"])
+        check_seed(params["seed"])
     out = []
     for name in SUITES if suite == "all" else (suite,):
         # signature() follows the __wrapped__ of a traced suite

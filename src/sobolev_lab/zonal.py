@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ComputationError, DomainError, PreconditionError
+from .errors import ComputationError, DomainError, PreconditionError, check_seed
 from .specialfn import (
     gamma_ratio,
     gauss_rule,
@@ -361,9 +361,7 @@ def subcritical_check(
     qc = 2.0 * d / (d - 2.0) if d > 2 else math.inf
     if not 2.0 <= q_sub < qc:
         raise DomainError("q_sub must lie in [2, 2d/(d-2))")
-    # numpy's default_rng would raise a bare ValueError on a negative seed
-    if seed < 0:
-        raise DomainError("seed must be nonnegative, got %r" % (seed,))
+    check_seed(seed)
     if q_sub == 2.0:
         return SubcriticalReport(0.0, 0, np.empty(0))
     s_sub = d * (0.5 - 1.0 / q_sub)

@@ -88,6 +88,19 @@ def test_be_scan_degree2_csv(capsys):
     assert limit == pytest.approx(4.0 / 7.0, rel=1e-2)
 
 
+def test_be_scan_on_a_grid_that_does_not_halve(capsys):
+    # the polynomial fit, not Richardson, extrapolates this grid
+    code, out, _ = run_cli(
+        capsys,
+        ["be-scan", "--family", "degree2", "--d", "3", "--s", "1.0",
+         "--eps-grid", "0.03,0.02,0.01"],
+    )
+    assert code == 0
+    rows = [tuple(float(x) for x in ln.split(",")) for ln in out.strip().split("\n")[1:]]
+    assert [r[0] for r in rows] == [0.03, 0.02, 0.01]
+    assert rows[0][2] == pytest.approx(4.0 / 7.0, rel=1e-5)
+
+
 def test_quartic_csv(capsys):
     code, out, _ = run_cli(capsys, ["quartic", "--d", "3"])
     assert code == 0
@@ -113,6 +126,32 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert out == ""
     _, direct, _ = run_cli(capsys, ["constants", "--d", "3", "--s", "1.0"])
     assert target.read_text(encoding="utf-8") == direct
+
+
+@pytest.mark.parametrize("where", ["missing_directory", "a_directory"])
+def test_out_path_that_cannot_be_opened_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, where
+):
+    # the path is opened before the work, so the stub for the work never runs
+    target = tmp_path / "absent" / "x.json" if where == "missing_directory" else tmp_path
+    monkeypatch.setattr(cli, "cmd_constants", lambda args: pytest.fail("work ran"))
+    code, out, err = run_cli(
+        capsys, ["constants", "--d", "3", "--s", "1", "--out", str(target)]
+    )
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+
+
+def test_a_failed_write_to_stdout_is_no_usage_error(monkeypatch):
+    # a closed pipe is not the user's arguments: the error propagates
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        cli.main(["constants", "--d", "3", "--s", "1"])
 
 
 def test_reruns_are_byte_identical(capsys):

@@ -77,6 +77,22 @@ def test_flow_jacobian_preserves_total_measure():
             assert total == pytest.approx(sphere_area(d), rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "flow",
+    [
+        lambda delta: gamma_flow_axis(delta, np.array([-0.5, 0.0, 0.5])),
+        lambda delta: flow_jacobian_axis(delta, np.array([-0.5, 0.0, 0.5]), 3),
+        lambda delta: pullback_zonal(_random_fn(SphereParams(3, 1.0)), delta),
+    ],
+    ids=["gamma_flow_axis", "flow_jacobian_axis", "pullback_zonal"],
+)
+@pytest.mark.parametrize("delta", [math.inf, math.nan, 0.0, -1.0])
+def test_a_dilation_that_is_not_finite_and_positive_is_a_domain_error(flow, delta):
+    # an infinite delta used to pass and return NaN values
+    with pytest.raises(DomainError, match="delta must be positive and finite"):
+        flow(delta)
+
+
 def test_q_zeta_attains_sharp_constant():
     for (d, s) in ((3, 1.0), (4, 1.0), (3, 0.5)):
         p = SphereParams(d, s)

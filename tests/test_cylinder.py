@@ -228,7 +228,9 @@ def test_inverse_period_near_bifurcation():
     assert period(D, alpha) == pytest.approx(T, rel=1e-9)
 
 
-def test_orbit_ode_and_first_integral():
+def test_orbit_ode_and_first_integral(monkeypatch):
+    # the drift over 10 periods; verify runs at 5
+    monkeypatch.setattr(cylinder, "_DRIFT_PERIODS", 10)
     br = optimizer_branch(D, 1.5 * TS)
     assert br.u[0] == br.alpha
     assert br.up[0] == 0.0
@@ -269,11 +271,8 @@ def test_a_period_that_is_not_finite_and_positive_is_a_domain_error(T):
 
 @pytest.mark.parametrize(
     "call",
-    [
-        lambda: energy_drift(D, 0.9, n_periods=0),
-        lambda: optimizer_branch(D, 1.5 * TS, n_grid=0),
-    ],
-    ids=["drift_zero_periods", "branch_empty_grid"],
+    [lambda: optimizer_branch(D, 1.5 * TS, n_grid=0)],
+    ids=["branch_empty_grid"],
 )
 def test_degenerate_sizes_raise_domain_error_before_any_work(monkeypatch, call):
     def refuse(*args, **kwargs):
@@ -372,19 +371,26 @@ def test_descent_matches_branch_value():
         assert quotient_profile(prof) == pytest.approx(val, rel=1e-9)
 
 
-def test_descent_refuses_unconverged_starts():
+def test_descent_refuses_unconverged_starts(monkeypatch):
     # one L-BFGS-B iteration converges from no start, so no value is ranked
+    monkeypatch.setattr(cylinder, "_DESCENT_MAXITER", 1)
     with pytest.raises(ComputationError):
-        minimize_quotient(D, 1.5 * TS, maxiter=1)
+        minimize_quotient(D, 1.5 * TS)
 
 
 def test_k_fold_branches_are_dominated():
+    # Diagnostics only: tiling the period-T/k orbit k times gives a critical
+    # point of the period-T quotient, of value k^(1 - 2/q) times the
+    # single-bump value at T/k. It exceeds the single-bump value at T, so
+    # these branches never realize S_d(T).
     T = 2.6 * TS
-    k1 = orbit_branch_value(D, T, k=1)
-    k2 = orbit_branch_value(D, T, k=2)
+    q = 2.0 * D / (D - 2.0)
+    k1 = orbit_branch_value(D, T)
+    k2 = 2.0 ** (1.0 - 2.0 / q) * orbit_branch_value(D, T / 2.0)
     assert k2 > k1
+    # the period-T/2 orbit needs T/2 > T_*
     with pytest.raises(DomainError):
-        orbit_branch_value(D, 1.5 * TS, k=2)
+        orbit_branch_value(D, 1.5 * TS / 2.0)
 
 
 def test_hessian_kernel_dimensions_follow_bifurcation():

@@ -205,6 +205,20 @@ def test_error_paths():
         finite_operator(np.array([[np.inf, 1.0]]), 3.0)
 
 
+@pytest.mark.parametrize("route", [dual_vector, primal_vector])
+@pytest.mark.parametrize(
+    "x",
+    [np.array([np.nan, np.nan]), np.array([1.0, 0.0, 0.0]), np.array([[1.0, 0.0]])],
+    ids=["nan", "long", "row"],
+)
+def test_extremal_pair_refuses_a_nonfinite_or_misshapen_input(route, x):
+    # a NaN used to pass the unit-norm test and come back as NaN (primal) or
+    # as a ComputationError (dual); a wrong shape raised numpy's bare ValueError
+    op = finite_operator(np.array([[1.0, 2.0], [3.0, -1.0]]), 3.0)
+    with pytest.raises(PreconditionError):
+        route(x, op)
+
+
 def test_norm_scales_linearly():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((3, 3))
@@ -255,10 +269,11 @@ def _minimize_capped_at_one_iteration(*args, **kwargs):
     return scipy.optimize.minimize(*args, **kwargs)
 
 
-def test_op_norm_ascent_without_a_converged_start_raises():
+def test_op_norm_ascent_without_a_converged_start_raises(monkeypatch):
+    monkeypatch.setattr(duality, "_ASCENT_MAX_ITER", 1)
     a = np.random.default_rng(29).standard_normal((4, 3))
     with pytest.raises(ComputationError, match="no start"):
-        op_norm_ascent(a, 3.0, max_iter=1)
+        op_norm_ascent(a, 3.0)
 
 
 def test_op_norm_ascent_runs_no_optimizer(monkeypatch):
@@ -297,10 +312,11 @@ def test_every_route_refuses_an_empty_or_flat_matrix(route, shape):
         route(np.zeros(shape), 3.0)
 
 
-def test_adjoint_fixed_point_without_a_converged_start_raises():
+def test_adjoint_fixed_point_without_a_converged_start_raises(monkeypatch):
+    monkeypatch.setattr(duality, "_ADJOINT_MAX_ITER", 1)
     a = np.random.default_rng(29).standard_normal((4, 3))
     with pytest.raises(ComputationError, match="no start"):
-        adjoint_norm_fixed_point(a, 3.0, max_iter=1)
+        adjoint_norm_fixed_point(a, 3.0)
 
 
 @pytest.mark.parametrize(

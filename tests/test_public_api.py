@@ -15,7 +15,9 @@ is reached when code reaches it from one of these roots:
 Uses are read from the code (``ast`` names and attributes), never from
 docstrings or comments. A name reached from no root is dead surface: delete
 it with its tests rather than list it here. The parameter ledger at the end
-holds the defaulted parameters of exported functions to the same rule.
+holds the defaulted parameters of exported functions to the same rule: a
+parameter is kept while one of these roots sets it, or while ``TEST_KNOBS``
+names the test that needs it.
 """
 
 import ast
@@ -256,14 +258,30 @@ def test_no_library_module_imports_a_name_it_never_uses():
 # a wrapper nobody sets decides nothing. The CLI reaches the library through
 # ``_given(args, <flags>)``, which sets the library names of its flags, and
 # ``run_suite``, which hands each suite the names it is given. Calls are read
-# in the library, the benchmark harness and the tests.
+# from the roots of the name ledger: the library, ``perfbench/*.py`` and the
+# acceptance gate. A unit test sets no knob; a knob only a test sets stays
+# only in ``TEST_KNOBS``.
 
 LEDGER_MODULES = AUDITED + ("verify", "cli")
 LEDGER_FILES = (
     sorted(SRC.glob("*.py"))
-    + sorted((ROOT / "perfbench").rglob("*.py"))
-    + sorted((ROOT / "tests").glob("*.py"))
+    + sorted((ROOT / "perfbench").glob("*.py"))
+    + [ROOT / "tests" / "test_acceptance.py"]
 )
+
+# module.function(parameter) -> (the test that sets it, why it stays). A
+# discretization or a tolerance that only a test varies is no knob: the
+# library reads it from its module constant at call time, and the test sets
+# the constant (tests/test_self_convergence.py). An entry here is a parameter
+# that chooses what the function computes, not how finely, so no module
+# constant can stand for it.
+TEST_KNOBS = {
+    "cylinder.degenerate_quotient_curve(with_resolvent)": (
+        "tests/test_cylinder.py::test_degenerate_curve_without_resolvent_sees_larger_constant",
+        "picks the curve and its limit: false drops the resolvent correction and "
+        "targets C_* E[u_*]/E[r]^2, the only numeric route to QuarticConstants.c_star",
+    ),
+}
 
 
 def _file_key(path: Path) -> str:
@@ -364,7 +382,8 @@ class _Calls(ast.NodeVisitor):
                 self.passed |= {(f, p) for f in dests for p in self.dicts[value.id]}
 
 
-def test_every_defaulted_parameter_is_passed_a_value():
+def _passed_knobs() -> set:
+    """Every module.function(parameter) a root passes a value."""
     positional = {}  # (file key, function) -> positional parameter names
     for path in LEDGER_FILES:
         for stmt in ast.parse(path.read_text()).body:
@@ -383,7 +402,12 @@ def test_every_defaulted_parameter_is_passed_a_value():
         new = {dest for src, dest in forwards if src in passed} - passed
         passed |= new
         grew = bool(new)
-    unset = []
+    return {"%s.%s(%s)" % (module, name, param) for (module, name), param in passed}
+
+
+def _defaulted_knobs() -> set:
+    """Every module.function(parameter) with a default, over the exported functions."""
+    out = set()
     for module in LEDGER_MODULES:
         mod = importlib.import_module("sobolev_lab." + module)
         for name in mod.__all__:
@@ -391,7 +415,23 @@ def test_every_defaulted_parameter_is_passed_a_value():
             if not callable(obj) or isinstance(obj, type):
                 continue
             for param in inspect.signature(obj).parameters.values():
-                knob = ((module, name), param.name)
-                if param.default is not param.empty and knob not in passed:
-                    unset.append("%s.%s(%s)" % (module, name, param.name))
+                if param.default is not param.empty:
+                    out.add("%s.%s(%s)" % (module, name, param.name))
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_a_value():
+    unset = sorted(_defaulted_knobs() - _passed_knobs() - set(TEST_KNOBS))
     assert not unset, "defaulted but never passed a value: %s" % ", ".join(unset)
+
+
+def test_every_test_knob_is_defaulted_unset_by_the_roots_and_names_its_test():
+    defaulted, passed = _defaulted_knobs(), _passed_knobs()
+    for knob, (test, reason) in TEST_KNOBS.items():
+        assert knob in defaulted, "stale knob: %s is not a defaulted parameter" % knob
+        assert knob not in passed, "stale knob: a root sets %s" % knob
+        path, name = test.split("::")
+        tree = ast.parse((ROOT / path).read_text())
+        tests = {s.name for s in tree.body if isinstance(s, ast.FunctionDef)}
+        assert name in tests, "knob %s names no test %s" % (knob, test)
+        assert reason

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import eval_gegenbauer, roots_jacobi
+from scipy.special import eval_gegenbauer, gammaln, roots_jacobi
 
 from sobolev_lab.errors import DomainError
 from sobolev_lab.specialfn import (
@@ -171,6 +171,17 @@ def test_gauss_rule_matches_scipy_jacobi():
         order = np.argsort(rule.nodes)
         assert np.allclose(rule.nodes[order], xj, rtol=0, atol=1e-13)
         assert np.allclose(rule.weights[order], wj, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.5])
+def test_one_node_rule_is_the_midpoint_with_the_whole_mass(beta):
+    # the general Golub-Welsch path at order 1: the 1 x 1 problem has node 0
+    # and eigenvector [1], so the weight is mu0 bit for bit
+    rule = gauss_rule(1, beta)
+    mu0 = math.sqrt(math.pi) * math.exp(gammaln(beta + 1.0) - gammaln(beta + 1.5))
+    assert rule.nodes.tolist() == [0.0]
+    assert rule.weights.tolist() == [mu0]
+    assert mu0 == pytest.approx(MOMENTS[beta][0], rel=1e-14)
 
 
 def test_gauss_rule_metadata_and_cache():

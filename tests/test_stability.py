@@ -8,6 +8,7 @@ from sobolev_lab.errors import DegenerateInputError, DomainError
 from sobolev_lab.specialfn import sphere_area
 from sobolev_lab.stability import (
     _SEED_ZETAS,
+    _extrapolate,
     be_quotient,
     deficit,
     distance,
@@ -160,3 +161,14 @@ def test_distance_drops_starts_that_leave_the_ball():
     p = SphereParams(3, 0.5)
     curve = quotient_curve(_pure_degree(p, 2, amp=1.487792838297688))
     assert curve.extrapolated_limit == pytest.approx(1.0 / 3.0, rel=1e-5)
+
+
+def test_extrapolate_fits_a_quadratic_off_a_halving_grid():
+    # a grid that does not halve takes the polynomial fit: exact on a
+    # quadratic, with the gap to the linear fit's intercept as its error
+    eps = np.array([0.03, 0.02, 0.01])
+    limit, err = _extrapolate(eps, 0.5 + 2.0 * eps - 7.0 * eps**2)
+    assert limit == pytest.approx(0.5, abs=1e-13)
+    # the least-squares line through eps^2 at 0.01, 0.02, 0.03 meets eps = 0
+    # at -1/3000, so the linear fit's limit is 0.5 + 7/3000
+    assert err == pytest.approx(7.0 / 3000.0, rel=1e-9)
