@@ -3,15 +3,14 @@
 Three inner loops dominate the library's Python-level cost: the Gegenbauer
 recursion table behind every zonal basis, the two-axis sphere moment behind
 the distance optimizer's objective, and the fixed-point ascent behind the
-finite operator norm. The library calls each through its module-level
-binding (``gegenbauer_table``, ``zeta_moment``, ``lq_ascent``). The
-``*_numpy`` names are the same functions, kept so that a timing harness
-which wraps the bindings can still time the bare kernels.
+finite operator norm, through the q-duality map ``psi`` both duality routes
+share. The library calls each through its module-level binding
+(``gegenbauer_table``, ``zeta_moment``, ``lq_ascent``). The ``*_numpy``
+names are the same functions, kept so that a timing harness which wraps
+the bindings can still time the bare kernels.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -47,46 +46,43 @@ def zeta_moment_numpy(a, rho, sq, expo, tn, tw, fvals, cn, cw):
 
 
 # ---------------------------------------------------------------------------
-# Fixed-point ascent for the 2 -> q operator norm.
-# Iterates f <- normalize(A^T |Af|^{q-2} Af); returns the final unit vector
-# and the number of iterations used.
+# The q-duality map psi(y) = |y|^(q-2) y, and the fixed-point ascent for the
+# 2 -> q operator norm, f <- normalize(A^T psi(Af)); the ascent returns the
+# final unit vector and the number of iterations used.
 # ---------------------------------------------------------------------------
 
-# below this norm of the step, the squares that numpy's norm sums leave the
-# normal range: the norm reads 0 or loses digits
-_SMALL_NORM = math.sqrt(np.finfo(np.float64).tiny)
+# the smallest normal float: a power, or a sum of powers, below it is
+# subnormal or 0 and has lost digits. duality.lq_norm, the brute-force grid
+# and psi rescale by the largest entry only there.
+NORMAL_MIN = float(np.finfo(np.float64).tiny)
 
 
-def _psi(y, q):
-    """|y|^(q-2) y, 0 where y is 0."""
+def psi(y, q):
+    """|y|^(q-2) y, 0 where y is 0; formed on y / max |y| where it underflows.
+
+    For y = Af, f a unit vector, the ascent step A^T psi(y) has norm at least
+    y . psi(y) = sum |y|^q. Only where that sum's square is not normal is y
+    scaled to max |y| = 1 first, a positive factor every caller normalizes
+    away (a unit q-norm argument is never scaled). Overflow is left standing.
+    """
     ay = np.abs(y)
     w = np.zeros_like(y)
     pos = ay > 0.0
     w[pos] = ay[pos] ** (q - 2.0) * y[pos]
+    if y.dot(w) < NORMAL_MIN**0.5:
+        top = ay.max()
+        if top > 0.0:
+            return psi(y / top, q)
     return w
 
 
 def lq_ascent_numpy(A, q, f0, max_iter, tol):
-    """The ascent from f0; (f, iterations).
-
-    At large q the powers |(Af)_i|^(q-1), or the squares in the norm of
-    the step, can underflow: the step reads 0 and the ascent stops where it
-    began. Only then (a step norm below ``_SMALL_NORM`` with Af != 0) is the
-    step formed on Af / max |Af| instead, as ``duality.lq_norm`` rescales
-    its sum. The normalized step does not depend on the scale, and every
-    other step is computed exactly as before.
-    """
+    """The ascent from f0; (f, iterations). ``psi`` rescales underflowing steps."""
     f = f0 / np.linalg.norm(f0)
     it = 0
     for it in range(1, max_iter + 1):
-        y = A @ f
-        g = A.T @ _psi(y, q)
+        g = A.T @ psi(A @ f, q)
         gn = np.linalg.norm(g)
-        if gn < _SMALL_NORM:
-            top = np.max(np.abs(y))
-            if top > 0.0:
-                g = A.T @ _psi(y / top, q)
-                gn = np.linalg.norm(g)
         if gn == 0.0:
             break
         fn = g / gn

@@ -157,7 +157,6 @@ class HerschResult:
 
     delta_star: float
     density: ZonalFn
-    roots: tuple
     mass: float
 
 
@@ -167,7 +166,7 @@ def _flow_moment(delta: float, tvals, weights, gvals, subsphere_area: float) -> 
     return float(subsphere_area * np.dot(weights, m * gvals))
 
 
-# the dilations hersch_normalize scans first, and the points of its log grid
+# the dilations hersch_normalize scans, and the points of its log grid
 _HERSCH_BRACKET = (1e-6, 1e6)
 _HERSCH_N_SCAN = 129
 
@@ -175,12 +174,12 @@ _HERSCH_N_SCAN = 129
 def hersch_normalize(fn: ZonalFn, density_exponent: float) -> HerschResult:
     """Find the dilation that balances the density |F|^p along the axis.
 
-    Scans G(delta) = integral of the flowed axis coordinate against the
-    density, locates sign changes on a log grid over ``_HERSCH_BRACKET``,
-    refines each by bracketed root finding, and returns the root closest to
-    the identity together with the rebalanced density (zero axis center of
-    mass).
-    The bracket expands twice before giving up.
+    G(delta) = integral of the flowed axis coordinate against the density is
+    strictly decreasing: the flow moves every node with |t| < 1 toward -axis
+    as delta grows, and the density is nonnegative with positive mass. So a
+    log grid over ``_HERSCH_BRACKET`` changes sign once; bracketed root
+    finding refines that change, and the rebalanced density (zero axis
+    center of mass) is returned with the root.
     """
     basis = fn.basis
     t = basis.rule.nodes
@@ -192,46 +191,32 @@ def hersch_normalize(fn: ZonalFn, density_exponent: float) -> HerschResult:
         raise PreconditionError("density has zero mass; nothing to balance")
 
     lo, hi = _HERSCH_BRACKET
-    for _attempt in range(3):
-        grid = np.exp(np.linspace(math.log(lo), math.log(hi), _HERSCH_N_SCAN))
-        vals = np.array([_flow_moment(dd, t, w, g, area_sub) for dd in grid])
-        sign_changes = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        exact_zeros = [float(grid[i]) for i in np.nonzero(vals == 0.0)[0]]
-        if len(sign_changes) or exact_zeros:
-            break
-        lo, hi = lo / 100.0, hi * 100.0
-    else:
+    grid = np.exp(np.linspace(math.log(lo), math.log(hi), _HERSCH_N_SCAN))
+    vals = np.array([_flow_moment(dd, t, w, g, area_sub) for dd in grid])
+    # the last positive value; G falls to <= 0 at the next grid point
+    i = int(np.count_nonzero(vals > 0.0)) - 1
+    if not 0 <= i < _HERSCH_N_SCAN - 1:
         raise ComputationError(
-            "no sign change of the center-of-mass curve in the expanded bracket"
+            "the center of mass keeps one sign over the scanned dilations"
         )
-
-    roots = list(exact_zeros)
-    for i in sign_changes:
-        root_log, info = brentq(
-            lambda u: _flow_moment(math.exp(u), t, w, g, area_sub),
-            math.log(grid[i]),
-            math.log(grid[i + 1]),
-            xtol=1e-14,
-            rtol=8.9e-16,
-            full_output=True,
-            disp=False,
+    root_log, info = brentq(
+        lambda u: _flow_moment(math.exp(u), t, w, g, area_sub),
+        math.log(grid[i]),
+        math.log(grid[i + 1]),
+        xtol=1e-14,
+        rtol=8.9e-16,
+        full_output=True,
+        disp=False,
+    )
+    if not info.converged:
+        raise ComputationError(
+            "center-of-mass root did not converge: %s" % info.flag
         )
-        if not info.converged:
-            raise ComputationError(
-                "center-of-mass root did not converge: %s" % info.flag
-            )
-        roots.append(math.exp(root_log))
-    roots.sort()
-    delta_star = min(roots, key=lambda r: abs(math.log(r)))
+    delta_star = math.exp(root_log)
 
     inv = 1.0 / delta_star
     tnew = gamma_flow_axis(inv, t)
     gnew = np.abs(eval_zonal(fn, tnew)) ** density_exponent
     dens_samples = gnew * flow_jacobian_axis(inv, t, fn.params.d)
     density = analyze(dens_samples, fn.params, fn.bandlimit)
-    return HerschResult(
-        delta_star=float(delta_star),
-        density=density,
-        roots=tuple(roots),
-        mass=mass,
-    )
+    return HerschResult(delta_star=delta_star, density=density, mass=mass)

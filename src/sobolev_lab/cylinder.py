@@ -34,6 +34,7 @@ from scipy.optimize import brentq, minimize
 from . import _dop853_tableau as _tableau
 from .errors import (
     ComputationError,
+    DegenerateInputError,
     DomainError,
     InconsistencyError,
     PreconditionError,
@@ -673,10 +674,11 @@ def energy_drift(d: int, alpha: float) -> float:
 def inverse_period(d: int, T: float) -> float:
     """Amplitude with tau(alpha) = T, using monotonicity of the period map.
 
-    The decade amplitudes 1 - 10^-j bracket the root: the last one whose
-    period is below T (or u0 (1 + 1e-9) when none is) and the first one
-    whose period exceeds T. brentq starts by evaluating both ends, and is
-    handed their known periods, so no amplitude is evaluated twice.
+    The decade amplitudes 1 - 10^-j, j >= 2, bracket the root: the last one
+    whose period is below T (or u0 (1 + 1e-9) when none is) and the first
+    one whose period exceeds T; all lie above u0(d) <= u0(3) = 0.7598.
+    brentq starts by evaluating both ends, and is handed their known
+    periods, so no amplitude is evaluated twice.
     """
     ts = t_star(d)
     if not ts < T < math.inf:
@@ -684,8 +686,6 @@ def inverse_period(d: int, T: float) -> float:
     lo, f_lo = u0(d) * (1.0 + 1e-9), None
     for j in range(2, 15):
         cand = 1.0 - 10.0 ** (-j)
-        if cand <= lo:
-            continue
         gap = period(d, cand) - T
         if gap > 0.0:
             hi, f_hi = cand, gap
@@ -1439,6 +1439,14 @@ class DegenerateCurve:
     limit_constant: float
 
 
+# the smallest deficit ratio (E - S ||u||_q^2) / E degenerate_quotient_curve
+# divides by delta^4. E and S ||u||_q^2 carry roundoff of about 1e-16 E, so the
+# quotient's relative error is about 1e-16 over the ratio (3.3e-5 at 1.0e-11).
+# The default grid keeps at least 2.6e-10 (d = 3..10); eps = 1e-4 leaves at
+# most 6.2e-16, where the quotient was off by 8% to 420%.
+_DEFICIT_FLOOR = 1e-11
+
+
 def degenerate_quotient_curve(
     d: int, eps_grid=(0.02, 0.01, 0.005), with_resolvent: bool = True
 ) -> DegenerateCurve:
@@ -1448,7 +1456,9 @@ def degenerate_quotient_curve(
     when ``with_resolvent`` is false). The orthogonality of s to the kernel
     directions makes delta^2 = eps^2 E[r] + eps^4 E[s] exact, so the curve
     extrapolates to the closed-form quartic limit (or to the larger s = 0
-    value C_* E[u_*]/E[r]^2).
+    value C_* E[u_*]/E[r]^2). An eps whose deficit falls below
+    ``_DEFICIT_FLOOR`` of the energy raises DegenerateInputError: the
+    quotient there is roundoff.
     """
     from .stability import _eps_grid, _extrapolate
 
@@ -1493,8 +1503,14 @@ def degenerate_quotient_curve(
         u = base + e * r_samples + e * e * s_samples
         energy_val = e_u + e * e * e_r + e**4 * e_s
         nq2 = (area * h * float(np.sum(np.abs(u) ** q))) ** (2.0 / q)
+        deficit = energy_val - s_const * nq2
+        if not deficit >= _DEFICIT_FLOOR * energy_val:
+            raise DegenerateInputError(
+                "deficit/energy %.3g at eps = %g is below %.0e: the quotient is roundoff"
+                % (deficit / energy_val, e, _DEFICIT_FLOOR)
+            )
         delta4 = (e * e * e_r + e**4 * e_s) ** 2
-        quot[i] = energy_val * (energy_val - s_const * nq2) / delta4
+        quot[i] = energy_val * deficit / delta4
 
     limit, err = _extrapolate(eps, quot)
     target = qc.limit_constant if with_resolvent else qc.c_star * e_u / e_r**2

@@ -17,9 +17,11 @@ the multi-start policy everywhere.
 The two iterations are one map. The inverse of the q'-duality map is the
 q-duality map psi(y) = |y|^(q-2) y, so an adjoint step g -> psi(A A^T g),
 normalized, moves f = A^T g / |A^T g| by exactly the primal step
-f -> A^T psi(Af), normalized. The primal and adjoint values therefore differ
-only in their starts and their stop rules; the angular grid is the one route
-that does not share the map.
+f -> A^T psi(Af), normalized. Both routes, and ``dual_vector``, form psi
+with ``_kernels.psi``, and both draw their starts from ``_ascent_starts``,
+so the primal and adjoint values differ only in the space they iterate in
+and their stop rules; the angular grid is the one route that does not share
+the map.
 """
 
 from __future__ import annotations
@@ -89,15 +91,16 @@ def _finite(values, route: str) -> float:
 
 
 def lq_norm(x: np.ndarray, q: float) -> float:
-    """(sum |x|^q)^(1/q), rescaled by max |x| only where the sum leaves (0, inf).
+    """(sum |x|^q)^(1/q), rescaled by max |x| only where the sum is not normal.
 
-    At large q the powers of a nonzero vector can all underflow to 0 (or one
-    overflow to inf); only then is x divided by max |x| first, so every value
-    the plain sum can represent is computed exactly as before.
+    At large q the powers of a nonzero vector can fall below the normal range
+    (a subnormal sum keeps only a few significant bits) or one can overflow
+    to inf; only then is x divided by max |x| first, so every value whose
+    plain sum is a normal float is computed exactly as before.
     """
     ax = np.abs(x)
     total = np.sum(ax**q)
-    if 0.0 < total < math.inf:
+    if _kernels.NORMAL_MIN <= total < math.inf:
         return float(total ** (1.0 / q))
     scale = np.max(ax) if ax.size else 0.0
     if not 0.0 < scale < math.inf:
@@ -134,6 +137,11 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _ascent_starts(n: int, seed: int):
+    """Unit vectors in R^n: the axes, the diagonal and seeded normals.
+
+    The primal ascent starts from them in R^n, the adjoint in R^m, scaled to
+    unit q'-norm.
+    """
     starts = [np.eye(n)[j] for j in range(n)]
     starts.append(np.ones(n) / math.sqrt(n))
     rng = _rng(seed)
@@ -178,45 +186,26 @@ _ADJOINT_MAX_ITER = 5000  # the steps a start may take to meet it
 def adjoint_norm_fixed_point(matrix: np.ndarray, q: float, seed: int = 0) -> float:
     """max |A^T g| over the unit q'-norm sphere, by duality-map iteration.
 
-    Iterates g <- normalize_{q'}( psi^{-1}(A A^T g) ) where psi is the q'-norm
-    duality map psi(g) = |g|^(q'-2) g; fixed points satisfy the stationarity
-    condition of the constrained maximization. Multi-start, keep the best of
-    the starts that met the stop rule or reached A A^T g = 0; a start cut off
-    by ``_ADJOINT_MAX_ITER`` stops anywhere on its way up and is not ranked.
+    Iterates g <- normalize_{q'}( psi(A A^T g) ) where psi(y) = |y|^(q-2) y
+    is the inverse of the q'-norm duality map |g|^(q'-2) g; fixed points
+    satisfy the stationarity condition of the constrained maximization.
+    Multi-start, keep the best of the starts that met the stop rule or
+    reached A A^T g = 0; a start cut off by ``_ADJOINT_MAX_ITER`` stops
+    anywhere on its way up and is not ranked.
     """
     a = _as_matrix(matrix)
     qp = q_conjugate(q)
-    m, n = a.shape
     gram = a @ a.T
-    inv_exp = 1.0 / (qp - 1.0) - 1.0
-
-    def normalize(g):
-        nrm = lq_norm(g, qp)
-        if nrm == 0.0:
-            return None
-        return g / nrm
-
     ranked = []
-    rng = _rng(seed)
-    g_starts = [np.eye(m)[j] for j in range(m)]
-    g_starts.append(np.ones(m) / lq_norm(np.ones(m), qp))
-    for _ in range(_N_RANDOM_STARTS):
-        g_starts.append(rng.standard_normal(m))
-    for g0 in g_starts:
-        g = normalize(np.asarray(g0, dtype=float))
-        if g is None:
-            continue
+    for g0 in _ascent_starts(a.shape[0], seed):
+        g = g0 / lq_norm(g0, qp)
         prev = -1.0
         for _ in range(_ADJOINT_MAX_ITER):
-            y = gram @ g
-            ay = np.abs(y)
-            mapped = np.zeros_like(y)
-            pos = ay > 0.0
-            mapped[pos] = ay[pos] ** inv_exp * y[pos]
-            g_next = normalize(mapped)
-            if g_next is None:
+            mapped = _kernels.psi(gram @ g, q)
+            nrm = lq_norm(mapped, qp)
+            if nrm == 0.0:
                 break
-            g = g_next
+            g = mapped / nrm
             val = float(np.linalg.norm(a.T @ g))
             if abs(val - prev) < _ADJOINT_TOL * max(val, 1.0):
                 break
@@ -278,17 +267,18 @@ def _grid_walk(a: np.ndarray, q: float) -> tuple:
 def _grid_max(a: np.ndarray, q: float) -> tuple:
     """(q-norm, angles) of the best grid point, the seed of the polish.
 
-    At large q every power on the grid can underflow to 0, and the grid
-    would seed the polish at its first point. Only then is the grid walked
-    again on a / s, with s the largest row norm of a: |(a f)_i| / s <= 1 for
-    unit f, with equality in the direction of the largest row, so the grid
-    points near it keep positive powers (q up to 800 tested). Where a power
-    is positive, the grid is the plain one, bit for bit. An overflow is left
-    standing, for the caller to refuse.
+    At large q every sum of powers on the grid can fall below the normal
+    range: all 0 would seed the polish at the first grid point, and a
+    subnormal best keeps only a few significant bits. Only then is the grid
+    walked again on a / s, with s the largest row norm of a: |(a f)_i| / s
+    <= 1 for unit f, with equality in the direction of the largest row, so
+    the grid points near it keep normal powers (q up to 800 tested). Where
+    the best sum is normal, the grid is the plain one, bit for bit. An
+    overflow is left standing, for the caller to refuse.
     """
     best, start = _grid_walk(a, q)
     scale = 1.0
-    if best == 0.0 and np.any(a):
+    if best < _kernels.NORMAL_MIN and np.any(a):
         scale = float(np.max(np.linalg.norm(a, axis=1)))
         best, start = _grid_walk(a / scale, q)
     return scale * float(best ** (1.0 / q)), start
@@ -346,8 +336,9 @@ def finite_operator(matrix: np.ndarray, q: float, seed: int = 0) -> FiniteOperat
 def dual_vector(f: np.ndarray, op: FiniteOperator) -> np.ndarray:
     """g with unit q'-norm pairing maximally with Af.
 
-    <f, A^T g> = ||Af||_q holds by construction; when f is a norm optimizer,
-    g is one for the adjoint.
+    g = psi(Af / ||Af||_q) has unit q'-norm (Hoelder's equality case) and
+    entries at most 1, so no power overflows. <f, A^T g> = ||Af||_q by
+    construction; when f is a norm optimizer, g is one for the adjoint.
     """
     f = np.asarray(f, dtype=float)
     n = op.shape[1]
@@ -358,10 +349,8 @@ def dual_vector(f: np.ndarray, op: FiniteOperator) -> np.ndarray:
     ny = lq_norm(y, op.q)
     if ny == 0.0:
         raise DegenerateInputError("Af = 0 admits no dual vector")
-    g = ny ** (1.0 - op.q) * np.abs(y) ** (op.q - 2.0) * y
-    g = np.where(np.isfinite(g), g, 0.0)
-    qp = q_conjugate(op.q)
-    if abs(lq_norm(g, qp) - 1.0) > 1e-12:
+    g = _kernels.psi(y / ny, op.q)
+    if abs(lq_norm(g, q_conjugate(op.q)) - 1.0) > 1e-12:
         raise ComputationError("dual vector lost its unit q'-norm")
     return g
 

@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+import numbers
+
 
 class DomainError(ValueError):
     """An argument is outside the mathematical domain of the operation."""
@@ -22,6 +24,12 @@ class InconsistencyError(RuntimeError):
 
 
 def check_seed(seed: int) -> None:
-    """Refuse a negative seed, on which numpy would raise a bare ValueError."""
+    """Refuse a seed that is not a nonnegative integer.
+
+    numpy would raise a bare TypeError on a float and a bare ValueError on a
+    negative integer.
+    """
+    if not isinstance(seed, numbers.Integral):
+        raise DomainError("seed must be an integer, got %r" % (seed,))
     if seed < 0:
         raise DomainError("seed must be nonnegative, got %r" % (seed,))

@@ -262,6 +262,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["verify", "duality", "--seed", "-1"],
         ["verify", "cylinder", "--seed", "-1"],
         ["verify", "cylinder", "--T", "inf"],
+        # a bandlimit the Gauss grid of the quadrature order would alias
+        ["verify", "sphere", "--quad-order", "20"],
     ],
 )
 def test_bad_input_is_a_usage_error(capsys, argv):
@@ -270,6 +272,14 @@ def test_bad_input_is_a_usage_error(capsys, argv):
     assert out == ""
     assert "error:" in err
     assert "Traceback" not in err
+
+
+def test_quartic_refuses_an_eps_whose_deficit_is_roundoff(capsys):
+    # it printed quotients of -8.3e14 and -1.6e14 and exited 0
+    code, out, err = run_cli(capsys, ["quartic", "--d", "3", "--eps-grid", "1e-8,2e-8"])
+    assert code == 1
+    assert out == ""
+    assert "quotient is roundoff" in err
 
 
 def test_parser_level_errors_raise_systemexit_2(capsys):

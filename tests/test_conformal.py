@@ -164,7 +164,33 @@ def test_hersch_normalize_balances_bubble_density():
     assert abs(axis_moment(res.density)) < 1e-9
     assert res.delta_star > 1.0  # mass sits at +axis, balancing pushes back
     assert res.mass == pytest.approx(sphere_area(3), rel=1e-10)
-    assert res.delta_star in res.roots
+
+
+@pytest.mark.parametrize("d, axis", [(2, 0.6), (3, 0.3), (3, -0.5), (5, 0.0), (6, 0.8)])
+def test_hersch_center_of_mass_decreases_along_the_scan(d, axis):
+    # every node with |t| < 1 flows toward -axis as delta grows and the
+    # density is nonnegative, so the scan changes sign exactly once
+    p = SphereParams(d, 0.5)
+    zeta = np.zeros(d + 1)
+    zeta[-1] = axis
+    fn = q_zeta(zeta, p)
+    rule = fn.basis.rule
+    dens = np.abs(fn.samples) ** p.q
+    lo, hi = conformal._HERSCH_BRACKET
+    grid = np.exp(np.linspace(math.log(lo), math.log(hi), conformal._HERSCH_N_SCAN))
+    area = fn.basis.geometry.subsphere_area
+    vals = [conformal._flow_moment(x, rule.nodes, rule.weights, dens, area) for x in grid]
+    assert np.all(np.diff(vals) < 0.0)
+    assert vals[0] > 0.0 > vals[-1]
+
+
+def test_hersch_refuses_a_scan_without_a_sign_change(monkeypatch):
+    # the bubble at +0.3 balances at some delta > 1, past this scan
+    monkeypatch.setattr(conformal, "_HERSCH_BRACKET", (1e-6, 1.0))
+    p = SphereParams(3, 1.0)
+    fn = q_zeta(np.array([0.0, 0.0, 0.0, 0.3]), p)
+    with pytest.raises(ComputationError, match="keeps one sign"):
+        hersch_normalize(fn, density_exponent=p.q)
 
 
 def test_hersch_identity_input_needs_no_motion():

@@ -8,6 +8,8 @@ Closed-form anchors (frozen from 40-digit evaluations):
     curve limit (q+2)(q-2)/(12(q-1)).
 """
 
+import copy
+import dataclasses
 import functools
 import importlib.util
 import math
@@ -61,7 +63,13 @@ from sobolev_lab.cylinder import (
     u_min_turning,
     zero_mode_pairing,
 )
-from sobolev_lab.errors import ComputationError, DomainError, PreconditionError
+from sobolev_lab.errors import (
+    ComputationError,
+    DegenerateInputError,
+    DomainError,
+    InconsistencyError,
+    PreconditionError,
+)
 from sobolev_lab.specialfn import sphere_area
 from sobolev_lab.zonal import SphereParams, sharp_constant
 
@@ -1120,6 +1128,106 @@ def test_degenerate_curve_without_resolvent_sees_larger_constant():
     dc = degenerate_quotient_curve(D, with_resolvent=False)
     assert dc.extrapolated_limit == pytest.approx(dc.limit_constant, rel=1e-4)
     assert dc.limit_constant > 8.0 / 15.0
+
+
+def test_degenerate_curve_refuses_an_eps_whose_deficit_is_roundoff():
+    # at eps = 1e-4 the deficit is at most 6.2e-16 of the energy, and the
+    # quotient was off by 8% to 420% (d = 3..10); the default grid keeps it
+    # above 2.6e-10
+    for d in range(3, 11):
+        curve = degenerate_quotient_curve(d)
+        assert curve.extrapolated_limit == pytest.approx(curve.limit_constant, rel=2e-2)
+        with pytest.raises(DegenerateInputError, match="quotient is roundoff"):
+            degenerate_quotient_curve(d, eps_grid=(0.01, 1e-4))
+
+
+def _resolvent_shifted_by(monkeypatch, mode):
+    """quartic_constants with ``mode`` (samples on the T_* grid) added to s."""
+    qc = quartic_constants(D)
+    prof = qc.resolvent_profile
+    t = np.arange(cylinder.DEFAULT_N_GRID) * (prof.params.T / cylinder.DEFAULT_N_GRID)
+    shift = 1e-3 * mode(2.0 * math.pi * t / prof.params.T)
+    bent = profile_from_samples(prof.params, prof.samples + shift)
+    monkeypatch.setattr(
+        cylinder, "quartic_constants", lambda d: dataclasses.replace(qc, resolvent_profile=bent)
+    )
+
+
+@pytest.mark.parametrize(
+    "mode, match",
+    [
+        (np.ones_like, "zero mean"),
+        (np.cos, "energy-orthogonal to the mode"),
+        (np.sin, "energy-orthogonal to the translation mode"),
+    ],
+    ids=["mean", "mode", "translation"],
+)
+def test_degenerate_curve_refuses_a_resolvent_off_its_constraints(monkeypatch, mode, match):
+    _resolvent_shifted_by(monkeypatch, mode)
+    with pytest.raises(PreconditionError, match=match):
+        degenerate_quotient_curve(D)
+
+
+def _bend(monkeypatch, name, select, edit):
+    """cylinder.<name>, with ``edit`` applied to a copy of its value on the calls ``select`` picks."""
+    inner = getattr(cylinder, name)
+
+    def bent(*args):
+        out = inner(*args)
+        if select(*args):
+            out = copy.deepcopy(out)
+            edit(out)
+        return out
+
+    monkeypatch.setattr(cylinder, name, bent)
+
+
+# inside quartic_constants _trig_coords sees the quartic source, which varies
+# along the grid, and the branch power u^(q-1), which is constant at T_*
+def _is_source(x, T, n_modes):
+    return np.ptp(x) > 0.0
+
+
+def _scale_cos2(coords):
+    coords[2] *= 1.0 + 1e-3
+
+
+def test_quartic_constants_refuses_a_stray_resolvent_mode(monkeypatch):
+    def add_cos3(coords):
+        coords[3] += 1e-3 * coords[2]
+
+    _bend(monkeypatch, "_trig_coords", _is_source, add_cos3)
+    with pytest.raises(InconsistencyError, match="pure second-harmonic"):
+        quartic_constants(D)
+
+
+def test_quartic_constants_refuses_a_resolvent_coefficient_off_its_closed_form(monkeypatch):
+    _bend(monkeypatch, "_trig_coords", _is_source, _scale_cos2)
+    with pytest.raises(InconsistencyError, match="resolvent coefficient"):
+        quartic_constants(D)
+
+
+def test_quartic_constants_refuses_an_inner_product_off_its_closed_form(monkeypatch):
+    # source and eigenvalue scaled alike keep the resolvent, not <f, s>
+    _bend(monkeypatch, "_trig_coords", _is_source, _scale_cos2)
+    _bend(monkeypatch, "_diagonals", lambda halves: True, lambda diags: _scale_cos2(diags[0]))
+    with pytest.raises(InconsistencyError, match="resolvent inner product"):
+        quartic_constants(D)
+
+
+def test_quartic_constants_refuses_a_quartic_coefficient_off_its_closed_form(monkeypatch):
+    # only the moments of r^2 read np.mean inside quartic_constants
+    class BentMean:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def mean(x):
+            return np.mean(x) * (1.0 + 1e-3)
+
+    monkeypatch.setattr(cylinder, "np", BentMean())
+    with pytest.raises(InconsistencyError, match="quartic coefficient"):
+        quartic_constants(D)
 
 
 def test_split_stability_slopes():

@@ -9,6 +9,7 @@ Closed forms used as anchors:
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -364,6 +365,10 @@ def test_every_route_refuses_an_overflowed_norm(route):
 def test_every_seeded_route_refuses_a_negative_seed(route, args):
     with pytest.raises(DomainError, match="seed must be nonnegative"):
         route(*args, seed=-1)
+    # numpy's SeedSequence raised a bare TypeError on a float
+    for bad in (1.5, 2.0, "3", None):
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            route(*args, seed=bad)
 
 
 def test_lq_norm_rescales_only_where_the_plain_sum_fails():
@@ -482,6 +487,53 @@ def test_large_q_ascent_and_grid_survive_underflow(monkeypatch):
         grid_norm, _ = grids[-1]
         assert grid_norm > 0.0
         assert op_norm_ascent(a, q) >= brute * (1.0 - 1e-9)
+
+
+def test_large_q_routes_agree_and_the_extremal_pair_survives():
+    # the adjoint's powers used to underflow (cases 91 and 95 read 22% and
+    # 9.7% low), a subnormal power sum cost the primal and grid values their
+    # last 7 digits (case 105), and dual_vector overflowed on most q = 800
+    # matrices; finite_operator refused all three cases
+    for i, (a, q) in enumerate(_large_q_cases()):
+        op = finite_operator(a, q)
+        brute = brute_force_norm(a, q)
+        assert op.primal_norm == pytest.approx(op.adjoint_norm, rel=1e-9), i
+        assert brute == pytest.approx(op.op_norm, rel=1e-9), i
+        f = np.random.default_rng(i).standard_normal(a.shape[1])
+        f /= np.linalg.norm(f)
+        g = dual_vector(f, op)
+        val = lq_norm(a @ f, q)
+        assert float(f @ (a.T @ g)) == pytest.approx(val, rel=1e-9), i
+        # one ascent step: the convex norm does not decrease along it
+        back = primal_vector(g, op)
+        assert val * (1.0 - 1e-12) <= lq_norm(a @ back, q) <= op.op_norm * (1.0 + 1e-9), i
+
+
+def test_lq_norm_rescales_a_subnormal_power_sum():
+    # 9e-320 + 1.6e-319 is subnormal, about 15 significant bits: the plain
+    # sum read 5e-160 to 2e-5 relative
+    x = np.array([3e-160, -4e-160])
+    assert np.sum(x**2) < np.finfo(np.float64).tiny
+    assert lq_norm(x, 2.0) == pytest.approx(5e-160, rel=1e-15, abs=0.0)
+
+
+def test_dual_vector_below_q_two_skips_a_zero_entry_silently():
+    # |0|^(q-2) is 1/0 at q < 2: the formula warned "divide by zero", which
+    # the CI runs of verify turn into a failure
+    op = finite_operator(np.array([[2.0, 0.0], [0.0, 1.0]]), 1.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        g = dual_vector(np.array([1.0, 0.0]), op)
+    assert g[1] == 0.0
+    assert lq_norm(g, 3.0) == pytest.approx(1.0, rel=1e-15)
+
+
+def test_finite_operator_refuses_routes_that_disagree(monkeypatch):
+    monkeypatch.setattr(
+        duality, "adjoint_norm_fixed_point", lambda a, q, seed: 1.1 * op_norm_ascent(a, q)
+    )
+    with pytest.raises(ComputationError, match="primal and adjoint norms disagree"):
+        finite_operator(np.array([[1.0, 2.0], [3.0, -1.0]]), 3.0)
 
 
 def _plain_ascent(a, q, f0, max_iter, tol):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sobolev_lab.conformal import pullback_zonal, q_zeta
-from sobolev_lab.errors import DegenerateInputError, DomainError
+from sobolev_lab.errors import DegenerateInputError, DomainError, PreconditionError
 from sobolev_lab.specialfn import sphere_area
 from sobolev_lab.stability import (
     _SEED_ZETAS,
@@ -115,6 +115,17 @@ def test_upper_bound_constant_fractions():
     assert upper_bound_constant(4, 1.0) == pytest.approx(0.5, rel=1e-15)
     assert upper_bound_constant(5, 2.0) == pytest.approx(8.0 / 11.0, rel=1e-15)
     assert upper_bound_constant(3, 0.5) == pytest.approx(1.0 / 3.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("ell", [0, 1])
+def test_quotient_curve_refuses_a_ray_with_degree_zero_or_one(ell):
+    # 1 + eps R must leave the optimizer manifold orthogonally
+    p = SphereParams(3, 1.0)
+    ray = _pure_degree(p, 2)
+    coeffs = ray.coeffs.copy()
+    coeffs[ell] = 1e-6
+    with pytest.raises(PreconditionError, match="orthogonal to degrees 0 and 1"):
+        quotient_curve(from_coeffs(coeffs, p, order=256))
 
 
 def test_quotient_curve_degree2_hits_upper_bound():

@@ -18,6 +18,7 @@ from sobolev_lab.specialfn import sphere_area
 from sobolev_lab.zonal import (
     DEFAULT_ORDER,
     SphereParams,
+    ZonalBasis,
     analyze,
     energy,
     energy_via_gradient,
@@ -280,3 +281,10 @@ def test_subcritical_rejects_supercritical():
         subcritical_check(3, 6.0)
     with pytest.raises(DomainError):
         subcritical_check(4, 1.9)
+
+
+def test_basis_refuses_a_bandlimit_the_gauss_grid_would_alias():
+    # order 2L points integrate products of degree <= 2L exactly; L = 20 needs 40
+    ZonalBasis(3, 19, 38)
+    with pytest.raises(PreconditionError, match="would alias"):
+        ZonalBasis(3, 20, 38)
