@@ -25,8 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._brentq import brentq
 from .errors import ComputationError, DomainError, PreconditionError
 from .zonal import (
     DEFAULT_BANDLIMIT,

@@ -28,10 +28,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh, hankel, toeplitz
-from scipy.optimize import brentq, minimize
+from scipy.linalg import eigh
+from scipy.optimize import minimize
 
 from . import _dop853_tableau as _tableau
+from ._brentq import brentq
 from .errors import (
     ComputationError,
     DegenerateInputError,
@@ -353,7 +354,11 @@ def _w_values(d: int, alpha: float, tab: _ThetaTable) -> tuple:
         au = span * tab.ct2
         w = np.empty_like(u)
         band = tab.bulk
-        w[band] = (level - _v(u[band], d)) / (au[band] * ub[band])
+        # (level - V(u)) / (au ub) on the bulk, the difference in V's
+        # storage and the quotient in w's
+        v = _v(u[band], d)
+        np.subtract(level, v, out=v)
+        np.divide(v, au[band] * ub[band], out=w[band])
         band = tab.near_min
         xs = ub[band]
         w[band] = -(
@@ -364,7 +369,7 @@ def _w_values(d: int, alpha: float, tab: _ThetaTable) -> tuple:
         w[band] = (
             _dv(alpha, d) - 0.5 * _d2v(alpha, d) * xs + _d3v(alpha, d) * xs * xs / 6.0
         ) / ub[band]
-    if np.any(w <= 0.0):
+    if (w <= 0.0).any():
         raise ComputationError("turning-point factor lost positivity")
     return u, au, ub, w
 
@@ -374,7 +379,9 @@ def period(d: int, alpha: float) -> float:
     _check_alpha(d, alpha)
     tab = _theta_table(DEFAULT_N_THETA)
     w = _w_values(d, alpha, tab)[3]
-    return float(2.0 * math.sqrt(2.0) * np.dot(tab.wts, 1.0 / np.sqrt(w)))
+    # 1 / sqrt(w) in the storage of w, which no one else holds
+    np.divide(1.0, np.sqrt(w, out=w), out=w)
+    return float(2.0 * math.sqrt(2.0) * np.dot(tab.wts, w))
 
 
 def orbit_integrals(d: int, alpha: float) -> tuple:
@@ -570,28 +577,27 @@ def _dop853(fun, t_end: float, y_start: tuple, rtol: float, atol: float) -> _Ste
 solve_ivp = _dop853
 
 
-def _dop853_eval(steps: _Steps, seg, t) -> np.ndarray:
-    """The DOP853 interpolant of step seg[i] at t[i], shape (2, len(t)).
-
-    Evaluates the polynomial in ``steps.coef`` as scipy's Dop853DenseOutput
-    does.
-    """
-    x = (t - steps.t[seg]) / steps.h[seg]
-    factors = (x, 1.0 - x)
-    coef = steps.coef[:, :, seg]
-    y = np.zeros((2, len(seg)))
-    for i in range(7):
-        y += coef[6 - i]
-        y *= factors[i % 2]
-    return y + steps.y[:, seg]
-
-
 def _sample(steps: _Steps, t) -> np.ndarray:
-    """u and u' at the times t of a float DOP853 run, in one pass."""
+    """u and u' at the times t of a float DOP853 run, in one pass, shape (2, len(t)).
+
+    Each time is evaluated on the interpolant of its step as scipy's
+    Dop853DenseOutput does: Horner's rule in the coefficients, from the last,
+    with x and 1 - x alternating. scipy adds the last coefficient to zeros
+    first; starting from coef[6] x instead moves only the sign of a zero, which
+    the next nonzero term absorbs, so the samples keep scipy's bytes.
+    """
     # the step a time falls in, a boundary going to the earlier step, as in
     # scipy's OdeSolution
     seg = np.clip(np.searchsorted(steps.t, t, side="left") - 1, 0, len(steps.h) - 1)
-    return _dop853_eval(steps, seg, t)
+    x = (t - steps.t.take(seg)) / steps.h.take(seg)
+    factors = (x, 1.0 - x)
+    coef = steps.coef.take(seg, axis=2)
+    y = coef[6] * x
+    for i in range(1, 7):
+        y += coef[6 - i]
+        y *= factors[i % 2]
+    y += steps.y.take(seg, axis=1)
+    return y
 
 
 def _integrate(d: int, alpha: float, t_end: float) -> _Steps:
@@ -604,22 +610,25 @@ def _turning_time(steps: _Steps) -> float:
     The first step whose end states bracket it (u'_old <= 0 <= u'_new; the
     start, where u' = 0 and falls, does not) is root-found on its
     interpolant, with scipy's event tolerance xtol = rtol = 4 eps: the root
-    scipy's terminal event on u' would report.
+    scipy's terminal event on u' would report. The interpolant of u' runs in
+    floats, each operation in ``_sample``'s order, so every iterate is the
+    numpy interpolant's bit for bit.
     """
     up = steps.y[1]
     hits = np.flatnonzero((up[:-1] <= 0.0) & (up[1:] >= 0.0))
     if not len(hits):
         raise ComputationError("no turning point detected within the window")
     i = int(hits[0])
-    seg = np.array([i])
+    t0, t1, h, y0 = steps.t[i].item(), steps.t[i + 1].item(), steps.h[i].item(), up[i].item()
+    c0, c1, c2, c3, c4, c5, c6 = steps.coef[:, 1, i].tolist()
+
+    def slope(t):
+        x = (t - t0) / h
+        x1 = 1.0 - x
+        return ((((((c6 * x + c5) * x1 + c4) * x + c3) * x1 + c2) * x + c1) * x1 + c0) * x + y0
+
     tol = 4.0 * np.finfo(float).eps  # scipy's solve_event_equation
-    return _root(
-        lambda t: _dop853_eval(steps, seg, np.array([t]))[1, 0],
-        steps.t[i].item(),
-        steps.t[i + 1].item(),
-        xtol=tol,
-        rtol=tol,
-    )
+    return _root(slope, t0, t1, xtol=tol, rtol=tol)
 
 
 def _mirrored_samples(steps: _Steps, step: float, n: int) -> tuple:
@@ -1036,13 +1045,25 @@ def _multiplication_halves(w: np.ndarray, n_modes: int) -> tuple:
     wh = _grid_spectrum(w, n_modes)
     re = wh.real[: 2 * n_modes + 1]
     coupling = 2.0 * float(np.max(np.abs(wh.imag[1 : 2 * n_modes + 1])))
-    toep = toeplitz(re[:n_modes])
-    hank = hankel(re[2 : n_modes + 2], re[n_modes + 1 :])
+    toep, hank = re.take(_toeplitz_hankel_index(n_modes))
     even = np.empty((n_modes + 1, n_modes + 1))
     even[0, 0] = re[0]
     even[0, 1:] = even[1:, 0] = math.sqrt(2.0) * re[1 : n_modes + 1]
-    even[1:, 1:] = toep + hank
-    return (even, toep - hank), coupling
+    np.add(toep, hank, out=even[1:, 1:])
+    return (even, np.subtract(toep, hank, out=toep)), coupling
+
+
+@lru_cache(maxsize=None)
+def _toeplitz_hankel_index(n_modes: int) -> np.ndarray:
+    """Indices |k - l| and k + l of cos_k, cos_l (k, l = 1..n_modes) into w^.
+
+    Stacked as (2, K, K), so that one gather builds the Toeplitz and the
+    Hankel part of ``_multiplication_halves``.
+    """
+    k = np.arange(1, n_modes + 1)
+    index = np.stack((np.abs(k[:, None] - k[None, :]), k[:, None] + k[None, :]))
+    index.setflags(write=False)
+    return index
 
 
 def _assemble_block(br: Branch, n_modes: int, n_grid: int) -> tuple:
@@ -1136,6 +1157,16 @@ def _diagonals(halves) -> list:
     return diags
 
 
+def _shift_diagonal(mat: np.ndarray, shift: float) -> None:
+    """mat + shift * I, in place.
+
+    Adding 0.0 changes the bits of -0.0 alone, and no assembled half holds a
+    -0.0 (``_assemble_block`` forms 0 - m), so the bytes are those of
+    mat + shift * np.eye(len(mat)).
+    """
+    mat.reshape(-1)[:: len(mat) + 1] += shift
+
+
 def _lowest_eigenvalues(lmat: np.ndarray, bdiag: np.ndarray, count: int = 1) -> list:
     """The ``count`` lowest eigenvalues of (L, diag(b)), ascending.
 
@@ -1178,9 +1209,12 @@ def hessian_block_spectrum(
     halves, _ = _assemble_block(br, n_modes, DEFAULT_N_GRID)
     if ell == 0:
         halves = (halves[0] + _q_norm_term(br, n_modes), halves[1])
-    # degree ell is the degree-0 block shifted by ell(ell+d-2) on the diagonal
-    shift = ell * (ell + d - 2.0)
-    vals = [eigh(h + shift * np.eye(len(h)), eigvals_only=True) for h in halves]
+    # degree ell is the degree-0 block shifted by ell(ell+d-2) on the diagonal;
+    # each half is this call's own, so the shift goes in place
+    if ell > 0:
+        for h in halves:
+            _shift_diagonal(h, ell * (ell + d - 2.0))
+    vals = [eigh(h, eigvals_only=True) for h in halves]
     ev = np.sort(np.concatenate(vals))
     tol = _KERNEL_REL_TOL * max(float(np.max(np.abs(ev))), 1.0)
     return SpectrumReport(ev, int(np.sum(np.abs(ev) < tol)))
@@ -1204,15 +1238,41 @@ def c_T_formula(d: int, T: float) -> float:
 
 
 # c_T_numeric reads the second eigenvalue of each degree-0 half only after
-# checking that the lowest ones are the ground states 2 - q and 0. Measured
-# over d = 3..6 and T in {1.001, 1.02, 1.1, 1.3, 1.45, 2, 3, 4, 5} T_*, the
-# even lowest value lies within 3.7e-12 of 2 - q and the odd one within
-# 9.5e-13 of 0; at d = 8 and 10 (T up to 4 T_*) within 1.4e-11 and 6.6e-11.
-# That is the branch's accuracy (DOP853 at 1e-12/1e-14 and the amplitude
-# root). The bound leaves a factor of 15 over the worst. Integrated from an
-# amplitude off the root by 1e-8 relative (d = 3 and 5, 1.5 T_*), the
-# branch moves both values by 1e-8 to 7e-8 and fails it.
+# checking that the lowest ones are the ground states 2 - q and 0: the even
+# one by its eigensolve, the odd one by the bound of ``_odd_ground_bound`` on
+# the trial vector u_*'. Measured over d = 3..10 and T in {1.001, 1.02, 1.1,
+# 1.3, 1.45, 2, 2.5, 3, ..., 5} T_* (every T whose branch exists), the even
+# lowest value lies within 3.6e-11 of 2 - q and the odd bound is at most
+# 1.8e-10 (d = 10, 2.5 T_*; 9.9e-13 for d <= 6), where the odd eigensolve
+# read 6.6e-11 at worst. That is the branch's accuracy (DOP853 at
+# 1e-12/1e-14 and the amplitude root). The bound leaves a factor of 5.7 over
+# the worst. Integrated from an amplitude off the root by 1e-8 relative (d =
+# 3 and 5 at 1.5 T_*, d = 4 at 3 T_*), the branch moves the even value by
+# 1e-8 to 7e-8 and the odd bound to 1.0e-8 to 1.4e-8, and fails both; u_*'
+# alone modulated by 1 + 1e-3 cos(2 pi t / T) takes the odd bound to
+# 7e-8 .. 7e-7 and fails it.
 _GROUND_TOL = 1e-9
+
+
+def _odd_ground_bound(l_odd: np.ndarray, b_odd: np.ndarray, x: np.ndarray, above: float) -> float:
+    """A bound on |lowest eigenvalue| of the odd pencil (L, diag(b)) from the trial x.
+
+    In the standard form M = D^(-1/2) L D^(-1/2) of ``_lowest_eigenvalues``
+    take y = D^(1/2) x, its Rayleigh quotient rho and residual
+    r = |M y - rho y| / |y|. The lowest eigenvalue lies at or below rho, and,
+    when the second one is at least ``above`` > rho, at or above
+    rho - r^2 / (above - rho) (Temple's inequality). Returns inf when
+    ``above`` does not exceed rho.
+    """
+    rs = np.sqrt(b_odd)
+    y = rs * x
+    my = (l_odd @ x) / rs
+    yy = float(y @ y)
+    rho = float(y @ my) / yy
+    if not rho < above:
+        return math.inf
+    resid = my - rho * y
+    return abs(rho) + float(resid @ resid) / yy / (above - rho)
 
 
 def c_T_numeric(d: int, T: float, n_modes: int = DEFAULT_N_MODES) -> float:
@@ -1232,10 +1292,16 @@ def c_T_numeric(d: int, T: float, n_modes: int = DEFAULT_N_MODES) -> float:
     parallel to u_*^(q-1), so the rank-one q-norm term vanishes on the
     constrained space and is left out.
 
-    Above T_* three eigensolves give the minimum: the two lowest eigenvalues
-    of the even degree-0 half (the ground-state check and a candidate), the
-    lowest of the odd degree-0 half (its ground-state check only), and the
-    lowest of the even degree-1 half. The other two cannot be the minimum.
+    Above T_* two eigensolves and one residual check give the minimum: the
+    two lowest eigenvalues of the even degree-0 half (the ground-state check
+    and a candidate) and the lowest of the even degree-1 half. The odd
+    degree-0 half is only checked, with no eigensolve: u_*' must be its
+    ground state, with eigenvalue 0. The Rayleigh quotient and the residual
+    L_odd u_*' bound the lowest odd eigenvalue from both sides
+    (``_odd_ground_bound``), because the second odd eigenvalue is at least
+    the even half's second, as Sturm ordering shows. Neither the odd half's
+    second eigenvalue nor the odd degree-1 half can be the minimum.
+
     Each pencil is Hill's equation -v'' + (c + s) v = mu w v with even
     coefficients and w = (q-1) k u_*^(q-2) > 0, and its eigenvalue is
     1 - 1/mu, increasing in mu. By Sturm oscillation theory (Eastham, *The
@@ -1277,14 +1343,16 @@ def c_T_numeric(d: int, T: float, n_modes: int = DEFAULT_N_MODES) -> float:
         )
         return float(min(deg0, deg1))
     even0, even1 = _lowest_eigenvalues(l_even, b_even, 2)
-    (odd0,) = _lowest_eigenvalues(l_odd, b_odd)
     ground = 2.0 - br.params.q
-    if abs(even0 - ground) > _GROUND_TOL or abs(odd0) > _GROUND_TOL:
+    # by Sturm ordering the odd half's second eigenvalue is at least even1
+    odd_bound = _odd_ground_bound(l_odd, b_odd, _trig_coords(br.up, T, n_modes)[cut:], even1)
+    if abs(even0 - ground) > _GROUND_TOL or odd_bound > _GROUND_TOL:
         raise ComputationError(
-            "degree-0 ground states %.3g and %.3g are not 2 - q = %.6g and 0: "
-            "the branch is not the critical point" % (even0, odd0, ground)
+            "degree-0 ground states %.3g and 0 +- %.3g are not 2 - q = %.6g "
+            "and 0: the branch is not the critical point" % (even0, odd_bound, ground)
         )
-    (deg1,) = _lowest_eigenvalues(l_even + shift * np.eye(cut), b_even + shift)
+    _shift_diagonal(l_even, shift)
+    (deg1,) = _lowest_eigenvalues(l_even, b_even + shift)
     return min(even1, deg1)
 
 
@@ -1396,15 +1464,10 @@ def quartic_constants(d: int, n_modes: int = DEFAULT_N_MODES) -> QuarticConstant
             "quartic coefficient %.12g vs closed form %.12g" % (c_num, c_closed)
         )
 
+    # gap E[u_*] / E[r]^2 equals the limit for every d; its terms are closed
+    # forms in d, so the identity is a unit test, not a runtime check
     gap = c_closed - ip_closed
     limit = (q + 2.0) * (q - 2.0) / (12.0 * (q - 1.0))
-    e_u = (d - 2.0) ** 2 / 4.0 * base**2 * sigma
-    e_r = sigma * (d - 2.0) * (d + 2.0) / 8.0
-    limit_check = e_u * gap / e_r**2
-    if abs(limit_check - limit) > _QUARTIC_REL_TOL * abs(limit):
-        raise InconsistencyError(
-            "limit identity %.12g vs closed form %.12g" % (limit_check, limit)
-        )
 
     # s = coeff cos(4 pi t / T_*) on the branch grid
     resolvent = profile_from_samples(
@@ -1422,7 +1485,6 @@ def quartic_constants(d: int, n_modes: int = DEFAULT_N_MODES) -> QuarticConstant
             "c_star_numeric": c_num,
             "inner_product_numeric": ip_num,
             "resolvent_coefficient_numeric": coeff_num,
-            "limit_identity": limit_check,
             "kernel_eigenvalues": evals[ker].tolist(),
         },
     )

@@ -53,6 +53,16 @@ __all__ = [
 
 MANIFOLD_TOL = 1e-6
 
+# the smallest delta^2 / E that be_quotient divides the deficit by. delta^2 is
+# E - m_0 G^2 / |S^d|, two numbers of the size of E, so it carries an absolute
+# error of a few ulp of E: measured on degree-2 and degree-3 rays (d, s) =
+# (3, 1), (3, 0.5), (4, 1), (5, 1.5), (6, 1) at eps = 2e-2 .. 1e-5, at most
+# 2.5e-15 E, so 4.2e-5 relative at eps = 1e-5 (d = 3, s = 1) and growing as
+# eps^-2. At the floor a point is off by at most 2.5e-6 relative, below the
+# 1e-5 to which the tests hold an extrapolated limit. The default eps grid
+# keeps delta^2 / E >= 2.5e-6 on those rays.
+_DELTA_SQ_FLOOR = 1e-9
+
 # the azimuthal Gauss order of the moment G(zeta), read at call time
 DEFAULT_N_AZIMUTHAL = 64
 
@@ -208,7 +218,8 @@ def be_quotient(fn: ZonalFn) -> float:
     """Stability quotient deficit / delta^2.
 
     Raises DegenerateInputError on (numerical) optimizers, where the
-    quotient is a 0/0 expression.
+    quotient is a 0/0 expression, and where delta^2 / E is below
+    ``_DELTA_SQ_FLOOR``: there the quotient is roundoff.
     """
     dist = distance(fn)
     e_total = energy(fn)
@@ -216,6 +227,11 @@ def be_quotient(fn: ZonalFn) -> float:
         raise DegenerateInputError(
             "manifold point: delta/sqrt(E) = %.3g below %.0e"
             % (dist.delta / math.sqrt(e_total), MANIFOLD_TOL)
+        )
+    if dist.delta**2 / e_total < _DELTA_SQ_FLOOR:
+        raise DegenerateInputError(
+            "delta^2/E = %.3g is below %.0e: the quotient is roundoff"
+            % (dist.delta**2 / e_total, _DELTA_SQ_FLOOR)
         )
     return deficit(fn) / dist.delta**2
 

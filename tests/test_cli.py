@@ -282,6 +282,17 @@ def test_quartic_refuses_an_eps_whose_deficit_is_roundoff(capsys):
     assert "quotient is roundoff" in err
 
 
+def test_be_scan_refuses_an_eps_whose_quotient_is_roundoff(capsys):
+    # it printed quotients off by up to 4e-5, not monotone in eps, a limit
+    # 8.9e-5 from 4/7, and exited 0
+    code, out, err = run_cli(
+        capsys, ["be-scan", "--family", "degree2", "--d", "3", "--s", "1.0",
+                 "--eps-grid", "4e-5,2e-5,1e-5"]
+    )
+    assert code == 1 and out == ""
+    assert "quotient is roundoff" in err
+
+
 def test_parser_level_errors_raise_systemexit_2(capsys):
     for argv in (
         ["verify", "bogus-suite"],

@@ -721,6 +721,50 @@ def test_c_T_numeric_refuses_a_branch_off_the_critical_point(monkeypatch):
         c_T_numeric(d, T)
 
 
+def test_odd_ground_bound_refuses_a_branch_off_the_critical_point():
+    # the bound alone, without the even check: the branch integrated from an
+    # amplitude 1e-8 off its root, at the points _GROUND_TOL's comment names
+    for d, frac in ((3, 1.5), (5, 1.5), (4, 3.0)):
+        T = frac * t_star(d)
+        br = optimizer_branch(d, T)
+        alpha = br.alpha * (1.0 + 1e-8)
+        sol = _integrate(d, alpha, 0.5 * T)
+        bad = Branch(br.params, alpha, *cylinder._mirrored_samples(sol, T / 4096, 4096))
+        for branch, refused in ((br, False), (bad, True)):
+            (l_even, l_odd), b = _assemble_block(branch, 128, 4096)
+            even1 = _lowest_eigenvalues(l_even, b[:129], 2)[1]
+            x = _trig_coords(branch.up, T, 128)[129:]
+            bound = cylinder._odd_ground_bound(l_odd, b[129:], x, even1)
+            assert (bound > cylinder._GROUND_TOL) == refused
+
+
+def test_c_T_numeric_refuses_a_branch_whose_translation_mode_is_off(monkeypatch):
+    # u_* is the branch's, so the even ground state passes; only u_*' is
+    # modulated by 1 + 1e-3 cos(2 pi t / T), and the odd bound refuses it
+    d, T = 3, 1.5 * t_star(3)
+    br = optimizer_branch(d, T)
+    t = np.arange(len(br.u)) * (T / len(br.u))
+    bad = Branch(br.params, br.alpha, br.u, br.up * (1.0 + 1e-3 * np.cos(2.0 * math.pi * t / T)))
+    monkeypatch.setattr(cylinder, "optimizer_branch", lambda *args: bad)
+    with pytest.raises(ComputationError, match="ground states"):
+        c_T_numeric(d, T)
+
+
+def test_odd_ground_bound_brackets_the_odd_eigensolve():
+    # Temple's bound on the trial u_*' holds the eigensolve's lowest odd
+    # eigenvalue, up to the eigensolve's own roundoff (1e-14 here), and the
+    # Sturm license it uses (second odd >= second even) holds
+    for d, frac in ((3, 1.1), (4, 2.0), (6, 3.0)):
+        T = frac * t_star(d)
+        br = optimizer_branch(d, T)
+        (l_even, l_odd), b = _assemble_block(br, 128, 4096)
+        even1 = _lowest_eigenvalues(l_even, b[:129], 2)[1]
+        odd0, odd1 = _lowest_eigenvalues(l_odd, b[129:], 2)
+        assert odd1 > even1
+        x = _trig_coords(br.up, T, 128)[129:]
+        assert abs(odd0) <= cylinder._odd_ground_bound(l_odd, b[129:], x, even1) + 1e-14
+
+
 # d and T / T_* of the Sturm ordering that c_T_numeric's docstring measured
 _STURM_DIMS = (3, 4, 5, 6, 8, 10)
 _STURM_FRACS = (1.001, 1.02, 1.1, 1.45, 2.0, 3.0, 4.0)
@@ -741,9 +785,10 @@ def _four_solves(d, T):
     return deg0, deg1
 
 
-def test_sturm_ordering_licenses_three_solves(monkeypatch):
+def test_sturm_ordering_licenses_two_solves(monkeypatch):
     # c_T_numeric drops the odd half's second degree-0 eigenvalue and the odd
-    # degree-1 half: by Sturm ordering neither can be the minimum. The
+    # degree-1 half: by Sturm ordering neither can be the minimum. The odd
+    # ground state is checked by its residual, with no eigensolve. The
     # reference is the minimum over all four solves.
     calls = []
 
@@ -762,7 +807,7 @@ def test_sturm_ordering_licenses_three_solves(monkeypatch):
                 patch.setattr(cylinder, "eigh", counted)
                 val = c_T_numeric(d, T)
             assert val == min(even1, odd1, min(deg1_even, deg1_odd))
-            assert len(calls) == 3
+            assert len(calls) == 2
 
 
 def test_direct_turning_iterates_on_v_bit_for_bit():
@@ -776,6 +821,73 @@ def test_direct_turning_iterates_on_v_bit_for_bit():
                 lambda u: cylinder._v(u, d) - level, 1e-14, base, xtol=1e-15, rtol=8.9e-16
             )
             assert cylinder._direct_turning(d, level, base) == ref
+
+
+def _numpy_interpolant(steps, seg, t):
+    """The DOP853 interpolant of step seg[i] at t[i] as scipy's
+    Dop853DenseOutput evaluates it: the reference of _sample and _turning_time."""
+    x = (t - steps.t[seg]) / steps.h[seg]
+    factors = (x, 1.0 - x)
+    coef = steps.coef[:, :, seg]
+    y = np.zeros((2, len(seg)))
+    for i in range(7):
+        y += coef[6 - i]
+        y *= factors[i % 2]
+    return y + steps.y[:, seg]
+
+
+def test_sample_keeps_the_numpy_interpolants_bytes():
+    for d, frac in ((3, 1.5), (5, 2.0), (4, 3.0)):
+        T = frac * t_star(d)
+        steps = _integrate(d, inverse_period(d, T), 0.5 * T)
+        t = np.arange(2049) * (T / 4096)
+        seg = np.clip(np.searchsorted(steps.t, t, side="left") - 1, 0, len(steps.h) - 1)
+        assert _sample(steps, t).tobytes() == _numpy_interpolant(steps, seg, t).tobytes()
+
+
+def test_turning_time_is_the_numpy_interpolants_root():
+    tol = 4.0 * np.finfo(float).eps
+    for d in (3, 4, 5, 6, 8, 10):
+        base = u0(d)
+        for frac in (0.01, 0.3, 0.9, 0.999):
+            alpha = base + frac * (1.0 - base)
+            steps = _integrate(d, alpha, 0.51 * period(d, alpha))
+            up = steps.y[1]
+            i = int(np.flatnonzero((up[:-1] <= 0.0) & (up[1:] >= 0.0))[0])
+            seg = np.array([i])
+            ref = scipy.optimize.brentq(
+                lambda t: _numpy_interpolant(steps, seg, np.array([t]))[1, 0],
+                steps.t[i].item(),
+                steps.t[i + 1].item(),
+                xtol=tol,
+                rtol=tol,
+            )
+            assert cylinder._turning_time(steps) == ref
+
+
+def test_multiplication_halves_gather_scipys_toeplitz_and_hankel():
+    from scipy.linalg import hankel, toeplitz
+
+    br = optimizer_branch(4, 1.7 * t_star(4))
+    w = 6.0 * br.u ** (br.params.q - 2.0)
+    for k in (2, 5, 128):
+        (even, odd), _ = _multiplication_halves(w, k)
+        re = (np.fft.rfft(w) / len(w)).real[: 2 * k + 1]
+        toep, hank = toeplitz(re[:k]), hankel(re[2 : k + 2], re[k + 1 :])
+        assert even[1:, 1:].tobytes() == (toep + hank).tobytes()
+        assert odd.tobytes() == (toep - hank).tobytes()
+
+
+def test_diagonal_shift_in_place_keeps_the_bytes_of_adding_a_multiple_of_eye():
+    br = optimizer_branch(5, 1.3 * t_star(5))
+    halves, _ = _assemble_block(br, 128, 4096)
+    halves = (halves[0] + _q_norm_term(br, 128), halves[1])
+    for half in halves:
+        for shift in (0.0, 4.0, 2.0 * (2 + 5 - 2.0)):
+            ref = half + shift * np.eye(len(half))
+            got = half.copy()
+            cylinder._shift_diagonal(got, shift)
+            assert got.tobytes() == ref.tobytes()
 
 
 def test_assembled_halves_are_diag_b_minus_m_bit_for_bit():
@@ -1060,7 +1172,6 @@ def test_quartic_constants_closed_forms():
         "resolvent_coefficient_numeric",
         "inner_product_numeric",
         "c_star_numeric",
-        "limit_identity",
         "kernel_eigenvalues",
     ):
         assert key in qc.diagnostics
@@ -1090,9 +1201,21 @@ def test_quartic_constants_runs_no_eigensolve(monkeypatch):
     for d in (3, 4, 5):
         qc = quartic_constants(d)
         assert len(qc.diagnostics["kernel_eigenvalues"]) == 3
-        assert qc.diagnostics["limit_identity"] == pytest.approx(
-            qc.limit_constant, rel=1e-6
-        )
+
+
+def test_quartic_limit_is_gap_times_energy_over_mode_energy_squared():
+    # gap E[u_*] / E[r]^2 = (q+2)(q-2)/(12(q-1)): every term is a closed form
+    # in d (sigma = T_* |S^(d-1)| and u0 cancel), so quartic_constants does
+    # not check it at run time
+    for d in range(3, 11):
+        qc = quartic_constants(d)
+        q = 2.0 * d / (d - 2.0)
+        sigma = t_star(d) * sphere_area(d - 1)
+        e_u = (d - 2.0) ** 2 / 4.0 * u0(d) ** 2 * sigma
+        e_r = sigma * (d - 2.0) * (d + 2.0) / 8.0
+        limit = (q + 2.0) * (q - 2.0) / (12.0 * (q - 1.0))
+        assert qc.limit_constant == limit
+        assert e_u * qc.gap / e_r**2 == pytest.approx(limit, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize(

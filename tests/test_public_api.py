@@ -221,6 +221,32 @@ def test_import_loads_no_scipy_integrate():
     assert "scipy.integrate" not in _modules_after_import()
 
 
+def _scipy_optimize_imports(tree: ast.Module) -> list:
+    """The names a module imports from scipy.optimize, wherever it imports."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.optimize"):
+            out += [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            out += [a.name for a in node.names if a.name.startswith("scipy.optimize")]
+    return out
+
+
+def test_every_bracketed_root_runs_on_the_float_brentq():
+    # cylinder and conformal bind _brentq.brentq; no module binds scipy's,
+    # and conformal, which needs no other solver, imports no scipy.optimize
+    import scipy.optimize
+
+    for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module("sobolev_lab." + path.stem)
+        assert not any(v is scipy.optimize.brentq for v in vars(module).values()), path.stem
+        assert "brentq" not in _scipy_optimize_imports(ast.parse(path.read_text())), path.stem
+    assert not _scipy_optimize_imports(ast.parse((SRC / "conformal.py").read_text()))
+    brentq = importlib.import_module("sobolev_lab._brentq").brentq
+    for name in ("cylinder", "conformal"):
+        assert importlib.import_module("sobolev_lab." + name).brentq is brentq
+
+
 def _module_imports(tree: ast.Module) -> set:
     """The names a module's top-level import statements bind."""
     out = set()

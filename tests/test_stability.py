@@ -110,6 +110,25 @@ def test_be_quotient_rejects_manifold_points():
         be_quotient(opt)
 
 
+def test_be_quotient_refuses_a_point_whose_delta_is_roundoff():
+    # delta^2 / E at eps = 4e-5 on the degree-2 ray is 9.5e-10: delta^2 is off
+    # by about 2e-6 relative there, and by 4e-5 at eps = 1e-5
+    p = SphereParams(3, 1.0)
+    ray = _pure_degree(p, 2)
+    assert be_quotient(analyze(1.0 + 1e-4 * ray.samples, p, 64)) > 0.0
+    for eps in (4e-5, 1e-5):
+        with pytest.raises(DegenerateInputError, match="quotient is roundoff"):
+            be_quotient(analyze(1.0 + eps * ray.samples, p, 64))
+
+
+def test_be_quotient_calls_an_optimizer_a_manifold_point_first():
+    # an optimizer's delta^2 / E is below the roundoff floor too; the
+    # manifold-point refusal names what it is
+    p = SphereParams(3, 1.0)
+    with pytest.raises(DegenerateInputError, match="manifold point"):
+        be_quotient(q_zeta(np.array([0.0, 0.0, 0.0, 0.15]), p))
+
+
 def test_upper_bound_constant_fractions():
     assert upper_bound_constant(3, 1.0) == pytest.approx(4.0 / 7.0, rel=1e-15)
     assert upper_bound_constant(4, 1.0) == pytest.approx(0.5, rel=1e-15)
