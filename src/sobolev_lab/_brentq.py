@@ -12,42 +12,32 @@ the floats alone, with no numpy.
 from __future__ import annotations
 
 import math
-import operator
 import sys
-from typing import NamedTuple
 
-# scipy's defaults; rtol below 4 eps is refused
-_XTOL, _RTOL, _ITER = 2e-12, 4 * sys.float_info.epsilon, 100
+from .errors import ComputationError
 
-
-class RootInfo(NamedTuple):
-    """How a brentq run ended, as scipy's ``RootResults`` says it."""
-
-    flag: str
-
-    @property
-    def converged(self) -> bool:
-        return self.flag == _CONVERGED
+# scipy's default iteration cap; rtol below 4 eps is refused, as scipy does
+_MAXITER = 100
+_RTOL_MIN = 4 * sys.float_info.epsilon
 
 
-def brentq(f, a, b, xtol=_XTOL, rtol=_RTOL, maxiter=_ITER, full_output=False, disp=True):
-    """A root of the float function f in [a, b], where f(a) and f(b) differ in sign.
+def brentq(f, a: float, b: float, xtol: float, rtol: float) -> float:
+    """The root of the float function f in [a, b], where f(a) and f(b) differ in sign.
 
     Stops when half the bracket around the iterate x is below
-    (xtol + rtol |x|) / 2, or f is exactly 0 at x. Returns x, or (x, RootInfo) with
-    ``full_output``; after ``maxiter`` iterations without convergence it
-    raises RuntimeError, unless ``disp`` is false, when the info says so.
+    (xtol + rtol |x|) / 2, or f is exactly 0 at x, and returns x. Raises
+    ComputationError after ``_MAXITER`` iterations without convergence, and
+    scipy's ValueError for a bracket without a sign change, a NaN value of f
+    or a tolerance scipy refuses.
     """
-    maxiter = operator.index(maxiter)
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
-    if maxiter < 0:
-        raise ValueError("maxiter must be >= 0")
+    if rtol < _RTOL_MIN:
+        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL_MIN:g})")
 
     # each value of f is checked for NaN before the next is asked for; a
     # nonzero value that is not NaN has its sign bit set exactly when it is < 0
+    xtol, rtol = float(xtol), float(rtol)
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
     fpre = float(f(xpre))
@@ -57,12 +47,12 @@ def brentq(f, a, b, xtol=_XTOL, rtol=_RTOL, maxiter=_ITER, full_output=False, di
     if fcur != fcur:
         raise _nan(xcur)
     if fpre == 0:
-        return _result(xpre, 0, _CONVERGED, full_output, disp)
+        return xpre
     if fcur == 0:
-        return _result(xcur, 0, _CONVERGED, full_output, disp)
+        return xcur
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
-    for i in range(maxiter):
+    for _ in range(_MAXITER):
         if fpre != 0 and fcur != 0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -73,7 +63,7 @@ def brentq(f, a, b, xtol=_XTOL, rtol=_RTOL, maxiter=_ITER, full_output=False, di
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
-            return _result(xcur, i + 1, _CONVERGED, full_output, disp)
+            return xcur
 
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             try:
@@ -108,16 +98,9 @@ def brentq(f, a, b, xtol=_XTOL, rtol=_RTOL, maxiter=_ITER, full_output=False, di
         fcur = float(f(xcur))
         if fcur != fcur:
             raise _nan(xcur)
-    return _result(xcur, maxiter, _CONVERR, full_output, disp)
-
-
-_CONVERGED, _CONVERR = "converged", "convergence error"
-
-
-def _result(x: float, iterations: int, flag: str, full_output: bool, disp: bool):
-    if flag == _CONVERR and disp:
-        raise RuntimeError("Failed to converge after %d iterations." % iterations)
-    return (x, RootInfo(flag)) if full_output else x
+    raise ComputationError(
+        "brentq did not converge in [%.17g, %.17g] after %d iterations" % (a, b, _MAXITER)
+    )
 
 
 def _nan(x: float) -> ValueError:

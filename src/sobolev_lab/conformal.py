@@ -199,19 +199,13 @@ def hersch_normalize(fn: ZonalFn, density_exponent: float) -> HerschResult:
         raise ComputationError(
             "the center of mass keeps one sign over the scanned dilations"
         )
-    root_log, info = brentq(
+    root_log = brentq(
         lambda u: _flow_moment(math.exp(u), t, w, g, area_sub),
         math.log(grid[i]),
         math.log(grid[i + 1]),
         xtol=1e-14,
         rtol=8.9e-16,
-        full_output=True,
-        disp=False,
     )
-    if not info.converged:
-        raise ComputationError(
-            "center-of-mass root did not converge: %s" % info.flag
-        )
     delta_star = math.exp(root_log)
 
     inv = 1.0 / delta_star

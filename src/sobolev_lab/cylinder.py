@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import eigh, hankel, toeplitz
 from scipy.optimize import minimize
 
 from . import _dop853_tableau as _tableau
@@ -227,19 +227,9 @@ def _series_w(derivs: tuple, a: float, off: float, x):
     return w
 
 
-def _root(f, a: float, b: float, **tol) -> float:
-    """brentq's root of f in [a, b]; ComputationError when it did not converge."""
-    x, info = brentq(f, a, b, full_output=True, disp=False, **tol)
-    if not info.converged:
-        raise ComputationError(
-            "brentq did not converge in [%.17g, %.17g]: %s" % (a, b, info.flag)
-        )
-    return float(x)
-
-
 def _turning_offset(derivs: tuple, amp: float) -> float:
     """Root of V(u0 + y) = V(u0 + amp) below zero, in offset coordinates."""
-    return _root(
+    return brentq(
         lambda y: _series_gap(derivs, amp, y),
         -2.0 * amp,
         -amp * (1.0 - 1e-12),
@@ -256,7 +246,7 @@ def _direct_turning(d: int, level: float, base: float) -> float:
     """
     q = _q_of(d)
     a, b = -((d - 2.0) ** 2), d * (d - 2.0) / (4.0 * q)
-    return _root(
+    return brentq(
         lambda u: a * u * u / 8.0 + b * u**q - level, 1e-14, base, xtol=1e-15, rtol=8.9e-16
     )
 
@@ -628,7 +618,7 @@ def _turning_time(steps: _Steps) -> float:
         return ((((((c6 * x + c5) * x1 + c4) * x + c3) * x1 + c2) * x + c1) * x1 + c0) * x + y0
 
     tol = 4.0 * np.finfo(float).eps  # scipy's solve_event_equation
-    return _root(slope, t0, t1, xtol=tol, rtol=tol)
+    return brentq(slope, t0, t1, xtol=tol, rtol=tol)
 
 
 def _mirrored_samples(steps: _Steps, step: float, n: int) -> tuple:
@@ -707,7 +697,7 @@ def inverse_period(d: int, T: float) -> float:
         if f_lo >= 0.0:
             raise ComputationError("period at the lower bracket already exceeds T")
     known = {lo: f_lo, hi: f_hi}
-    return _root(
+    return brentq(
         lambda a: known.pop(a) if a in known else period(d, a) - T,
         lo,
         hi,
@@ -1045,25 +1035,13 @@ def _multiplication_halves(w: np.ndarray, n_modes: int) -> tuple:
     wh = _grid_spectrum(w, n_modes)
     re = wh.real[: 2 * n_modes + 1]
     coupling = 2.0 * float(np.max(np.abs(wh.imag[1 : 2 * n_modes + 1])))
-    toep, hank = re.take(_toeplitz_hankel_index(n_modes))
+    toep = toeplitz(re[:n_modes])
+    hank = hankel(re[2 : n_modes + 2], re[n_modes + 1 :])
     even = np.empty((n_modes + 1, n_modes + 1))
     even[0, 0] = re[0]
     even[0, 1:] = even[1:, 0] = math.sqrt(2.0) * re[1 : n_modes + 1]
     np.add(toep, hank, out=even[1:, 1:])
     return (even, np.subtract(toep, hank, out=toep)), coupling
-
-
-@lru_cache(maxsize=None)
-def _toeplitz_hankel_index(n_modes: int) -> np.ndarray:
-    """Indices |k - l| and k + l of cos_k, cos_l (k, l = 1..n_modes) into w^.
-
-    Stacked as (2, K, K), so that one gather builds the Toeplitz and the
-    Hankel part of ``_multiplication_halves``.
-    """
-    k = np.arange(1, n_modes + 1)
-    index = np.stack((np.abs(k[:, None] - k[None, :]), k[:, None] + k[None, :]))
-    index.setflags(write=False)
-    return index
 
 
 def _assemble_block(br: Branch, n_modes: int, n_grid: int) -> tuple:
@@ -1240,17 +1218,22 @@ def c_T_formula(d: int, T: float) -> float:
 # c_T_numeric reads the second eigenvalue of each degree-0 half only after
 # checking that the lowest ones are the ground states 2 - q and 0: the even
 # one by its eigensolve, the odd one by the bound of ``_odd_ground_bound`` on
-# the trial vector u_*'. Measured over d = 3..10 and T in {1.001, 1.02, 1.1,
-# 1.3, 1.45, 2, 2.5, 3, ..., 5} T_* (every T whose branch exists), the even
-# lowest value lies within 3.6e-11 of 2 - q and the odd bound is at most
-# 1.8e-10 (d = 10, 2.5 T_*; 9.9e-13 for d <= 6), where the odd eigensolve
-# read 6.6e-11 at worst. That is the branch's accuracy (DOP853 at
-# 1e-12/1e-14 and the amplitude root). The bound leaves a factor of 5.7 over
-# the worst. Integrated from an amplitude off the root by 1e-8 relative (d =
-# 3 and 5 at 1.5 T_*, d = 4 at 3 T_*), the branch moves the even value by
-# 1e-8 to 7e-8 and the odd bound to 1.0e-8 to 1.4e-8, and fails both; u_*'
-# alone modulated by 1 + 1e-3 cos(2 pi t / T) takes the odd bound to
-# 7e-8 .. 7e-7 and fails it.
+# the trial vector u_*', and by the odd eigensolve only where that bound
+# exceeds the tolerance. The bound is never below the odd eigenvalue's
+# modulus, so a branch is accepted exactly where an odd eigensolve alone
+# would accept it. Measured over d = 3..10 at T in {1.001, 1.02, 1.1, 1.3,
+# 1.45, 2, 2.5, 3, ..., 5} T_* and over d = 11..16 at {1.001, 1.05, 1.5, 2,
+# 2.5, 3} T_* (every T whose branch exists; none does above 3 T_* for
+# d >= 11), the even lowest value lies within 7e-11 of 2 - q and the odd
+# eigensolve reads 6.6e-10 at worst (d = 16, 2.5 T_*): the branch's accuracy
+# (DOP853 at 1e-12/1e-14 and the amplitude root). The bound grows with the
+# square of the residual: it stays below 9.9e-13 for d <= 6 and 5.5e-10 for
+# d <= 13, and exceeds the tolerance only at d = 14 and 15, 3 T_*, and d = 16,
+# 2.5 and 3 T_* (up to 4.1e-9), where the eigensolve decides. Integrated from
+# an amplitude off the root by 1e-8 relative (d = 3 and 5 at 1.5 T_*, d = 4
+# at 3 T_*), the branch moves the even value by 1e-8 to 7e-8 and the odd
+# bound to 1.0e-8 to 1.4e-8, and fails both; u_*' alone modulated by
+# 1 + 1e-3 cos(2 pi t / T) takes the odd bound to 7e-8 .. 7e-7 and fails it.
 _GROUND_TOL = 1e-9
 
 
@@ -1295,12 +1278,14 @@ def c_T_numeric(d: int, T: float, n_modes: int = DEFAULT_N_MODES) -> float:
     Above T_* two eigensolves and one residual check give the minimum: the
     two lowest eigenvalues of the even degree-0 half (the ground-state check
     and a candidate) and the lowest of the even degree-1 half. The odd
-    degree-0 half is only checked, with no eigensolve: u_*' must be its
-    ground state, with eigenvalue 0. The Rayleigh quotient and the residual
-    L_odd u_*' bound the lowest odd eigenvalue from both sides
-    (``_odd_ground_bound``), because the second odd eigenvalue is at least
-    the even half's second, as Sturm ordering shows. Neither the odd half's
-    second eigenvalue nor the odd degree-1 half can be the minimum.
+    degree-0 half is only checked: u_*' must be its ground state, with
+    eigenvalue 0. The Rayleigh quotient and the residual L_odd u_*' bound
+    the lowest odd eigenvalue from both sides (``_odd_ground_bound``),
+    because the second odd eigenvalue is at least the even half's second, as
+    Sturm ordering shows; only where that bound is looser than
+    ``_GROUND_TOL`` (d >= 14 near 3 T_*) does a third eigensolve read the odd
+    ground state. Neither the odd half's second eigenvalue nor the odd
+    degree-1 half can be the minimum.
 
     Each pencil is Hill's equation -v'' + (c + s) v = mu w v with even
     coefficients and w = (q-1) k u_*^(q-2) > 0, and its eigenvalue is
@@ -1345,11 +1330,14 @@ def c_T_numeric(d: int, T: float, n_modes: int = DEFAULT_N_MODES) -> float:
     even0, even1 = _lowest_eigenvalues(l_even, b_even, 2)
     ground = 2.0 - br.params.q
     # by Sturm ordering the odd half's second eigenvalue is at least even1
-    odd_bound = _odd_ground_bound(l_odd, b_odd, _trig_coords(br.up, T, n_modes)[cut:], even1)
-    if abs(even0 - ground) > _GROUND_TOL or odd_bound > _GROUND_TOL:
+    odd0 = _odd_ground_bound(l_odd, b_odd, _trig_coords(br.up, T, n_modes)[cut:], even1)
+    if odd0 > _GROUND_TOL:
+        # the bound is loose (see _GROUND_TOL): read the odd ground state itself
+        odd0 = abs(_lowest_eigenvalues(l_odd, b_odd)[0])
+    if abs(even0 - ground) > _GROUND_TOL or odd0 > _GROUND_TOL:
         raise ComputationError(
             "degree-0 ground states %.3g and 0 +- %.3g are not 2 - q = %.6g "
-            "and 0: the branch is not the critical point" % (even0, odd_bound, ground)
+            "and 0: the branch is not the critical point" % (even0, odd0, ground)
         )
     _shift_diagonal(l_even, shift)
     (deg1,) = _lowest_eigenvalues(l_even, b_even + shift)
@@ -1700,7 +1688,7 @@ def distance_to_branch(profile: PeriodicProfile) -> tuple:
     span = p.T / len(subs)
     # the extremum of the overlap is a root of its derivative: brentq pins it
     # to roundoff, where a search on the flat top stops near sqrt(eps)
-    sigma = _root(slope_at, subs[i0] - span, subs[i0] + span, xtol=1e-14, rtol=8.9e-16)
+    sigma = brentq(slope_at, subs[i0] - span, subs[i0] + span, xtol=1e-14, rtol=8.9e-16)
     c_best = cross_at(sigma) / e_star
     # delta from the residual spectrum, not from e_u - cross^2 / e_star,
     # which subtracts two numbers of the size of the energy

@@ -3,7 +3,8 @@
 Every bracketed root of the library goes through ``_brentq.brentq``, bound
 as ``cylinder.brentq`` and ``conformal.brentq``. Here each such call is run
 by both root finders on the same function, and the two must ask for the same
-points, in the same order, and return the same root bits and counts.
+points, in the same order, and return the same root bits, or the same
+refusal.
 """
 
 import math
@@ -23,12 +24,25 @@ from sobolev_lab.cylinder import (
     u0,
     u_min_turning,
 )
+from sobolev_lab.errors import ComputationError
 from sobolev_lab.zonal import SphereParams
 
+# scipy's default tolerances, passed to both root finders
+_SCIPY_TOL = {"xtol": 2e-12, "rtol": 4 * np.finfo(float).eps}
 
-def _traced(solver, f, a, b, **kw):
-    """(result, evaluation points) of one solver run; result is the root with
-    its convergence and flag, or the exception."""
+
+def _scipy_root(f, a, b, xtol, rtol):
+    """scipy's brentq in the float brentq's call shape, at its iteration cap."""
+    x, info = scipy.optimize.brentq(
+        f, a, b, xtol=xtol, rtol=rtol, maxiter=_brentq._MAXITER, full_output=True, disp=False
+    )
+    if not info.converged:
+        raise ComputationError(info.flag)
+    return x
+
+
+def _traced(solver, f, a, b, **tol):
+    """(root or exception type, evaluation points) of one solver run."""
     xs = []
 
     def g(x):
@@ -36,15 +50,14 @@ def _traced(solver, f, a, b, **kw):
         return f(x)
 
     try:
-        x, info = solver(g, a, b, full_output=True, disp=False, **kw)
-    except (ValueError, RuntimeError) as exc:
-        return (type(exc), str(exc)), xs
-    return (x, info.converged, info.flag), xs
+        return solver(g, a, b, **tol), xs
+    except (ValueError, ComputationError) as exc:
+        return type(exc), xs
 
 
-def _same_run(f, a, b, **kw):
-    ref = _traced(scipy.optimize.brentq, f, a, b, **kw)
-    got = _traced(_brentq.brentq, f, a, b, **kw)
+def _same_run(f, a, b, **tol):
+    ref = _traced(_scipy_root, f, a, b, **tol)
+    got = _traced(_brentq.brentq, f, a, b, **tol)
     assert got == ref
     return got[0]
 
@@ -55,11 +68,10 @@ class _Twin:
     def __init__(self):
         self.calls = 0
 
-    def __call__(self, f, a, b, **kw):
-        tol = {k: v for k, v in kw.items() if k not in ("full_output", "disp")}
-        _same_run(f, a, b, **tol)
+    def __call__(self, f, a, b, xtol, rtol):
+        _same_run(f, a, b, xtol=xtol, rtol=rtol)
         self.calls += 1
-        return _brentq.brentq(f, a, b, **kw)
+        return _brentq.brentq(f, a, b, xtol, rtol)
 
 
 @pytest.fixture
@@ -111,24 +123,39 @@ def test_hersch_roots(twin):
     assert twin.calls == 4 * 3
 
 
+_GENERIC = (
+    lambda x: x**3 - 2.0 * x - 5.0,
+    lambda x: math.cos(x) - x,
+    lambda x: math.exp(x) - 3.0,
+    lambda x: (x - 0.3) ** 9,
+    lambda x: math.atan(50.0 * (x - 0.7)),
+    # values that underflow: C divides to inf, Python raises
+    lambda x: 1e-300 * (x - 0.5),
+    # a jump, where the interpolation steps are refused
+    lambda x: x - 0.25 if x < 0.4 else 1.0,
+)
+
+
 def test_generic_brackets_take_scipys_steps():
-    funcs = (
-        lambda x: x**3 - 2.0 * x - 5.0,
-        lambda x: math.cos(x) - x,
-        lambda x: math.exp(x) - 3.0,
-        lambda x: (x - 0.3) ** 9,
-        lambda x: math.atan(50.0 * (x - 0.7)),
-        # values that underflow: C divides to inf, Python raises
-        lambda x: 1e-300 * (x - 0.5),
-        # a jump, where the interpolation steps are refused
-        lambda x: x - 0.25 if x < 0.4 else 1.0,
-    )
     rng = random.Random(7)
-    for f in funcs:
+    for f in _GENERIC:
         for _ in range(40):
             a, b = rng.uniform(-3.0, 0.2), rng.uniform(0.8, 4.0)
-            for kw in ({}, {"xtol": 1e-14, "rtol": 8.9e-16}, {"xtol": 1e-3}, {"maxiter": 3}):
-                _same_run(f, a, b, **kw)
+            for tol in (_SCIPY_TOL, {"xtol": 1e-14, "rtol": 8.9e-16}, {"xtol": 1e-3, "rtol": 1e-15}):
+                _same_run(f, a, b, **tol)
+
+
+def test_iteration_cap_is_scipys(monkeypatch):
+    # at a cap of 3 iterations most generic runs stop unconverged; both root
+    # finders ask for the same points first
+    monkeypatch.setattr(_brentq, "_MAXITER", 3)
+    rng = random.Random(8)
+    refused = 0
+    for f in _GENERIC:
+        for _ in range(10):
+            a, b = rng.uniform(-3.0, 0.2), rng.uniform(0.8, 4.0)
+            refused += _same_run(f, a, b, **_SCIPY_TOL) is ComputationError
+    assert refused > 0
 
 
 def test_refusals_are_scipys():
@@ -138,19 +165,29 @@ def test_refusals_are_scipys():
         (lambda x: x - 0.5 if x < 0.9 else math.nan, 0.0, 1.0, "NaN"),
     ):
         with pytest.raises(ValueError, match=match):
-            _brentq.brentq(f, a, b)
-        assert _same_run(f, a, b)[0] is ValueError
-    for kw, match in (({"xtol": 0.0}, "xtol too small"), ({"xtol": -1.0}, "xtol too small"),
-                      ({"rtol": 3.9 * np.finfo(float).eps}, "rtol too small")):
+            _brentq.brentq(f, a, b, **_SCIPY_TOL)
+        assert _same_run(f, a, b, **_SCIPY_TOL) is ValueError
+    for tol, match in (
+        ({"xtol": 0.0, "rtol": 1e-15}, "xtol too small"),
+        ({"xtol": -1.0, "rtol": 1e-15}, "xtol too small"),
+        ({"xtol": 1e-12, "rtol": 3.9 * np.finfo(float).eps}, "rtol too small"),
+    ):
         with pytest.raises(ValueError, match=match):
-            _brentq.brentq(lambda x: x - 0.5, 0.0, 1.0, **kw)
-        assert _same_run(lambda x: x - 0.5, 0.0, 1.0, **kw)[0] is ValueError
+            _brentq.brentq(lambda x: x - 0.5, 0.0, 1.0, **tol)
+        assert _same_run(lambda x: x - 0.5, 0.0, 1.0, **tol) is ValueError
 
 
-def test_one_iteration_is_not_convergence():
-    (x, converged, flag), xs = _traced(_brentq.brentq, math.cos, 0.0, 3.0, maxiter=1)
-    assert not converged and flag == "convergence error"
+def test_one_iteration_is_not_convergence(monkeypatch):
+    monkeypatch.setattr(_brentq, "_MAXITER", 1)
+    result, xs = _traced(_brentq.brentq, math.cos, 0.0, 3.0, **_SCIPY_TOL)
+    assert result is ComputationError
     assert len(xs) == 3
-    with pytest.raises(RuntimeError, match="Failed to converge after 1 iterations"):
-        _brentq.brentq(math.cos, 0.0, 3.0, maxiter=1)
-    _same_run(math.cos, 0.0, 3.0, maxiter=1)
+    with pytest.raises(ComputationError, match="did not converge .* after 1 iterations"):
+        _brentq.brentq(math.cos, 0.0, 3.0, **_SCIPY_TOL)
+    _same_run(math.cos, 0.0, 3.0, **_SCIPY_TOL)
+
+
+def test_root_is_a_python_float():
+    # numpy tolerances and ends, as _turning_time passes, still give a float
+    x = _brentq.brentq(math.cos, np.float64(0.0), np.float64(3.0), np.float64(1e-12), np.float64(1e-15))
+    assert type(x) is float

@@ -1,13 +1,11 @@
 """Axis dilation flows, optimizer profiles, pullbacks, Hersch balancing."""
 
-import functools
 import math
 
 import numpy as np
 import pytest
-import scipy.optimize
 
-from sobolev_lab import conformal
+from sobolev_lab import _brentq, conformal
 from sobolev_lab.conformal import (
     axis_moment,
     flow_jacobian_axis,
@@ -201,7 +199,7 @@ def test_hersch_identity_input_needs_no_motion():
 
 
 def test_hersch_unconverged_root_raises_typed_error(monkeypatch):
-    monkeypatch.setattr(conformal, "brentq", functools.partial(scipy.optimize.brentq, maxiter=1))
+    monkeypatch.setattr(_brentq, "_MAXITER", 1)
     p = SphereParams(3, 1.0)
     fn = q_zeta(np.array([0.0, 0.0, 0.0, 0.3]), p)
     with pytest.raises(ComputationError, match="did not converge"):
