@@ -1232,8 +1232,9 @@ def c_T_formula(d: int, T: float) -> float:
 # 2.5 and 3 T_* (up to 4.1e-9), where the eigensolve decides. Integrated from
 # an amplitude off the root by 1e-8 relative (d = 3 and 5 at 1.5 T_*, d = 4
 # at 3 T_*), the branch moves the even value by 1e-8 to 7e-8 and the odd
-# bound to 1.0e-8 to 1.4e-8, and fails both; u_*' alone modulated by
-# 1 + 1e-3 cos(2 pi t / T) takes the odd bound to 7e-8 .. 7e-7 and fails it.
+# bound to 1.0e-8 to 1.4e-8, and fails both. u_*' alone modulated by
+# 1 + 1e-3 cos(2 pi t / T) takes the odd bound to 7e-8 .. 7e-7; the
+# eigensolve then reads the ground state of L_odd, which u_* alone builds.
 _GROUND_TOL = 1e-9
 
 
