@@ -307,6 +307,10 @@ def _theta_table(n: int) -> _ThetaTable:
     )
 
 
+class _LostPositivity(ComputationError):
+    """The quadrature's turning-point factor W is not positive at some node."""
+
+
 def _w_values(d: int, alpha: float, tab: _ThetaTable) -> tuple:
     """Regularized integrand factor W on the turning-point substitution.
 
@@ -360,7 +364,7 @@ def _w_values(d: int, alpha: float, tab: _ThetaTable) -> tuple:
             _dv(alpha, d) - 0.5 * _d2v(alpha, d) * xs + _d3v(alpha, d) * xs * xs / 6.0
         ) / ub[band]
     if (w <= 0.0).any():
-        raise ComputationError("turning-point factor lost positivity")
+        raise _LostPositivity("turning-point factor lost positivity")
     return u, au, ub, w
 
 
@@ -404,14 +408,20 @@ class Orbit:
     period: float
 
 
+def _rhs_constants(d: int) -> tuple:
+    """(c, k, e) of u'' = c u - k |u|^e u: ((d-2)^2/4, d(d-2)/4, q-2)."""
+    return (d - 2.0) ** 2 / 4.0, d * (d - 2.0) / 4.0, _q_of(d) - 2.0
+
+
 def _rhs(d: int):
     """The orbit's right-hand side (u, u') -> (u', u'') at dimension d.
 
-    Its constants are computed once here, not at every stage. The float
-    steps pass y as two floats, so every stage is float arithmetic, each
-    product in the order of u'' = ((d-2)^2/4) u - (d(d-2)/4) |u|^(q-2) u.
+    Its constants are computed once here, not at every stage. y may be two
+    floats, and then every evaluation is float arithmetic, each product in
+    the order of u'' = ((d-2)^2/4) u - (d(d-2)/4) |u|^(q-2) u. The stages of
+    ``_dop853_tableau`` write this expression out on the same constants.
     """
-    c, k, e = (d - 2.0) ** 2 / 4.0, d * (d - 2.0) / 4.0, _q_of(d) - 2.0
+    c, k, e = _rhs_constants(d)
 
     def rhs(t, y):
         u, up = y
@@ -461,6 +471,8 @@ def _initial_step(fun, t_end: float, y: tuple, f: tuple, rtol: float, atol: floa
 class _Steps:
     """The accepted steps of one float DOP853 run, and scipy's nfev count.
 
+    A run to the turning point keeps only its last step (``_dop853``).
+
     Step i runs from t[i] to t[i+1] = t[i] + h[i] and from the state y[:, i]
     to y[:, i+1]. Its 7 interpolation coefficients coef[:, :, i] are built
     from its 16 stages as scipy's DOP853 builds them for one step
@@ -485,32 +497,49 @@ class _Steps:
         self.y, self.coef = y.T.copy(), coef.transpose(1, 2, 0).copy()
 
 
-def _dop853(fun, t_end: float, y_start: tuple, rtol: float, atol: float) -> _Steps:
-    """scipy's DOP853 over [0, t_end > 0] for two equations, stepped in Python floats.
+def _dop853(
+    d: int, t_end: float, y_start: tuple, rtol: float, atol: float, to_turning: bool = False
+) -> _Steps:
+    """scipy's DOP853 for the orbit of dimension d over [0, t_end > 0], in Python floats.
 
     scipy's ``solve_ivp`` takes every stage, error norm and dense-output
     stage as numpy arithmetic on 2-element arrays, while the orbit needs only
     27-42 steps per half period. The method is scipy's: ``_initial_step``
     supplies its starting step, the generated ``_dop853_tableau`` its
-    tableau and stages, and this loop its error norm and step-size control
+    tableau and its stages, with the right-hand side of ``_rhs(d)`` written
+    out on its constants, and this loop its error norm and step-size control
     (no ``max_step``: scipy's default is infinite), so ``scipy.integrate`` is
-    never imported. nfev counts as scipy does: 2 for the start (the slope at
-    0 and the starting step's evaluation), 12 per attempted step and 3 per
-    dense output, which every accepted step gets. So the steps are scipy's;
-    only the stages' roundoff differs. The error estimate cancels to
-    roundoff, so its two sums over the stages are numpy's dot on the stage
-    array, in scipy's order: summed in another order, the steps accepted or
-    rejected other steps than scipy on 18 of 492 amplitudes within 60 ulp of
-    the branch roots at d = 3..6, T = 1.2..2 T_*. ``fun`` takes and returns
-    (u, u') as two floats (``_rhs(d)`` does).
+    never imported. So the steps are scipy's; only the stages' roundoff
+    differs. The error estimate cancels to roundoff, so its two sums over
+    the stages are numpy's dot on the stage array, in scipy's order: summed
+    in another order, the steps accepted or rejected other steps than scipy
+    on 18 of 492 amplitudes within 60 ulp of the branch roots at d = 3..6,
+    T = 1.2..2 T_*.
+
+    With ``to_turning`` the run stops at the first accepted step whose end
+    states bracket a rising zero of u' (u'_old <= 0 <= u'_new), the step
+    ``_turning_time`` reads, and returns that step alone, with its dense
+    output; the steps before it are those of the full run over the same
+    window. When no step brackets one before t_end, it returns no step.
+
+    nfev counts as scipy does: 2 for the start (the slope at 0 and the
+    starting step's evaluation), 12 per attempted step and 3 per dense
+    output. The full run builds dense output for every accepted step; a run
+    ``to_turning`` only for the step it returns, so its nfev is
+    2 + 12 per attempt + 3.
 
     On a 2-core host scipy's own steps took 8.0 ms per half period (d = 3..5,
     T = 1.5 and 2 T_*, medians of 3 alternating processes). Float steps
     driven by ``solve_ivp`` through scipy's private step hooks took 0.85-0.90
-    ms at d = 4, 1.4 T_*; this loop takes 0.53-0.55 ms there (minimum of 60
-    calls interleaved with the hooked version, 3 processes).
+    ms at d = 4, 1.4 T_*, and this loop 0.53-0.55 ms there (minimum of 60
+    calls interleaved with the hooked version, 3 processes), calling the
+    right-hand side once per stage. With the stages written out it takes
+    0.45 ms, against 0.53 ms for the calling version (minimum of 60 calls,
+    median over 5 alternating processes per side).
     """
     attempt, extra, exponent = _tableau.attempt, _tableau.extra, _EXPONENT
+    c, k, e = _rhs_constants(d)
+    fun = _rhs(d)
     rtol, atol = max(float(rtol), _MIN_RTOL), float(atol)
     y0, y1 = (float(v) for v in y_start)
     f0, f1 = fun(0.0, (y0, y1))
@@ -529,12 +558,12 @@ def _dop853(fun, t_end: float, y_start: tuple, rtol: float, atol: float) -> _Ste
                 )
             t_new = min(t + h_abs, t_end)
             h = h_abs = t_new - t
-            n0, n1, ks = attempt(fun, t, y0, y1, f0, f1, h)
+            n0, n1, ks = attempt(c, k, e, y0, y1, f0, f1, h)
             nfev += 12
             # the error sums in scipy's order (docstring)
-            k = np.fromiter(ks, float, 26).reshape(13, 2).T
-            e50, e51 = np.dot(k, _E5).tolist()
-            e30, e31 = np.dot(k, _E3).tolist()
+            kmat = np.fromiter(ks, float, 26).reshape(13, 2).T
+            e50, e51 = np.dot(kmat, _E5).tolist()
+            e30, e31 = np.dot(kmat, _E3).tolist()
             s0 = atol + max(abs(y0), abs(n0)) * rtol
             s1 = atol + max(abs(y1), abs(n1)) * rtol
             err5 = (e50 / s0) ** 2 + (e51 / s1) ** 2
@@ -554,12 +583,16 @@ def _dop853(fun, t_end: float, y_start: tuple, rtol: float, atol: float) -> _Ste
                 break
             h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm**exponent)
             rejected = True
-        stages += ks
-        stages += extra(fun, t, y0, y1, h, ks)
-        nfev += 3
+        if not to_turning:
+            stages += ks
+            stages += extra(c, k, e, y0, y1, h, ks)
+            nfev += 3
+            ts.append(t_new)
+            ys += n0, n1
+        elif y1 <= 0.0 <= n1:
+            stages = ks + extra(c, k, e, y0, y1, h, ks)
+            return _Steps([t, t_new], [y0, y1, n0, n1], stages, nfev + 3)
         t, y0, y1, f0, f1 = t_new, n0, n1, ks[24], ks[25]
-        ts.append(t)
-        ys += n0, n1
     return _Steps(ts, ys, stages, nfev)
 
 
@@ -590,12 +623,18 @@ def _sample(steps: _Steps, t) -> np.ndarray:
     return y
 
 
-def _integrate(d: int, alpha: float, t_end: float) -> _Steps:
-    return solve_ivp(_rhs(d), t_end, (alpha, 0.0), DEFAULT_ODE_RTOL, DEFAULT_ODE_ATOL)
+def _integrate(d: int, alpha: float, t_end: float, to_turning: bool = False) -> _Steps:
+    """The orbit from its maximum alpha at rest, by ``_dop853`` at the default tolerances."""
+    return solve_ivp(
+        d, t_end, (alpha, 0.0), DEFAULT_ODE_RTOL, DEFAULT_ODE_ATOL, to_turning
+    )
 
 
 def _turning_time(steps: _Steps) -> float:
     """The first rising zero of u' over the float steps of an orbit.
+
+    The steps are those of a full run or the one step of a run to the
+    turning point, which is the step the scan below picks on the full run.
 
     The first step whose end states bracket it (u'_old <= 0 <= u'_new; the
     start, where u' = 0 and falls, does not) is root-found on its
@@ -647,12 +686,15 @@ def solve_orbit(d: int, alpha: float) -> Orbit:
     The profile starts at its maximum (u(0) = alpha, u'(0) = 0) and descends
     to the turning point at half period, the rising zero of u' (found by
     ``_turning_time``) on an adaptive half-period run. The independent
-    quadrature period brackets the integration window. ``optimizer_branch``
-    holds the orbit's samples.
+    quadrature period bounds the integration window at 0.51 of itself, which
+    caps the first step and clips the steps as on a full run; the run stops
+    at the step that brackets the turning point and builds dense output for
+    it alone (``_dop853``), so its nfev is 2 + 12 per attempted step + 3.
+    ``optimizer_branch`` holds the orbit's samples.
     """
     _check_alpha(d, alpha)
     tau_quad = period(d, alpha)
-    steps = _integrate(d, alpha, 0.51 * tau_quad)
+    steps = _integrate(d, alpha, 0.51 * tau_quad, to_turning=True)
     return Orbit(d, alpha, 2.0 * _turning_time(steps))
 
 
@@ -685,7 +727,12 @@ def inverse_period(d: int, T: float) -> float:
     lo, f_lo = u0(d) * (1.0 + 1e-9), None
     for j in range(2, 15):
         cand = 1.0 - 10.0 ** (-j)
-        gap = period(d, cand) - T
+        try:
+            gap = period(d, cand) - T
+        except _LostPositivity as err:
+            # at d = 10 the quadrature fails at 1 - 1e-14, above every
+            # period up to about 4.34 T_*: the scan has run out of amplitudes
+            raise ComputationError("could not bracket the amplitude below 1") from err
         if gap > 0.0:
             hi, f_hi = cand, gap
             break
@@ -1044,6 +1091,25 @@ def _multiplication_halves(w: np.ndarray, n_modes: int) -> tuple:
     return (even, np.subtract(toep, hank, out=toep)), coupling
 
 
+def _check_modes(n_modes: int) -> None:
+    if n_modes < 2:
+        # c_T_numeric reads the second eigenvalue of the odd half, which has
+        # n_modes rows, and quartic_constants the second harmonic
+        raise DomainError("need n_modes >= 2, got %r" % (n_modes,))
+
+
+def _b_diagonal(d: int, T: float, n_modes: int) -> np.ndarray:
+    """Diagonal of the E_T-form B in the block order of ``_trig_coords``."""
+    ksq = (2.0 * math.pi * np.arange(1, n_modes + 1) / T) ** 2
+    return np.concatenate(([0.0], ksq, ksq)) + (d - 2.0) ** 2 / 4.0
+
+
+def _weight(br: Branch) -> np.ndarray:
+    """The potential's weight d(d+2)/4 u_*^(q-2) on the branch grid."""
+    d, q = br.params.d, br.params.q
+    return d * (d + 2.0) / 4.0 * br.u ** (q - 2.0)
+
+
 def _assemble_block(br: Branch, n_modes: int, n_grid: int) -> tuple:
     """Galerkin halves of L and the diagonal of B for the degree-0 Hessian block.
 
@@ -1056,17 +1122,11 @@ def _assemble_block(br: Branch, n_modes: int, n_grid: int) -> tuple:
     block between the halves is not negligible, that is when u_* is not even.
     """
     # n_modes and n_grid keep these names: perfbench's hill_assembly span reads them
-    if n_modes < 2:
-        # c_T_numeric reads the second eigenvalue of the odd half, which has
-        # n_modes rows, and quartic_constants the second harmonic
-        raise DomainError("need n_modes >= 2, got %r" % (n_modes,))
+    _check_modes(n_modes)
     if len(br.u) != n_grid:
         raise PreconditionError("branch has %d samples, not %d" % (len(br.u), n_grid))
-    d, T, q = br.params.d, br.params.T, br.params.q
-    ksq = (2.0 * math.pi * np.arange(1, n_modes + 1) / T) ** 2
-    bdiag = np.concatenate(([0.0], ksq, ksq)) + (d - 2.0) ** 2 / 4.0
-    wgrid = d * (d + 2.0) / 4.0 * br.u ** (q - 2.0)
-    (l_even, l_odd), coupling = _multiplication_halves(wgrid, n_modes)
+    bdiag = _b_diagonal(br.params.d, br.params.T, n_modes)
+    (l_even, l_odd), coupling = _multiplication_halves(_weight(br), n_modes)
     # L = diag(b) - M, formed in M's storage: 0 - m off the diagonal, then
     # (0 - m) + b on it, which rounds as b - m does (signed zeros included)
     for half, b in ((l_even, bdiag[: n_modes + 1]), (l_odd, bdiag[n_modes + 1 :])):
@@ -1081,17 +1141,26 @@ def _assemble_block(br: Branch, n_modes: int, n_grid: int) -> tuple:
     return (l_even, l_odd), bdiag
 
 
-def _q_norm_term(br: Branch, n_modes: int) -> np.ndarray:
-    """Even half of the rank-one term d <u^(q-1), .> u^(q-1) / int u^q.
+def _q_norm_factors(br: Branch, n_modes: int) -> tuple:
+    """(d / int u^q, v): the q-norm term is (d / int u^q) v v^T.
 
-    The degree-0 second variation adds it to L. u^(q-1) is even exactly when
-    the weight u^(q-2) is, so the parity guard on the weight also covers the
-    sine coordinates dropped here.
+    v holds the constant and cosine coordinates of u^(q-1). u^(q-1) is even
+    exactly when the weight u^(q-2) is, so the parity guard on the weight
+    also covers the sine coordinates dropped here.
     """
     d, T, q = br.params.d, br.params.T, br.params.q
     v = _trig_coords(br.u ** (q - 1.0), T, n_modes)[: n_modes + 1]
     iq = float(np.sum(br.u**q)) * (T / len(br.u))
-    return (d / iq) * np.outer(v, v)
+    return d / iq, v
+
+
+def _q_norm_term(br: Branch, n_modes: int) -> np.ndarray:
+    """Even half of the rank-one term d <u^(q-1), .> u^(q-1) / int u^q.
+
+    The degree-0 second variation adds it to L.
+    """
+    scale, v = _q_norm_factors(br, n_modes)
+    return scale * np.outer(v, v)
 
 
 # The branch u_* is even about its maximum at t = 0 (u'(0) = 0 and the ODE is
@@ -1106,33 +1175,55 @@ def _q_norm_term(br: Branch, n_modes: int) -> np.ndarray:
 # coupling 0.54).
 # At and below T_* the branch is the constant u0, so the weight's rfft is
 # Re w^_0 alone and the q-norm term touches only the constant coordinate:
-# both halves are diagonal, with off-diagonal entries at most 2.3e-20 of
-# max |L| over d = 3..10 and T in [0.1, 1] T_*, at n_grid 1000, 3000, 4095
-# and 4096. c_T_numeric and quartic_constants read their spectra off the
-# diagonals (``_diagonals``) and hold the off-diagonal entries to the same
-# _PARITY_TOL of max |L|.
+# both halves are diagonal. c_T_numeric and quartic_constants read those
+# diagonals straight off the rfft (``_constant_diagonals``), and hold the
+# bounds on the entries off them to the same _PARITY_TOL of the largest
+# diagonal entry. Over d = 3..10 and 19 periods T in [0.1, 1] T_*, with and
+# without the q-norm term, these bounds measure at most 3.3e-20 of that entry
+# (d = 10, T_*, n_grid 4095), 3e10 times under the tolerance, at n_grid 1000,
+# 3000 and 4095, and exactly 0 at the default 4096.
 _PARITY_TOL = 1e-9
 
 
-def _diagonals(halves) -> list:
-    """Diagonals of Hessian halves that the constant branch makes diagonal.
+def _constant_diagonals(br: Branch, n_modes: int, with_q_norm: bool) -> tuple:
+    """Diagonals of the degree-0 Hill halves on a constant branch, and of B.
 
-    Raises when an off-diagonal entry exceeds _PARITY_TOL of max |L|: the
-    branch is then not constant. A constant weight means a constant u_*, so
-    the guard also certifies that the degree-0 constraint against u_* lies
-    on the constant coordinate.
+    On a constant branch ``_assemble_block``'s halves are diagonal, so their
+    diagonals are read straight from the weight's rfft w^ = rfft(w)/N, in
+    its operation order: b_k - (Re w^_0 + Re w^_2k) on cos_k, b_k -
+    (Re w^_0 - Re w^_2k) on sin_k and b_0 - Re w^_0 on the constant, the
+    Toeplitz-plus-Hankel entries of ``_multiplication_halves``. With
+    ``with_q_norm`` the even diagonal adds the q-norm term's
+    (d / int u^q) v_k^2 (``_q_norm_factors``). Returns ((even, odd), bdiag).
+
+    Raises when the halves are not diagonal to _PARITY_TOL of their largest
+    diagonal entry, that is when the branch is not constant: every entry off
+    the diagonals, between the halves included, is at most
+    2 max_(1 <= j <= 2K) |w^_j|, and every one of the q-norm term at most
+    (d / int u^q) max |v| max_(k >= 1) |v_k|. A constant weight means a
+    constant u_*, so the guard also certifies that the degree-0 constraint
+    against u_* lies on the constant coordinate.
     """
-    scale = max(float(np.max(np.abs(half))) for half in halves)
-    diags = [np.diag(half) for half in halves]
-    coupling = max(
-        float(np.max(np.abs(half - np.diag(dg)))) for half, dg in zip(halves, diags)
-    )
-    if coupling > _PARITY_TOL * scale:
+    _check_modes(n_modes)
+    d, T = br.params.d, br.params.T
+    bdiag = _b_diagonal(d, T, n_modes)
+    wh = _grid_spectrum(_weight(br), n_modes)
+    re0, re2k = wh.real[0], wh.real[2 : 2 * n_modes + 1 : 2]
+    cut = n_modes + 1
+    even = np.subtract(bdiag[:cut], np.concatenate(([re0], re0 + re2k)))
+    odd = np.subtract(bdiag[cut:], re0 - re2k)
+    coupling = 2.0 * float(np.max(np.abs(wh[1 : 2 * n_modes + 1])))
+    if with_q_norm:
+        scale, v = _q_norm_factors(br, n_modes)
+        even += scale * (v * v)
+        coupling = max(coupling, scale * float(np.max(np.abs(v)) * np.max(np.abs(v[1:]))))
+    top = max(float(np.max(np.abs(even))), float(np.max(np.abs(odd))))
+    if coupling > _PARITY_TOL * top:
         raise ComputationError(
             "Hessian halves are not diagonal (%.3g): the branch is not constant"
             % coupling
         )
-    return diags
+    return (even, odd), bdiag
 
 
 def _shift_diagonal(mat: np.ndarray, shift: float) -> None:
@@ -1276,6 +1367,11 @@ def c_T_numeric(d: int, T: float, n_modes: int = DEFAULT_N_MODES) -> float:
     parallel to u_*^(q-1), so the rank-one q-norm term vanishes on the
     constrained space and is left out.
 
+    At and below T_* the branch is the constant u0 and both halves are
+    diagonal, so the constrained minimum of each degree is read off their
+    diagonals, which ``_constant_diagonals`` takes straight from the weight's
+    rfft: no Hill matrix is built and no eigensolve runs.
+
     Above T_* two eigensolves and one residual check give the minimum: the
     two lowest eigenvalues of the even degree-0 half (the ground-state check
     and a candidate) and the lowest of the even degree-1 half. The odd
@@ -1311,9 +1407,7 @@ def c_T_numeric(d: int, T: float, n_modes: int = DEFAULT_N_MODES) -> float:
     higher degree from below.
     """
     br = optimizer_branch(d, T)
-    (l_even, l_odd), bbase = _assemble_block(br, n_modes, DEFAULT_N_GRID)
     cut = n_modes + 1
-    b_even, b_odd = bbase[:cut], bbase[cut:]
     # degree 1 is the uncorrected degree-0 block shifted by d - 1 on the
     # diagonal
     shift = d - 1.0
@@ -1321,13 +1415,16 @@ def c_T_numeric(d: int, T: float, n_modes: int = DEFAULT_N_MODES) -> float:
         # the constant branch makes every half diagonal (see _PARITY_TOL): the
         # constraint against u_* drops the constant coordinate, and u_*' = 0
         # constrains nothing
-        even, odd = _diagonals((l_even, l_odd))
+        (even, odd), bbase = _constant_diagonals(br, n_modes, False)
+        b_even, b_odd = bbase[:cut], bbase[cut:]
         deg0 = min(np.min(even[1:] / b_even[1:]), np.min(odd / b_odd))
         deg1 = min(
             np.min((dg + shift) / (b + shift))
             for dg, b in ((even, b_even), (odd, b_odd))
         )
         return float(min(deg0, deg1))
+    (l_even, l_odd), bbase = _assemble_block(br, n_modes, DEFAULT_N_GRID)
+    b_even, b_odd = bbase[:cut], bbase[cut:]
     even0, even1 = _lowest_eigenvalues(l_even, b_even, 2)
     ground = 2.0 - br.params.q
     # by Sturm ordering the odd half's second eigenvalue is at least even1
@@ -1382,7 +1479,12 @@ def quartic_constants(d: int, n_modes: int = DEFAULT_N_MODES) -> QuarticConstant
     The numeric route solves the degree-0 Hessian block for the resolvent of
     the projected quartic source and forms the inner product; every quantity
     is compared against its closed form and any mismatch beyond
-    ``_QUARTIC_REL_TOL`` relative raises an inconsistency.
+    ``_QUARTIC_REL_TOL`` relative raises an inconsistency. The T_* branch is
+    constant, so the block, q-norm term included, is diagonal in the trig
+    basis: its eigenvalues are its diagonal, which ``_constant_diagonals``
+    takes straight from the weight's rfft and the q-norm coordinates, and
+    the resolvent divides coordinate by coordinate, with no Hill matrix
+    built.
     """
     ts = t_star(d)
     params = CylinderParams(d=d, T=ts)
@@ -1392,16 +1494,14 @@ def quartic_constants(d: int, n_modes: int = DEFAULT_N_MODES) -> QuarticConstant
     sigma = ts * area
 
     br = optimizer_branch(d, ts)
-    (l_even, l_odd), _ = _assemble_block(br, n_modes, DEFAULT_N_GRID)
-    halves = (l_even + _q_norm_term(br, n_modes), l_odd)
     tgrid = np.arange(DEFAULT_N_GRID) * (ts / DEFAULT_N_GRID)
     r_star = np.cos(2.0 * math.pi * tgrid / ts)
     r2 = r_star**2
     f_star = (d - 2.0) ** 2 / 8.0 * (q - 1.0) * (q - 2.0) / base * r2
 
     # the T_* branch is the constant u0, so both halves are diagonal (see the
-    # comment at _PARITY_TOL) and their spectra are read off the diagonals
-    evals = np.concatenate(_diagonals(halves))
+    # comment at _PARITY_TOL) and their spectra are their diagonals
+    evals = np.concatenate(_constant_diagonals(br, n_modes, True)[0])
     scale = float(np.max(np.abs(evals)))
     ker = np.abs(evals) < 1e-6 * scale
     if int(np.sum(ker)) != 3:

@@ -20,7 +20,7 @@ import scipy.optimize
 from scipy.integrate import DOP853, solve_ivp
 from scipy.linalg import eigh, null_space
 
-from sobolev_lab import _brentq, cylinder, verify
+from sobolev_lab import _brentq, _dop853_tableau, cylinder, verify
 from sobolev_lab.cylinder import (
     _assemble_block,
     _integrate,
@@ -218,6 +218,20 @@ def test_inverse_period_bracket_failures_raise_typed_errors(monkeypatch):
     monkeypatch.setattr(cylinder, "period", lambda d, alpha, *args: T - 1.0)
     with pytest.raises(ComputationError, match="bracket the amplitude"):
         inverse_period(D, T)
+
+
+def test_inverse_period_beyond_the_last_decade_raises_the_bracket_error():
+    # at d = 10 the quadrature fails at the last decade amplitude 1 - 1e-14,
+    # so a period above the one at 1 - 1e-13 (about 4.34 T_*) cannot be
+    # bracketed: the scan says so, chained from the quadrature's error
+    ts = t_star(10)
+    for frac in (4.5, 6.0):
+        with pytest.raises(ComputationError, match="could not bracket the amplitude") as info:
+            inverse_period(10, frac * ts)
+        assert isinstance(info.value.__cause__, ComputationError)
+        assert "lost positivity" in str(info.value.__cause__)
+    # below that period the scan brackets, and the root keeps its bits
+    assert inverse_period(10, 4.0 * ts) == float.fromhex("0x1.fffffffffd864p-1")
 
 
 def test_inverse_period_round_trip():
@@ -613,15 +627,16 @@ def test_c_T_numeric_matches_dense_generalized_route():
 
 def test_c_T_numeric_at_and_below_bifurcation_runs_no_eigensolve(monkeypatch):
     # the constant branch makes every Hill half diagonal, so c_T is read off
-    # the diagonals
+    # the diagonals, which come from the weight's rfft without a matrix
     fracs = (0.3, 0.6, 0.95, 1.0)
     cases = [(d, frac * t_star(d)) for d in (3, 4, 5, 6) for frac in fracs]
     dense = [_dense_c_T(d, T) for d, T in cases]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("c_T_numeric called eigh at or below T_*")
+        raise AssertionError("c_T_numeric called eigh or assembled at or below T_*")
 
     monkeypatch.setattr(cylinder, "eigh", refuse)
+    monkeypatch.setattr(cylinder, "_assemble_block", refuse)
     for (d, T), ref in zip(cases, dense):
         val = c_T_numeric(d, T)
         if T == t_star(d):
@@ -909,6 +924,63 @@ def test_assembled_halves_are_diag_b_minus_m_bit_for_bit():
             assert half.tobytes() == (np.diag(bh) - m).tobytes()
 
 
+def test_constant_diagonals_are_the_assembled_halves_diagonals_bit_for_bit():
+    # at and below T_* the diagonals come from the weight's rfft; they must be
+    # those of the assembled halves, with the q-norm term where it is added
+    for d in range(3, 11):
+        for frac in (0.1, 0.5, 0.9, 1.0):
+            br = optimizer_branch(d, frac * t_star(d))
+            (l_even, l_odd), b = _assemble_block(br, 128, 4096)
+            for with_q_norm in (False, True):
+                (even, odd), bdiag = cylinder._constant_diagonals(br, 128, with_q_norm)
+                ref = l_even + _q_norm_term(br, 128) if with_q_norm else l_even
+                assert even.tobytes() == np.diag(ref).tobytes()
+                assert odd.tobytes() == np.diag(l_odd).tobytes()
+                assert bdiag.tobytes() == b.tobytes()
+
+
+def _reference_step(d, y0, y1, h):
+    """One DOP853 step's new state and 16 stages from scipy's tableau, each
+    stage a call of _rhs(d), each combination summed left to right over the
+    nonzero entries of its row: the reference of the generated stages."""
+    rhs = _rhs(d)
+
+    def combo(row, ks, i):
+        terms = [a * k[i] for a, k in zip(row, ks) if a]
+        acc = terms[0]
+        for term in terms[1:]:
+            acc = acc + term
+        return acc
+
+    def stage(row, ks):
+        return tuple(rhs(0.0, (y0 + combo(row, ks, 0) * h, y1 + combo(row, ks, 1) * h)))
+
+    ks = [tuple(rhs(0.0, (y0, y1)))]
+    for row in DOP853.A[1:].tolist():
+        ks.append(stage(row, ks))
+    b = DOP853.B.tolist()
+    new = (y0 + h * combo(b, ks, 0), y1 + h * combo(b, ks, 1))
+    ks.append(tuple(rhs(0.0, new)))
+    for row in DOP853.A_EXTRA.tolist():
+        ks.append(stage(row, ks))
+    return new, [x for k in ks for x in k]
+
+
+def test_inlined_stages_are_the_right_hand_sides_bit_for_bit():
+    # the generated stages write the right-hand side out on _rhs's constants;
+    # every stage must be the one a call of _rhs(d) gives, u < 0 included
+    rng = np.random.default_rng(0)
+    for d in range(3, 11):
+        consts = cylinder._rhs_constants(d)
+        for _ in range(40):
+            y0, y1 = rng.uniform(-0.5, 1.2), rng.uniform(-1.0, 1.0)
+            h = rng.uniform(1e-3, 0.6)
+            new, ref = _reference_step(d, y0, y1, h)
+            n0, n1, ks = _dop853_tableau.attempt(*consts, y0, y1, ref[0], ref[1], h)
+            got = [n0, n1, *ks, *_dop853_tableau.extra(*consts, y0, y1, h, ks)]
+            assert np.array(got).tobytes() == np.array([*new, *ref]).tobytes()
+
+
 def test_dop853_tableau_is_scipys():
     # every generated literal equals scipy's array, and the module is what
     # the generator writes today
@@ -1028,6 +1100,56 @@ def test_solve_orbit_period_matches_scipy_dop853():
         ref = _scipy_dop853(d, alpha, 0.51 * period(d, alpha), events=turning)
         tau = 2.0 * float(ref.t_events[0][0])
         assert solve_orbit(d, alpha).period == pytest.approx(tau, rel=1e-12, abs=0.0)
+
+
+def test_solve_orbit_stops_at_the_full_runs_turning_step():
+    # the run to the turning point takes the steps of a run over the whole
+    # 0.51 tau window up to the one _turning_time reads there, so the period
+    # is the full run's bit for bit
+    for d in range(3, 9):
+        base = u0(d)
+        for i in range(60):
+            alpha = base + (1.0 - base) * (i + 0.5) / 60.0
+            full = _integrate(d, alpha, 0.51 * period(d, alpha))
+            assert solve_orbit(d, alpha).period == 2.0 * cylinder._turning_time(full)
+
+
+def test_solve_orbit_counts_its_evaluations_as_scipy_would(monkeypatch):
+    # 2 for the start, 12 per attempted step and 3 for the dense output of
+    # the one step it keeps; forced large first steps add rejected attempts
+    runs, attempts = [], []
+    inner_solve, inner_attempt = cylinder.solve_ivp, _dop853_tableau.attempt
+
+    def recorded(*args):
+        runs.append(inner_solve(*args))
+        return runs[-1]
+
+    def counted(*args):
+        attempts.append(args)
+        return inner_attempt(*args)
+
+    monkeypatch.setattr(cylinder, "solve_ivp", recorded)
+    monkeypatch.setattr(_dop853_tableau, "attempt", counted)
+    for first in (None, 1.0, 3.0):
+        if first is not None:
+            monkeypatch.setattr(cylinder, "_initial_step", lambda *args: first)
+        for d, alpha in ((3, 0.9), (4, 0.95), (6, 0.99)):
+            attempts.clear()
+            full = _integrate(d, alpha, 0.51 * period(d, alpha))
+            full_attempts = attempts[:]
+            runs.clear()
+            attempts.clear()
+            solve_orbit(d, alpha)
+            (steps,) = runs
+            assert len(steps.h) == 1
+            assert steps.nfev == 2 + 12 * len(attempts) + 3
+            # the full run's attempts, up to its turning step
+            assert attempts == full_attempts[: len(attempts)]
+            assert len(attempts) <= len(full_attempts)
+            accepted = int(np.searchsorted(full.t, steps.t[1]))
+            assert full.t[accepted] == steps.t[1]
+            if first is not None:
+                assert len(attempts) > accepted
 
 
 def test_unconverged_root_raises_typed_error(monkeypatch):
@@ -1200,11 +1322,13 @@ def test_quartic_gap_positive_across_dimensions():
 
 
 def test_quartic_constants_runs_no_eigensolve(monkeypatch):
-    # the T_* halves are diagonal, so their spectra are read off the diagonal
+    # the T_* halves are diagonal, so their spectra are read off the diagonal,
+    # which comes from the weight's rfft without a matrix
     def refuse(*args, **kwargs):
-        raise AssertionError("quartic_constants called eigh")
+        raise AssertionError("quartic_constants called eigh or assembled")
 
     monkeypatch.setattr(cylinder, "eigh", refuse)
+    monkeypatch.setattr(cylinder, "_assemble_block", refuse)
     for d in (3, 4, 5):
         qc = quartic_constants(d)
         assert len(qc.diagnostics["kernel_eigenvalues"]) == 3
@@ -1243,6 +1367,28 @@ def test_quartic_constants_refuses_a_non_constant_branch(monkeypatch, frac, solv
         up=-1e-3 * (2.0 * math.pi / T) * np.sin(2.0 * math.pi * t / T),
     )
     monkeypatch.setattr(cylinder, "optimizer_branch", lambda d, T, n_grid=4096: bumped)
+    with pytest.raises(ComputationError, match="not diagonal"):
+        solve(T)
+
+
+@pytest.mark.parametrize(
+    "frac, solve",
+    [(1.0, lambda T: quartic_constants(D)), (0.7, lambda T: c_T_numeric(D, T))],
+    ids=["quartic_constants", "c_T_numeric"],
+)
+def test_diagonal_read_refuses_a_branch_that_is_not_even(monkeypatch, frac, solve):
+    # a shifted bump couples the halves through Im w^, which the diagonal
+    # read's bound covers as well
+    n = 4096
+    T = frac * TS
+    t = np.arange(n) * (T / n)
+    shifted = Branch(
+        params=CylinderParams(d=D, T=T),
+        alpha=u0(D) + 1e-3,
+        u=u0(D) + 1e-3 * np.sin(2.0 * math.pi * t / T),
+        up=1e-3 * (2.0 * math.pi / T) * np.cos(2.0 * math.pi * t / T),
+    )
+    monkeypatch.setattr(cylinder, "optimizer_branch", lambda d, T, n_grid=4096: shifted)
     with pytest.raises(ComputationError, match="not diagonal"):
         solve(T)
 
@@ -1340,7 +1486,9 @@ def test_quartic_constants_refuses_a_resolvent_coefficient_off_its_closed_form(m
 def test_quartic_constants_refuses_an_inner_product_off_its_closed_form(monkeypatch):
     # source and eigenvalue scaled alike keep the resolvent, not <f, s>
     _bend(monkeypatch, "_trig_coords", _is_source, _scale_cos2)
-    _bend(monkeypatch, "_diagonals", lambda halves: True, lambda diags: _scale_cos2(diags[0]))
+    _bend(
+        monkeypatch, "_constant_diagonals", lambda *args: True, lambda out: _scale_cos2(out[0][0])
+    )
     with pytest.raises(InconsistencyError, match="resolvent inner product"):
         quartic_constants(D)
 
