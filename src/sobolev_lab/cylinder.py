@@ -29,7 +29,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh, hankel, toeplitz
-from scipy.optimize import minimize
 
 from . import _dop853_tableau as _tableau
 from ._brentq import brentq
@@ -69,8 +68,6 @@ __all__ = [
     "sobolev_constant_cylinder",
     "orbit_branch_value",
     "cosh_trial_bound",
-    "minimize_quotient",
-    "l1_factorization_residual",
     "hessian_block_spectrum",
     "zero_mode_pairing",
     "c_T",
@@ -760,7 +757,7 @@ class Branch:
     At and below T_* u_* is the constant alpha = u0; above, it is the orbit
     whose period is T, with alpha its amplitude (the ``inverse_period``
     root). u and u' sit at t_j = j T / N, j < N; ``optimizer_branch`` builds
-    them.
+    them, and ``_newton_branch`` builds the orbit by a second route.
     """
 
     params: CylinderParams
@@ -880,8 +877,10 @@ def sobolev_constant_cylinder(d: int, T: float) -> float:
     """Sharp constant S_d(T) on the cylinder.
 
     Constant branch ((d-2)^2/4) |Sigma_T|^(1-2/q) for T <= T_*; the
-    single-bump orbit branch quotient for T > T_*. ``minimize_quotient`` is
-    the independent route to the same value.
+    single-bump orbit branch quotient for T > T_*, from the period
+    quadrature's integrals. ``quotient_profile`` of ``_newton_branch``, a
+    Galerkin Newton solve at fixed T, is the independent route to the same
+    value.
     """
     params = CylinderParams(d=d, T=T)
     if T <= params.t_star:
@@ -899,41 +898,6 @@ def orbit_branch_value(d: int, T: float) -> float:
     i_energy, i_q = orbit_integrals(d, alpha)
     area = sphere_area(d - 1)
     return float(area ** (1.0 - 2.0 / q) * i_energy / i_q ** (2.0 / q))
-
-
-def l1_factorization_residual(br: Branch) -> float:
-    """Residual of the degree-1 annihilation identity along the branch.
-
-    v = e^(sigma t)(u' + sigma (d-2)/2 u), sigma = +-1, solves the degree-1
-    Hessian ODE -v'' + ((d-1) + ((d-2)/2)^2) v = (d(d+2)/4) u^(q-2) v exactly;
-    returns the max residual on the branch grid t_j = j T / N relative to the
-    max of |v|, worst sigma.
-
-    u'' and u''' are formed from the ODE, and with them the identity holds
-    pointwise for any samples u and u': the residual is roundoff (uniform
-    random u in [0.1, 1] and normal u' read at most 7.6e-16 over 20 draws at
-    d = 3, T = 9), so it cannot see a wrong orbit.
-    """
-    d = br.params.d
-    q = _q_of(d)
-    beta = (d - 2.0) / 2.0
-    u, up = br.u, br.up
-    t = np.arange(len(u)) * (br.params.T / len(u))
-    upp = beta**2 * u - d * (d - 2.0) / 4.0 * u ** (q - 1.0)
-    uppp = beta**2 * up - d * (d - 2.0) / 4.0 * (q - 1.0) * u ** (q - 2.0) * up
-    worst = 0.0
-    for sigma in (1.0, -1.0):
-        expf = np.exp(sigma * t)
-        v = expf * (up + sigma * beta * u)
-        vpp = expf * (
-            uppp + sigma * beta * upp + 2.0 * sigma * upp + 2.0 * beta * up
-            + up + sigma * beta * u
-        )
-        res = -vpp + (d - 1.0 + beta**2) * v - d * (d + 2.0) / 4.0 * u ** (
-            q - 2.0
-        ) * v
-        worst = max(worst, float(np.max(np.abs(res)) / np.max(np.abs(v))))
-    return worst
 
 
 # Gauss-Legendre nodes of the trial quotient on (0, T/2)
@@ -960,86 +924,71 @@ def cosh_trial_bound(d: int, T: float) -> float:
     return 2.0 * area * e_half / (2.0 * area * q_half) ** (2.0 / q)
 
 
-# the descent's starts: two cosine bumps, then random ones from this seed;
-# the grid it descends on, an eighth of the branch's; and its iteration cap
-_DESCENT_STARTS = 3
-_DESCENT_SEED = 0
-_DESCENT_GRID = 512
-_DESCENT_MAXITER = 4000
+# Newton's iteration cap. Over d = 3..12, from the homoclinic start, it takes
+# 10-11 steps at 1.001 T_*, 7 at 1.05 T_* and 2-3 at 5 T_*.
+_NEWTON_MAXITER = 30
+# It stops once a step is at most this fraction of the largest coordinate.
+# Newton squares the error, so a step that small leaves roundoff: over the
+# same inputs the last step is at most 5.7e-14 of the amplitude.
+_NEWTON_STEP_TOL = 1e-13
+# The constant u0 solves the same equation, and its samples span roundoff.
+# The single bump spans at least 0.037 at 1.001 T_* over d = 3..6, so a result
+# spanning less than this floor fell to the constant branch.
+_NEWTON_MIN_PTP = 1e-6
 
 
-def minimize_quotient(d: int, T: float) -> tuple:
-    """Direct minimization of the quotient over gridded profiles.
+def _newton_branch(d: int, T: float) -> Branch:
+    """The orbit branch at (d, T) by Newton's method on its Galerkin system.
 
-    Works on the sample values with FFT-differentiation energies; returns
-    (value, PeriodicProfile of the best minimizer found) over the
-    ``_DESCENT_STARTS`` starts whose L-BFGS-B run converged, and raises when
-    none did. Serves as the independent route validating the branch formula.
+    A route to the branch that shares nothing with the period map or DOP853
+    (Boyd, Chebyshev and Fourier Spectral Methods, 2001, ch. 3 and app. C).
+    In the even coordinates x of ``_trig_coords`` the branch solves
+    b x = k P(u^(q-1)), with k = d(d-2)/4, P the constant and cosine
+    coordinates and u synthesized from x on ``DEFAULT_N_GRID`` points from
+    ``DEFAULT_N_MODES`` cosines. The Jacobian is the even Hill half of
+    ``_assemble_block``, whose weight d(d+2)/4 is (q-1) k. The iteration
+    starts from the homoclinic profile cosh(t)^(-(d-2)/2), centred at t = 0
+    and not periodized; u' is the spectral derivative.
+
+    Raises DomainError for T <= T_*, and ComputationError on a nonpositive
+    sample, on a result spanning less than ``_NEWTON_MIN_PTP`` (the constant
+    branch) and after ``_NEWTON_MAXITER`` steps.
     """
     params = CylinderParams(d=d, T=T)
-    q = params.q
-    area = sphere_area(d - 1)
-    m = _DESCENT_GRID
-    h = T / m
-    omega = 2.0 * math.pi / T * np.arange(m // 2 + 1)
-    beta2 = (d - 2.0) ** 2 / 4.0
+    if T <= params.t_star:
+        raise DomainError("the orbit branch needs T > T_* = %.12g, got %r" % (params.t_star, T))
+    n_modes, n_grid = DEFAULT_N_MODES, DEFAULT_N_GRID
+    q, k = params.q, d * (d - 2.0) / 4.0
+    # x -> the rfft bins of u, the inverse of _trig_coords on the even half
+    to_bins = np.full(n_modes + 1, n_grid / math.sqrt(2.0 * T))
+    to_bins[0] = n_grid / math.sqrt(T)
+    omega = 2.0 * math.pi / T * np.arange(n_modes + 1)
 
-    def split(x):
-        spec = np.fft.rfft(x)
-        lap = np.fft.irfft(omega**2 * spec, n=m)
-        kin = float(np.dot(x, lap)) * h
-        mass = float(np.dot(x, x)) * h
-        e_val = area * (kin + beta2 * mass)
-        grad_e = area * h * (2.0 * lap + 2.0 * beta2 * x)
-        iq = float(np.sum(np.abs(x) ** q)) * h
-        nq2 = (area * iq) ** (2.0 / q)
-        grad_n = (
-            2.0
-            * (area * iq) ** (2.0 / q - 1.0)
-            * area
-            * h
-            * np.abs(x) ** (q - 2.0)
-            * x
-        )
-        return e_val, grad_e, nq2, grad_n
+    def branch(x) -> Branch:
+        spec = to_bins * x
+        u = np.fft.irfft(spec, n=n_grid)
+        if not np.min(u) > 0.0:
+            raise ComputationError("a Newton iterate is not positive: min sample %.3g" % np.min(u))
+        return Branch(params, float(u[0]), u, np.fft.irfft(1j * omega * spec, n=n_grid))
 
-    def objective(x):
-        e_val, grad_e, nq2, grad_n = split(x)
-        f = e_val / nq2
-        g = (grad_e - f * grad_n) / nq2
-        return f, g
-
-    tgrid = np.arange(m) * h
-    base = u0(d)
-    rng = np.random.default_rng(_DESCENT_SEED)
-    starts = [
-        base + 0.3 * base * np.cos(2.0 * math.pi * tgrid / T),
-        base - 0.3 * base * np.cos(2.0 * math.pi * tgrid / T),
-    ]
-    for _ in range(_DESCENT_STARTS - 2):
-        bump = rng.standard_normal(5)
-        pert = sum(
-            bump[j] * np.cos(2.0 * math.pi * (j + 1) * tgrid / T + bump[j] ** 2)
-            for j in range(5)
-        )
-        starts.append(base * (1.0 + 0.1 * pert))
-
-    best_val, best_x = math.inf, None
-    for x0 in starts:
-        res = minimize(
-            objective,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": _DESCENT_MAXITER, "ftol": 1e-15, "gtol": 1e-11},
-        )
-        # only converged starts compete: a run cut off by the cap stops
-        # anywhere on its way down
-        if res.success and res.fun < best_val:
-            best_val, best_x = float(res.fun), res.x
-    if best_x is None:
-        raise ComputationError("quotient descent converged from no start")
-    return best_val, profile_from_samples(params, best_x)
+    t = np.arange(n_grid) * (T / n_grid)
+    start = np.cosh(np.minimum(t, T - t)) ** (-(d - 2.0) / 2.0)
+    x = _trig_coords(start, T, n_modes)[: n_modes + 1]
+    b = _b_diagonal(d, T, n_modes)[: n_modes + 1]
+    for _ in range(_NEWTON_MAXITER):
+        br = branch(x)
+        (l_even, _), _ = _assemble_block(br, n_modes, n_grid)
+        rhs = k * _trig_coords(br.u ** (q - 1.0), T, n_modes)[: n_modes + 1]
+        step = np.linalg.solve(l_even, b * x - rhs)
+        x = x - step
+        if np.max(np.abs(step)) <= _NEWTON_STEP_TOL * np.max(np.abs(x)):
+            br = branch(x)
+            if np.ptp(br.u) < _NEWTON_MIN_PTP:
+                raise ComputationError(
+                    "Newton fell to the constant branch: u spans %.3g" % np.ptp(br.u)
+                )
+            return br
+    raise ComputationError("Newton did not converge in %d steps" % _NEWTON_MAXITER)
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,17 @@ import scipy.special
 
 from sobolev_lab.conformal import pullback_zonal, q_zeta
 from sobolev_lab.cylinder import (
+    _newton_branch,
     c_T,
     c_T_formula,
     c_T_numeric,
     degenerate_quotient_curve,
     hessian_block_spectrum,
     inverse_period,
-    minimize_quotient,
     period,
+    profile_from_samples,
     quartic_constants,
+    quotient_profile,
     sobolev_constant_cylinder,
     solve_orbit,
     split_stability_check,
@@ -185,17 +187,21 @@ def test_criterion_08_cylinder_constant_below_sphere():
     for T in np.linspace(0.3 * ts, 3.0 * ts, 20):
         margins.append(s_sphere - sobolev_constant_cylinder(3, float(T)))
     min_margin = min(margins)
-    worst_descent = 0.0
+    # the grid quotient of the Galerkin Newton branch against the branch
+    # value from the period quadrature: measured at most 8.8e-16 relative
+    # over d = 3..5 at 1.05-3 T_*, and the bound leaves a factor 11
+    worst_newton = 0.0
     for T in (1.5 * ts, 2.2 * ts):
         branch = sobolev_constant_cylinder(3, T)
-        val, _ = minimize_quotient(3, T)
-        worst_descent = max(worst_descent, abs(val - branch) / branch)
-    ok = min_margin > 0.0 and worst_descent <= 1e-4
+        br = _newton_branch(3, T)
+        val = quotient_profile(profile_from_samples(br.params, br.u))
+        worst_newton = max(worst_newton, abs(val - branch) / branch)
+    ok = min_margin > 0.0 and worst_newton <= 1e-14
     check(
         8,
         ok,
-        "20-point grid, min margin %.3e, descent vs branch worst rel %.3e"
-        % (min_margin, worst_descent),
+        "20-point grid, min margin %.3e, Newton vs branch worst rel %.3e"
+        % (min_margin, worst_newton),
     )
 
 

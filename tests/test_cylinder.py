@@ -42,9 +42,7 @@ from sobolev_lab.cylinder import (
     energy_profile,
     hessian_block_spectrum,
     inverse_period,
-    l1_factorization_residual,
     lq_norm_profile,
-    minimize_quotient,
     ode_residual,
     optimizer_branch,
     orbit_branch_value,
@@ -266,11 +264,6 @@ def test_orbit_euler_lagrange_normalization():
         assert i_energy / i_q == pytest.approx(D * (D - 2.0) / 4.0, rel=1e-9)
 
 
-def test_l1_factorization_of_translation_mode():
-    # v = e^{sigma t}(u' + sigma beta u) solves the ell = 1 Hill equation
-    assert l1_factorization_residual(optimizer_branch(D, 1.5 * TS)) < 1e-12
-
-
 def test_domain_errors_on_bad_amplitudes():
     with pytest.raises(DomainError):
         period(D, u0(D) * 0.9)
@@ -379,24 +372,97 @@ def test_cylinder_constant_sits_below_sphere_and_cosh_bound():
 
 
 def test_orbit_branch_cross_validated():
-    # the descent route to the same value is test_descent_matches_branch_value
+    # the Newton route to the same value is
+    # test_newton_branch_quotient_matches_branch_value
     assert sobolev_constant_cylinder(D, 1.5 * TS) == pytest.approx(
         5.308835907872, rel=1e-9
     )
 
 
-def test_descent_matches_branch_value():
-    for T in (1.5 * TS, 2.5 * TS):
-        val, prof = minimize_quotient(D, T)
-        assert val == pytest.approx(sobolev_constant_cylinder(D, T), rel=1e-6)
-        assert quotient_profile(prof) == pytest.approx(val, rel=1e-9)
+def _dn_amplitude(T):
+    """Amplitude a of u = a dn(a t | 2 - 1/a^2), the d = 4 orbit of period T.
+
+    Its period is 2 K(m) / a; mpmath solves that for a at 40 digits, on the
+    bracket (u0(4), 1) over which the period runs from T_* to infinity.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        tau = lambda a: 2 * mpmath.ellipk(2 - 1 / a**2) / a - T
+        return mpmath.findroot(
+            tau, (mpmath.sqrt(0.5) + mpmath.mpf("1e-30"), 1 - mpmath.mpf("1e-30")),
+            solver="illinois",
+        )
 
 
-def test_descent_refuses_unconverged_starts(monkeypatch):
-    # one L-BFGS-B iteration converges from no start, so no value is ranked
-    monkeypatch.setattr(cylinder, "_DESCENT_MAXITER", 1)
-    with pytest.raises(ComputationError):
-        minimize_quotient(D, 1.5 * TS)
+@pytest.mark.parametrize("frac", [1.5, 3.0, 5.0])
+def test_newton_amplitude_meets_the_dn_closed_form(frac):
+    # measured 2.2e-18, 1.6e-16 and 2.6e-17 relative: at most one rounding
+    # of an amplitude below 1, so the bound is 2.5 ulp there. inverse_period
+    # is off by 5.4e-13, 1.3e-13 and 8.6e-16 (the period map's bias)
+    T = frac * t_star(4)
+    exact = _dn_amplitude(T)
+    assert abs(cylinder._newton_branch(4, T).alpha - exact) <= 2.8e-16 * exact
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+@pytest.mark.parametrize("frac", [1.05, 1.5, 2.0])
+def test_newton_branch_matches_optimizer_branch(d, frac):
+    # the same grid and the same peak at t = 0: measured worst |du| 2.1e-11
+    # and |du'| 3.1e-11 (d = 5, 2 T_*), so the bound leaves a factor 3
+    T = frac * t_star(d)
+    newton, ode = cylinder._newton_branch(d, T), optimizer_branch(d, T)
+    assert newton.u[0] == newton.alpha == np.max(newton.u)
+    assert np.max(np.abs(newton.u - ode.u)) <= 1e-10
+    assert np.max(np.abs(newton.up - ode.up)) <= 1e-10
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("frac", [1.05, 1.5, 2.2, 3.0])
+def test_newton_branch_quotient_matches_branch_value(d, frac):
+    # the grid quotient of the Galerkin Newton branch against the quotient
+    # from the period quadrature's integrals: measured at most 8.8e-16
+    # relative (d = 5, 1.05 T_*), and the bound leaves a factor 11
+    T = frac * t_star(d)
+    br = cylinder._newton_branch(d, T)
+    val = quotient_profile(profile_from_samples(br.params, br.u))
+    assert val == pytest.approx(sobolev_constant_cylinder(d, T), rel=1e-14)
+
+
+@pytest.mark.parametrize("frac", [1.0, 0.5])
+def test_newton_branch_refuses_the_constant_range(frac):
+    with pytest.raises(DomainError, match="T_"):
+        cylinder._newton_branch(D, frac * TS)
+
+
+def test_newton_branch_refuses_a_nonpositive_sample():
+    # at 30 T_* the undamped iteration from the homoclinic start overshoots
+    # below u = 0 (min sample -2.3e-5), where u^(q-2) is no longer the weight
+    with pytest.raises(ComputationError, match="not positive"):
+        cylinder._newton_branch(D, 30.0 * TS)
+
+
+def test_newton_branch_refuses_the_constant_branch(monkeypatch):
+    # started on u0, which solves the same equation, Newton stays there
+    trig_coords = cylinder._trig_coords
+    starts = []
+
+    def start_on_u0(x, T, n_modes):
+        if not starts:
+            starts.append(x)
+            x = np.full_like(x, u0(D))
+        return trig_coords(x, T, n_modes)
+
+    monkeypatch.setattr(cylinder, "_trig_coords", start_on_u0)
+    with pytest.raises(ComputationError, match="constant branch"):
+        cylinder._newton_branch(D, 1.5 * TS)
+
+
+def test_newton_branch_refuses_at_its_iteration_cap(monkeypatch):
+    # one step from the homoclinic start is not converged at 1.5 T_*
+    monkeypatch.setattr(cylinder, "_NEWTON_MAXITER", 1)
+    with pytest.raises(ComputationError, match="1 steps"):
+        cylinder._newton_branch(D, 1.5 * TS)
 
 
 def test_k_fold_branches_are_dominated():
@@ -1225,12 +1291,12 @@ def test_verify_cylinder_solves_each_branch_once(monkeypatch):
 
 def test_verify_cylinder_below_bifurcation_runs_every_check():
     # below T_* u_* is constant, so the checks of the orbit branch (its
-    # translation mode, c_T above T_* and the l1 factorization) run at
-    # 1.3 T_* instead of being dropped or read off the closed form
+    # translation mode, c_T above T_* and the two routes to its amplitude)
+    # run at 1.3 T_* instead of being dropped or read off the closed form
     results = verify.cylinder_checks(T=0.8 * TS)
     assert len(results) == 13
     assert all(r.passed for r in results)
-    assert {"cylinder.translation_zero_mode", "cylinder.l1_factorization"} <= {
+    assert {"cylinder.translation_zero_mode", "cylinder.amplitude_two_routes"} <= {
         r.name for r in results
     }
     above = next(r for r in results if r.name == "cylinder.ct_positive_above")

@@ -39,8 +39,6 @@ ORACLES = {
     "conformal.radial_transfer": "maps the bubble to q_zeta(0) = 1",
     "cylinder.ode_residual": "checks that u0 zeroes V'",
     "cylinder.u_min_turning": "seeds the mpmath reference that checks period",
-    "cylinder.quotient_profile": "the grid quotient of the DOP853 branch, "
-    "the second route to orbit_branch_value",
     "cylinder.distance_to_branch": "the delta in deficit >= c_T delta^2, "
     "the oracle of c_T",
     "zonal.projection_kernel": "checks the ZonalBasis normalization behind "
@@ -234,14 +232,16 @@ def _scipy_optimize_imports(tree: ast.Module) -> list:
 
 def test_every_bracketed_root_runs_on_the_float_brentq():
     # cylinder and conformal bind _brentq.brentq; no module binds scipy's,
-    # and conformal, which needs no other solver, imports no scipy.optimize
+    # and neither imports scipy.optimize: conformal needs no other solver,
+    # and cylinder's branch has a Newton route, not a descent
     import scipy.optimize
 
     for path in sorted(SRC.glob("*.py")):
         module = importlib.import_module("sobolev_lab." + path.stem)
         assert not any(v is scipy.optimize.brentq for v in vars(module).values()), path.stem
         assert "brentq" not in _scipy_optimize_imports(ast.parse(path.read_text())), path.stem
-    assert not _scipy_optimize_imports(ast.parse((SRC / "conformal.py").read_text()))
+    for name in ("cylinder", "conformal"):
+        assert not _scipy_optimize_imports(ast.parse((SRC / (name + ".py")).read_text())), name
     brentq = importlib.import_module("sobolev_lab._brentq").brentq
     for name in ("cylinder", "conformal"):
         assert importlib.import_module("sobolev_lab." + name).brentq is brentq

@@ -27,10 +27,16 @@ on four (d, s). Measured worst move: 2.1e-13 (d = 6, s = 2.5, |zeta| =
 0.95, where the kernel's exponent (d + 2s)/2 is largest); below |zeta| =
 0.95 every move is at most 4.2e-15. The bound leaves a factor 4.7.
 
+The Newton-Galerkin branch runs on ``DEFAULT_N_MODES`` cosines. Doubled,
+its amplitude must move by no more than 2e-15 relative, over d = 3..6 at
+1.05 to 3 T_*. Measured worst move: 5.2e-16 (d = 4, 1.05 T_*, a few ulp,
+where the Jacobian is nearest singular), so the bound leaves a factor 3.9.
+
 Each default discretization, and the DOP853 tolerance pair, has one home, a
 module constant. A discretization that a caller chooses is a parameter that
-defaults to its home; the period's nodes, the azimuthal order and the
-tolerance pair are read from their homes at call time, and a check at N and
+defaults to its home; the period's nodes, the azimuthal order, the
+tolerance pair and the Newton branch's modes and grid are read from their
+homes at call time, and a check at N and
 2N (or at a tenfold tighter tolerance) sets the constant, so it varies the
 value the library runs at.
 """
@@ -61,6 +67,8 @@ BOUND = 1e-10
 PERIOD_BOUND = 1e-10
 # relative; 4.7 times the measured worst 2.1e-13 (docstring)
 MOMENT_BOUND = 1e-12
+# relative; 3.9 times the measured worst 5.2e-16 (docstring)
+NEWTON_BOUND = 2e-15
 
 
 def _tighten(monkeypatch) -> None:
@@ -98,6 +106,16 @@ def test_period_converges_in_n_theta(d, frac, monkeypatch):
     monkeypatch.setattr(cylinder, "DEFAULT_N_THETA", 2 * DEFAULT_N_THETA)
     fine = period(d, alpha)
     assert abs(ref - fine) <= PERIOD_BOUND * fine
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+@pytest.mark.parametrize("frac", [1.05, 1.5, 2.0, 3.0])
+def test_newton_amplitude_converges_in_n_modes(d, frac, monkeypatch):
+    T = frac * t_star(d)
+    ref = cylinder._newton_branch(d, T).alpha
+    monkeypatch.setattr(cylinder, "DEFAULT_N_MODES", 2 * cylinder.DEFAULT_N_MODES)
+    fine = cylinder._newton_branch(d, T).alpha
+    assert abs(ref - fine) <= NEWTON_BOUND * fine
 
 
 @pytest.mark.parametrize("d, s", [(3, 1.0), (4, 1.0), (5, 0.7), (6, 2.5)])
@@ -151,6 +169,8 @@ AT_HOME = {
 # no parameter for it; the DOP853 pair is read by _integrate, the one run
 # every orbit goes through
 READ_AT_CALL = {
+    "n_modes": "cylinder._newton_branch",
+    "n_grid": "cylinder._newton_branch",
     "n_theta": "cylinder.period cylinder.orbit_integrals",
     "n_azimuthal": "stability.zeta_moment_integral",
     "rtol": "cylinder._integrate",
