@@ -39,14 +39,10 @@ def _fmt_float(x: float) -> str:
 def render_json(record: dict) -> str:
     parts = []
     for key, val in record.items():
-        if isinstance(val, bool):
-            txt = "true" if val else "false"
-        elif isinstance(val, (int, np.integer)):
+        if isinstance(val, (int, np.integer)):
             txt = str(int(val))
-        elif isinstance(val, (float, np.floating)):
-            txt = _fmt_float(val)
         else:
-            txt = '"%s"' % str(val)
+            txt = _fmt_float(val)
         parts.append('  "%s": %s' % (key, txt))
     return "{\n" + ",\n".join(parts) + "\n}\n"
 
@@ -83,7 +79,7 @@ _FLAGS = {
 # the flags each subcommand reads besides --out and --config; its config
 # file may set these keys and out, with dashes read as underscores
 _COMMAND_FLAGS = {
-    "constants": ("d", "s", "modes"),
+    "constants": ("d", "s"),
     "verify": ("d", "s", "T", "bandlimit", "quad-order", "modes", "seed"),
     "period-map": ("d", "alpha-grid"),
     "be-scan": ("d", "s", "bandlimit", "quad-order", "eps-grid", "family"),
@@ -202,9 +198,7 @@ def cmd_constants(args: argparse.Namespace) -> str:
         record["t_star"] = ts
         for frac in (25, 50, 75, 100):
             record["c_t_formula_frac_%d" % frac] = cylinder.c_T_formula(d, ts * frac / 100.0)
-        record["quartic_constant"] = cylinder.quartic_constants(
-            d, **_given(args, "modes")
-        ).limit_constant
+        record["quartic_constant"] = cylinder.quartic_constants(d).limit_constant
     return render_json(record)
 
 

@@ -53,8 +53,6 @@ __all__ = [
     "u0",
     "t_star",
     "potential",
-    "ode_residual",
-    "u_min_turning",
     "period",
     "orbit_integrals",
     "solve_orbit",
@@ -70,7 +68,6 @@ __all__ = [
     "cosh_trial_bound",
     "hessian_block_spectrum",
     "zero_mode_pairing",
-    "c_T",
     "c_T_formula",
     "c_T_numeric",
     "quartic_constants",
@@ -160,11 +157,6 @@ def _d3v(u, d: int):
     return d * (d - 2.0) * (q - 1.0) * (q - 2.0) / 4.0 * u ** (q - 3.0)
 
 
-def ode_residual(d: int, u: float) -> float:
-    """Residual of the stationary equation at a constant value u."""
-    return float(_dv(np.asarray(u, dtype=float), d))
-
-
 def _check_alpha(d: int, alpha: float) -> None:
     lo = u0(d)
     if not lo < alpha < 1.0:
@@ -246,22 +238,6 @@ def _direct_turning(d: int, level: float, base: float) -> float:
     return brentq(
         lambda u: a * u * u / 8.0 + b * u**q - level, 1e-14, base, xtol=1e-15, rtol=8.9e-16
     )
-
-
-def u_min_turning(d: int, alpha: float) -> float:
-    """Lower turning point: the root of V(u) = V(alpha) below u0.
-
-    Near the well minimum the two potential values agree to within roundoff
-    of V(u0), so the root find switches to the Taylor series of V about u0,
-    where the equation is built from well-scaled small terms.
-    """
-    _check_alpha(d, alpha)
-    alpha = float(alpha)
-    base = u0(d)
-    amp = alpha - base
-    if amp < _SMALL_AMP:
-        return base + _turning_offset(_v_derivs_at_u0(d), amp)
-    return _direct_turning(d, _v(alpha, d), base)
 
 
 @dataclass(frozen=True)
@@ -524,15 +500,6 @@ def _dop853(
     output. The full run builds dense output for every accepted step; a run
     ``to_turning`` only for the step it returns, so its nfev is
     2 + 12 per attempt + 3.
-
-    On a 2-core host scipy's own steps took 8.0 ms per half period (d = 3..5,
-    T = 1.5 and 2 T_*, medians of 3 alternating processes). Float steps
-    driven by ``solve_ivp`` through scipy's private step hooks took 0.85-0.90
-    ms at d = 4, 1.4 T_*, and this loop 0.53-0.55 ms there (minimum of 60
-    calls interleaved with the hooked version, 3 processes), calling the
-    right-hand side once per stage. With the stages written out it takes
-    0.45 ms, against 0.53 ms for the calling version (minimum of 60 calls,
-    median over 5 alternating processes per side).
     """
     attempt, extra, exponent = _tableau.attempt, _tableau.extra, _EXPONENT
     c, k, e = _rhs_constants(d)
@@ -1391,14 +1358,6 @@ def c_T_numeric(d: int, T: float, n_modes: int = DEFAULT_N_MODES) -> float:
     return min(even1, deg1)
 
 
-def c_T(d: int, T: float, n_modes: int = DEFAULT_N_MODES) -> float:
-    """Quadratic stability constant: closed form below T_*, numeric above."""
-    ts = t_star(d)
-    if T <= ts * (1.0 + 1e-12):
-        return c_T_formula(d, min(T, ts))
-    return c_T_numeric(d, T, n_modes=n_modes)
-
-
 # ---------------------------------------------------------------------------
 # quartic constants at the bifurcation period
 
@@ -1422,7 +1381,7 @@ class QuarticConstants:
 _QUARTIC_REL_TOL = 1e-6
 
 
-def quartic_constants(d: int, n_modes: int = DEFAULT_N_MODES) -> QuarticConstants:
+def quartic_constants(d: int) -> QuarticConstants:
     """Quartic coefficient, resolvent correction, and their gap at T_*.
 
     The numeric route solves the degree-0 Hessian block for the resolvent of
@@ -1435,6 +1394,7 @@ def quartic_constants(d: int, n_modes: int = DEFAULT_N_MODES) -> QuarticConstant
     the resolvent divides coordinate by coordinate, with no Hill matrix
     built.
     """
+    n_modes = DEFAULT_N_MODES
     ts = t_star(d)
     params = CylinderParams(d=d, T=ts)
     q = params.q
@@ -1452,7 +1412,7 @@ def quartic_constants(d: int, n_modes: int = DEFAULT_N_MODES) -> QuarticConstant
     # comment at _PARITY_TOL) and their spectra are their diagonals
     evals = np.concatenate(_constant_diagonals(br, n_modes, True)[0])
     scale = float(np.max(np.abs(evals)))
-    ker = np.abs(evals) < 1e-6 * scale
+    ker = np.abs(evals) < _KERNEL_REL_TOL * scale
     if int(np.sum(ker)) != 3:
         raise ComputationError(
             "expected a 3-dimensional kernel at T_*, found %d" % int(np.sum(ker))
@@ -1553,8 +1513,10 @@ def degenerate_quotient_curve(
     """Quotient E (E - S ||u||_q^2) / delta^4 along u = u_* + eps r + eps^2 s.
 
     r is the incipient cosine mode and s the resolvent correction (dropped
-    when ``with_resolvent`` is false). The orthogonality of s to the kernel
-    directions makes delta^2 = eps^2 E[r] + eps^4 E[s] exact, so the curve
+    when ``with_resolvent`` is false). s is the pure second harmonic that
+    ``quartic_constants`` builds (it refuses a resolvent with any other
+    mode), so it is orthogonal to the kernel directions 1, r and r', which
+    makes delta^2 = eps^2 E[r] + eps^4 E[s] exact, and the curve
     extrapolates to the closed-form quartic limit (or to the larger s = 0
     value C_* E[u_*]/E[r]^2). An eps whose deficit falls below
     ``_DEFICIT_FLOOR`` of the energy raises DegenerateInputError: the
@@ -1578,20 +1540,10 @@ def degenerate_quotient_curve(
         s_samples = qc.resolvent_profile.samples
     else:
         s_samples = np.zeros(m)
-    dr_samples = -np.sin(2.0 * math.pi * tgrid / ts)
 
-    # E_T and its bilinear form, on one rfft of each of r, s and r'
+    # E_T on one rfft of each of r and s
     _, form = _energy_form(params, m)
-    spec_r, spec_s, spec_dr = (np.fft.rfft(x) for x in (r_samples, s_samples, dr_samples))
-    scale_s = max(float(np.max(np.abs(s_samples))), 1.0)
-    if abs(float(np.sum(s_samples)) * h) > 1e-10 * ts * scale_s:
-        raise PreconditionError("resolvent correction must have zero mean")
-    if abs(form((spec_r * np.conj(spec_s)).real)) > 1e-10 * scale_s:
-        raise PreconditionError("correction must be energy-orthogonal to the mode")
-    if abs(form((spec_dr * np.conj(spec_s)).real)) > 1e-10 * scale_s:
-        raise PreconditionError(
-            "correction must be energy-orthogonal to the translation mode"
-        )
+    spec_r, spec_s = (np.fft.rfft(x) for x in (r_samples, s_samples))
 
     e_u = (d - 2.0) ** 2 / 4.0 * base**2 * sigma
     e_r = form(np.abs(spec_r) ** 2)

@@ -113,7 +113,7 @@ def zeta_moment_integral(fn: ZonalFn, a: float, rho: float) -> float:
         crule.nodes,
         crule.weights,
     )
-    return float(sphere_area(d - 2) * val) if d >= 2 else float(val)
+    return float(sphere_area(d - 2) * val)
 
 
 _SEED_ZETAS = ((0.0, 0.0), (0.6, 0.0), (-0.6, 0.0), (0.3, 0.3), (-0.3, 0.3))

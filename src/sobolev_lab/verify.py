@@ -343,8 +343,8 @@ def cylinder_checks(
     )
 
     # the checks of the orbit branch run past T_* whatever T is: at and below
-    # T_* u_*' = 0, so there is no translation mode to pair, and c_T is the
-    # closed form, with no eigensolve
+    # T_* u_*' = 0, so there is no translation mode to pair, and c_T_numeric
+    # reads diagonal ratios, with no eigensolve
     above = max(T, 1.3 * ts)
     dims = []
     for tv, expect in ((0.7 * ts, 1), (ts, 3), (above, 2)):
@@ -380,7 +380,9 @@ def cylinder_checks(
             1e-12,
         )
     )
-    out.append(_gt("cylinder.ct_positive_above", cylinder.c_T(d, above, n_modes=n_modes), 0.0))
+    out.append(
+        _gt("cylinder.ct_positive_above", cylinder.c_T_numeric(d, above, n_modes=n_modes), 0.0)
+    )
 
     # Newton's amplitude at fixed T against the period map's root. Over d = 3..6
     # at 1.05-3 T_* they differ by at most 9.4e-13 relative (d = 5, 2.7 T_*);

@@ -12,7 +12,6 @@ import scipy.special
 from sobolev_lab.conformal import pullback_zonal, q_zeta
 from sobolev_lab.cylinder import (
     _newton_branch,
-    c_T,
     c_T_formula,
     c_T_numeric,
     degenerate_quotient_curve,
@@ -229,7 +228,7 @@ def test_criterion_10_quadratic_stability_constant():
         f = c_T_formula(3, float(T))
         worst = max(worst, abs(c_T_numeric(3, float(T)) - f) / f)
     at_star = abs(c_T_numeric(3, ts))
-    positive = [c_T(3, float(T)) for T in np.linspace(1.1 * ts, 3.0 * ts, 6)]
+    positive = [c_T_numeric(3, float(T)) for T in np.linspace(1.1 * ts, 3.0 * ts, 6)]
     ok = worst <= 1e-8 and at_star <= 1e-8 and all(v > 0.0 for v in positive)
     check(
         10,

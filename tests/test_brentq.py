@@ -19,10 +19,10 @@ from sobolev_lab.cylinder import (
     distance_to_branch,
     inverse_period,
     optimizer_branch,
+    period,
     profile_from_samples,
     t_star,
     u0,
-    u_min_turning,
 )
 from sobolev_lab.errors import ComputationError
 from sobolev_lab.zonal import SphereParams
@@ -83,11 +83,12 @@ def twin(monkeypatch):
 
 
 def test_turning_points_on_both_paths(twin):
-    # amplitudes below 2e-3 take the Taylor series about u0, the rest V itself
+    # each period finds its lower turning point by one root: below amplitude
+    # 2e-3 on the Taylor series about u0, above it on V itself
     for d in range(3, 11):
         base = u0(d)
         for amp in (1e-5, 1e-3, 1.9e-3, 2.1e-3, 0.05, 0.5 * (1.0 - base), 0.999 * (1.0 - base)):
-            u_min_turning(d, base + amp)
+            period(d, base + amp)
     assert twin.calls == 8 * 7
 
 

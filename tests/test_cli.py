@@ -187,7 +187,6 @@ def test_flags_override_config(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, defaults, config",
     [
-        (["constants", "--d", "3", "--s", "1"], ["--modes", "128"], None),
         (
             ["be-scan", "--family", "degree2", "--d", "3", "--s", "1.0"],
             ["--bandlimit", "64", "--quad-order", "256", "--eps-grid", "0.02,0.01,0.005"],
@@ -211,6 +210,73 @@ def test_omitted_flags_take_the_library_defaults(tmp_path, capsys, argv, default
     omitted = run_cli(capsys, argv)
     assert omitted[0] == 0
     assert omitted == run_cli(capsys, spelled)
+
+
+# The flag ledger: every flag a subcommand reads changes what it prints. Each
+# run takes from a config file the values its command cannot run without,
+# and a few that keep it fast (verify conformal at bandlimit 48 passes in
+# about 0.01 s); a probe adds one flag, which overrides the file, and must
+# print other bytes than the same run without it.
+LEDGER_CONFIG = {
+    "constants": "d = 3\ns = 1\n",
+    "verify": "bandlimit = 48\n",
+    "period-map": "d = 4\nalpha-grid = 0.8,0.9\n",
+    "be-scan": "d = 3\ns = 1\nfamily = degree2\nbandlimit = 8\nquad-order = 32\n"
+    "eps-grid = 0.02,0.01\n",
+    "quartic": "d = 3\n",
+}
+
+# (command, flag) -> (the suite, if any, and the flag's value)
+FLAG_PROBES = {
+    ("constants", "d"): ((), "4"),
+    ("constants", "s"): ((), "0.5"),
+    ("verify", "d"): (("cylinder",), "4"),
+    ("verify", "s"): (("conformal",), "0.5"),
+    ("verify", "T"): (("cylinder",), "8"),
+    ("verify", "bandlimit"): (("conformal",), "64"),
+    ("verify", "quad-order"): (("conformal",), "128"),
+    ("verify", "modes"): (("cylinder",), "64"),
+    ("verify", "seed"): (("conformal",), "1"),
+    ("period-map", "d"): ((), "3"),
+    ("period-map", "alpha-grid"): ((), "0.8,0.95"),
+    ("be-scan", "d"): ((), "4"),
+    ("be-scan", "s"): ((), "0.5"),
+    ("be-scan", "bandlimit"): ((), "16"),
+    ("be-scan", "quad-order"): ((), "64"),
+    ("be-scan", "eps-grid"): ((), "0.03,0.02"),
+    ("be-scan", "family"): ((), "degree3"),
+    ("quartic", "d"): ((), "4"),
+    ("quartic", "eps-grid"): ((), "0.03,0.02"),
+}
+
+# (command, flag) -> why it prints the same bytes; such a flag must keep
+# printing them, so the entry goes once the flag changes the output
+SAME_OUTPUT = {
+    ("be-scan", "bandlimit"): (
+        "the scanned function is one Gegenbauer degree, so the bandlimit moves "
+        "only roundoff (B = 8, 32 and 64 print the same bytes); it also bounds "
+        "the range of --quad-order"
+    ),
+}
+
+
+def test_the_flag_ledger_probes_every_flag():
+    pairs = {(command, flag) for command, flags in cli._COMMAND_FLAGS.items() for flag in flags}
+    assert set(FLAG_PROBES) == pairs
+    assert set(SAME_OUTPUT) <= pairs
+    assert set(LEDGER_CONFIG) == set(cli._COMMAND_FLAGS)
+
+
+@pytest.mark.parametrize("command, flag", sorted(FLAG_PROBES))
+def test_every_flag_changes_the_output(tmp_path, capsys, command, flag):
+    suite, value = FLAG_PROBES[command, flag]
+    cfg = tmp_path / "ledger.cfg"
+    cfg.write_text(LEDGER_CONFIG[command], encoding="utf-8")
+    without = [command, *suite, "--config", str(cfg)]
+    base = run_cli(capsys, without)
+    probe = run_cli(capsys, without + ["--" + flag, value])
+    assert base[0] == 0 and probe[0] == 0
+    assert (probe[1] == base[1]) == ((command, flag) in SAME_OUTPUT)
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -248,8 +314,6 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["be-scan", "--family", "degree2", "--d", "3", "--s", "1.0", "--eps-grid", ","],
         ["quartic", "--d", "3", "--eps-grid", "0.02,0.02,0.01"],
         # fewer than two Hill modes
-        ["constants", "--d", "3", "--s", "1", "--modes", "0"],
-        ["constants", "--d", "3", "--s", "1", "--modes", "1"],
         ["verify", "cylinder", "--modes", "0"],
         ["verify", "cylinder", "--modes", "1"],
         # a bandlimit below the degrees the command draws or perturbs
@@ -304,6 +368,7 @@ def test_parser_level_errors_raise_systemexit_2(capsys):
         ["constants", "--d", "3", "--s", "1.0", "--format", "csv"],
         # each subcommand takes only the flags it reads
         ["quartic", "--d", "3", "--modes", "64"],
+        ["constants", "--d", "3", "--s", "1", "--modes", "128"],
         ["period-map", "--d", "3", "--alpha-grid", "0.8,0.9", "--seed", "1"],
     ):
         with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,6 @@ Closed-form anchors (frozen from 40-digit evaluations):
 """
 
 import copy
-import dataclasses
 import importlib.util
 import math
 from pathlib import Path
@@ -32,7 +31,6 @@ from sobolev_lab.cylinder import (
     _trig_coords,
     Branch,
     CylinderParams,
-    c_T,
     c_T_formula,
     c_T_numeric,
     cosh_trial_bound,
@@ -43,7 +41,6 @@ from sobolev_lab.cylinder import (
     hessian_block_spectrum,
     inverse_period,
     lq_norm_profile,
-    ode_residual,
     optimizer_branch,
     orbit_branch_value,
     orbit_integrals,
@@ -57,7 +54,6 @@ from sobolev_lab.cylinder import (
     split_stability_check,
     t_star,
     u0,
-    u_min_turning,
     zero_mode_pairing,
 )
 from sobolev_lab.errors import (
@@ -91,7 +87,10 @@ def test_well_minimum_closed_forms():
 def test_well_is_critical_with_curvature_d_minus_2():
     for d in (3, 4, 5):
         base = u0(d)
-        assert abs(ode_residual(d, base)) < 1e-14
+        q = 2.0 * d / (d - 2.0)
+        # V'(u) = -(d-2)^2 u / 4 + d(d-2)/4 u^(q-1)
+        dv = -((d - 2.0) ** 2) * base / 4.0 + d * (d - 2.0) / 4.0 * base ** (q - 1.0)
+        assert abs(dv) < 1e-14
         h = 1e-5
         v2 = (potential(base + h, d) - 2.0 * potential(base, d) + potential(base - h, d)) / h**2
         assert v2 == pytest.approx(d - 2.0, rel=1e-5)
@@ -99,7 +98,7 @@ def test_well_is_critical_with_curvature_d_minus_2():
 
 def test_turning_point_matches_level():
     for alpha in (0.8, 0.95):
-        lo = u_min_turning(D, alpha)
+        lo = cylinder._direct_turning(D, potential(alpha, D), u0(D))
         assert 0.0 < lo < u0(D) < alpha
         assert potential(lo, D) == pytest.approx(potential(alpha, D), abs=1e-13)
 
@@ -137,9 +136,10 @@ def test_period_frozen_regression():
 def _period_reference(mp, d, alpha):
     """tau(alpha) by 50-digit Gauss-Legendre quadrature of the same integral.
 
-    The lower turning point is polished by mpmath's Newton iteration from the
-    double-precision one, and W = (V(alpha) - V(u)) / ((alpha - u)(u - umin))
-    is formed directly: at 50 digits the difference keeps 30 of them.
+    The lower turning point is mpmath's own bracketed root of V(u) = V(alpha)
+    on (0, u0), where V falls monotonically, and W = (V(alpha) - V(u)) /
+    ((alpha - u)(u - umin)) is formed directly: at 50 digits the difference
+    keeps 30 of them.
     """
     with mp.workdps(50):
         dd = mp.mpf(d)
@@ -150,7 +150,9 @@ def _period_reference(mp, d, alpha):
 
         a = mp.mpf(alpha)
         level = V(a)
-        umin = mp.findroot(lambda u: V(u) - level, mp.mpf(u_min_turning(d, alpha)))
+        umin = mp.findroot(
+            lambda u: V(u) - level, (mp.mpf(1e-12), mp.mpf(u0(d))), solver="anderson"
+        )
         span = a - umin
 
         def inv_sqrt_w(theta):
@@ -1308,14 +1310,13 @@ def test_ct_closed_form_below_bifurcation():
     for frac in (0.3, 0.55, 0.8, 0.95):
         T = frac * TS
         assert c_T_numeric(D, T) == pytest.approx(c_T_formula(D, T), rel=1e-8)
-        assert c_T(D, T) == pytest.approx(c_T_formula(D, T), rel=1e-12)
 
 
 def test_ct_vanishes_at_bifurcation_positive_above():
-    assert abs(c_T(D, TS)) < 1e-12
-    assert c_T(D, 1.5 * TS) == pytest.approx(0.051867986428960844, rel=1e-6)
-    assert c_T(D, 3.0 * TS) == pytest.approx(0.0004385836744883228, rel=1e-4)
-    assert c_T(D, 3.0 * TS) > 0
+    assert abs(c_T_numeric(D, TS)) < 1e-12
+    assert c_T_numeric(D, 1.5 * TS) == pytest.approx(0.051867986428960844, rel=1e-6)
+    assert c_T_numeric(D, 3.0 * TS) == pytest.approx(0.0004385836744883228, rel=1e-4)
+    assert c_T_numeric(D, 3.0 * TS) > 0
 
 
 def test_quadratic_lower_bound_along_cosine_mode():
@@ -1341,7 +1342,7 @@ def test_quadratic_lower_bound_along_cosine_mode():
 def test_quadratic_lower_bound_random_directions():
     T = 1.5 * TS
     s_val = sobolev_constant_cylinder(D, T)
-    bound = c_T(D, T)
+    bound = c_T_numeric(D, T)
     star = _branch_profile(D, T, n_grid=1024)
     rng = np.random.default_rng(11)
     for _ in range(5):
@@ -1481,33 +1482,6 @@ def test_degenerate_curve_refuses_an_eps_whose_deficit_is_roundoff():
         assert curve.extrapolated_limit == pytest.approx(curve.limit_constant, rel=2e-2)
         with pytest.raises(DegenerateInputError, match="quotient is roundoff"):
             degenerate_quotient_curve(d, eps_grid=(0.01, 1e-4))
-
-
-def _resolvent_shifted_by(monkeypatch, mode):
-    """quartic_constants with ``mode`` (samples on the T_* grid) added to s."""
-    qc = quartic_constants(D)
-    prof = qc.resolvent_profile
-    t = np.arange(cylinder.DEFAULT_N_GRID) * (prof.params.T / cylinder.DEFAULT_N_GRID)
-    shift = 1e-3 * mode(2.0 * math.pi * t / prof.params.T)
-    bent = profile_from_samples(prof.params, prof.samples + shift)
-    monkeypatch.setattr(
-        cylinder, "quartic_constants", lambda d: dataclasses.replace(qc, resolvent_profile=bent)
-    )
-
-
-@pytest.mark.parametrize(
-    "mode, match",
-    [
-        (np.ones_like, "zero mean"),
-        (np.cos, "energy-orthogonal to the mode"),
-        (np.sin, "energy-orthogonal to the translation mode"),
-    ],
-    ids=["mean", "mode", "translation"],
-)
-def test_degenerate_curve_refuses_a_resolvent_off_its_constraints(monkeypatch, mode, match):
-    _resolvent_shifted_by(monkeypatch, mode)
-    with pytest.raises(PreconditionError, match=match):
-        degenerate_quotient_curve(D)
 
 
 def _bend(monkeypatch, name, select, edit):

@@ -37,8 +37,6 @@ SUBMODULES = AUDITED + ("errors", "verify", "_kernels")
 # module.name -> the kept function it cross-checks, and how
 ORACLES = {
     "conformal.radial_transfer": "maps the bubble to q_zeta(0) = 1",
-    "cylinder.ode_residual": "checks that u0 zeroes V'",
-    "cylinder.u_min_turning": "seeds the mpmath reference that checks period",
     "cylinder.distance_to_branch": "the delta in deficit >= c_T delta^2, "
     "the oracle of c_T",
     "zonal.projection_kernel": "checks the ZonalBasis normalization behind "

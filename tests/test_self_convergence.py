@@ -160,8 +160,7 @@ AT_HOME = {
     "bandlimit": "zonal.analyze conformal.q_zeta " + SPHERE_SUITES,
     "order": "zonal.from_coeffs conformal.q_zeta " + SPHERE_SUITES,
     "n_modes": "cylinder.hessian_block_spectrum cylinder.zero_mode_pairing "
-    "cylinder.c_T_numeric cylinder.c_T cylinder.quartic_constants "
-    "verify.cylinder_checks",
+    "cylinder.c_T_numeric verify.cylinder_checks",
     "n_grid": "cylinder.optimizer_branch",
 }
 
@@ -169,7 +168,7 @@ AT_HOME = {
 # no parameter for it; the DOP853 pair is read by _integrate, the one run
 # every orbit goes through
 READ_AT_CALL = {
-    "n_modes": "cylinder._newton_branch",
+    "n_modes": "cylinder._newton_branch cylinder.quartic_constants",
     "n_grid": "cylinder._newton_branch",
     "n_theta": "cylinder.period cylinder.orbit_integrals",
     "n_azimuthal": "stability.zeta_moment_integral",
