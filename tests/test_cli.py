@@ -187,6 +187,7 @@ def test_flags_override_config(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, defaults, config",
     [
+        (["verify", "duality"], ["--seed", "0"], None),
         (
             ["be-scan", "--family", "degree2", "--d", "3", "--s", "1.0"],
             ["--bandlimit", "64", "--quad-order", "256", "--eps-grid", "0.02,0.01,0.005"],
@@ -313,6 +314,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["quartic", "--d", "3", "--eps-grid", ","],
         ["be-scan", "--family", "degree2", "--d", "3", "--s", "1.0", "--eps-grid", ","],
         ["quartic", "--d", "3", "--eps-grid", "0.02,0.02,0.01"],
+        ["quartic", "--d", "3", "--eps-grid", "0.02"],
+        ["be-scan", "--family", "degree2", "--d", "3", "--s", "1.0", "--eps-grid", "0.02,0.02"],
         # fewer than two Hill modes
         ["verify", "cylinder", "--modes", "0"],
         ["verify", "cylinder", "--modes", "1"],
